@@ -7,7 +7,7 @@ their onset time and axes, and sweeps crowd size against exit width to
 quantify how those quantities scale.
 """
 
-from .agent import Agent, SimilaritySpec
+from .agent import Agent
 from .engine import SimConfig, StepRecord, initialize, run, step
 from .errors import (
     ArchsimError,
@@ -35,7 +35,6 @@ __all__ = [
     "InvalidDimensionsError",
     "RegressionFit",
     "SimConfig",
-    "SimilaritySpec",
     "StepRecord",
     "SweepConfig",
     "WorldGrid",

@@ -1,10 +1,11 @@
 """The simulated individual and its per-step decision primitives.
 
-An agent carries a position, a heading (pointed at its current target
-exit coordinate), and an attribute tuple used for social comparison.
-Movement decisions are pure functions of (agent, world snapshot):
+An agent carries a position and a heading (pointed at its current
+target exit coordinate); social comparison scores a pair of agents by
+how close they stand and how alike their headings are.  Movement
+decisions are pure functions of (agent, world snapshot, run config):
 
-* :func:`field_of_desire` lists the cells inside the forward vision
+* :func:`cone_offsets` lists the offsets inside the forward vision
   cone, a 100-degree wedge facing the heading.
 * :func:`choose_target_cell` picks the closest free visible cell.
 * When an agent's best social match looks too dissimilar, the agent is
@@ -17,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .errors import ConfigError
 from .world import Cell, WorldGrid, is_free
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
 _ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
@@ -32,43 +36,8 @@ class Agent:
     id: int
     pos: Cell
     heading: float = 0.0  # radians in [0, 2*pi)
-    attributes: tuple[float, ...] = ()  # extra normalized scalars, usually empty
     exited: bool = False
     moved_last_step: bool = False
-
-
-@dataclass(frozen=True)
-class SimilaritySpec:
-    """Weights and constants for the pairwise similarity function.
-
-    ``kinds`` names one comparison dimension per weight.  Supported
-    kinds: ``distance`` (Euclidean separation, saturating at ``d_max``
-    cells), ``heading`` (minimal angular difference), and ``scalar``
-    (absolute difference of the agents' own attribute values; each
-    ``scalar`` entry consumes the next attribute slot in order).
-    """
-
-    kinds: tuple[str, ...] = ("distance", "heading")
-    weights: tuple[float, ...] = (0.5, 0.5)
-    d_max: float = 3.0
-    trigger_threshold: float = 0.5
-
-    def __post_init__(self):
-        if len(self.kinds) != len(self.weights):
-            raise ConfigError("similarity kinds and weights must have equal length")
-        if not self.kinds:
-            raise ConfigError("similarity spec needs at least one dimension")
-        if any(w < 0 for w in self.weights):
-            raise ConfigError("similarity weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ConfigError(f"similarity weights must sum to 1, got {sum(self.weights)}")
-        if self.d_max <= 0:
-            raise ConfigError("d_max must be positive")
-        if not 0.0 <= self.trigger_threshold <= 1.0:
-            raise ConfigError("trigger_threshold must lie in [0, 1]")
-        for kind in self.kinds:
-            if kind not in ("distance", "heading", "scalar"):
-                raise ConfigError(f"unknown similarity dimension kind: {kind!r}")
 
 
 def wrap_angle(a: float) -> float:
@@ -96,49 +65,27 @@ def heading_toward(src: Cell, dst: Cell) -> float:
     return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
 
 
-def dimension_similarity(kind: str, x: float, y: float, spec: SimilaritySpec) -> float:
-    """Similarity of two values on one comparison dimension, in [0, 1].
+def similarity(x: Agent, y: Agent, config: SimConfig) -> float:
+    """Equal-weight sum of distance and heading similarity, in [0, 1].
 
-    1 means identical, monotonically nonincreasing in the difference.
+    Distance similarity falls linearly from 1 to 0 at ``config.d_max``
+    cells; heading similarity is 1 minus the angle between the headings
+    over pi.
     """
-    if kind == "distance":
-        d = abs(x - y)
-        return max(0.0, 1.0 - d / spec.d_max)
-    if kind == "heading":
-        dt = abs(signed_deviation(x, y))
-        return 1.0 - dt / math.pi
-    if kind == "scalar":
-        return max(0.0, 1.0 - abs(x - y))
-    raise ConfigError(f"unknown similarity dimension kind: {kind!r}")
-
-
-def similarity(x: Agent, y: Agent, spec: SimilaritySpec) -> float:
-    """Weighted sum of per-dimension similarities between two agents."""
-    total = 0.0
-    scalar_slot = 0
-    dist = None
-    for kind, weight in zip(spec.kinds, spec.weights):
-        if kind == "distance":
-            if dist is None:
-                dist = math.hypot(x.pos[0] - y.pos[0], x.pos[1] - y.pos[1])
-            s = dimension_similarity(kind, dist, 0.0, spec)
-        elif kind == "heading":
-            s = dimension_similarity(kind, x.heading, y.heading, spec)
-        else:  # scalar
-            s = dimension_similarity(kind, x.attributes[scalar_slot], y.attributes[scalar_slot], spec)
-            scalar_slot += 1
-        total += s * weight
-    return total
+    dist = math.hypot(x.pos[0] - y.pos[0], x.pos[1] - y.pos[1])
+    by_distance = max(0.0, 1.0 - dist / config.d_max)
+    by_heading = 1.0 - abs(signed_deviation(x.heading, y.heading)) / math.pi
+    return by_distance * 0.5 + by_heading * 0.5
 
 
 def most_similar_neighbor(
-    agent: Agent, visible: list[Agent], spec: SimilaritySpec
+    agent: Agent, visible: list[Agent], config: SimConfig
 ) -> tuple[Agent, float] | None:
     """The visible agent with the highest similarity score, ties to lowest id."""
     best = None
     best_score = -1.0
     for other in visible:
-        score = similarity(agent, other, spec)
+        score = similarity(agent, other, config)
         if score > best_score or (score == best_score and other.id < best.id):
             best = other
             best_score = score
@@ -181,22 +128,6 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
     return tuple((ox, oy, dist) for dist, _, _, ox, oy in selected)
 
 
-def field_of_desire(agent: Agent, grid: WorldGrid, radius: int) -> list[Cell]:
-    """In-bounds cells visible to the agent, nearest and most-aligned first.
-
-    Pure geometry: occupancy does not affect membership, only later
-    filtering.  Cells deviating more than 50 degrees from the heading
-    are outside the field.
-    """
-    x, y = agent.pos
-    out = []
-    for ox, oy, _ in cone_offsets(radius, agent.heading):
-        cell = (x + ox, y + oy)
-        if grid.in_bounds(cell):
-            out.append(cell)
-    return out
-
-
 def choose_target_cell(agent: Agent, grid: WorldGrid, radius: int) -> Cell | None:
     """Closest free cell in the vision cone, or None when fully blocked.
 
@@ -217,7 +148,7 @@ def sct_adjust(
     goal_target: Cell | None,
     grid: WorldGrid,
     radius: int,
-    spec: SimilaritySpec,
+    config: SimConfig,
 ) -> Cell | None:
     """Override the goal target when social comparison is triggered.
 
@@ -229,7 +160,7 @@ def sct_adjust(
     if comparison is None:
         return goal_target
     other, score = comparison
-    if score >= spec.trigger_threshold:
+    if score >= config.trigger_threshold:
         return goal_target
     x, y = agent.pos
     tx, ty = other.pos

@@ -1,10 +1,10 @@
 """Statistics over sweep measurements.
 
-Ordinary least squares via the normal equations, a fixed two-sided
-critical-t table for significance calls, per-(c, w) aggregation of
-replicate measurements, and the three trend correlations that summarize
-how onset time and arch axes scale with crowd size and exit width:
-T against 1/(c*w), M against c/w, and m against c*w.
+Ordinary least squares via the normal equations (with the slope's t
+statistic), per-(c, w) aggregation of replicate measurements, and the
+three trend correlations that summarize how onset time and arch axes
+scale with crowd size and exit width: T against 1/(c*w), M against
+c/w, and m against c*w.
 """
 
 from __future__ import annotations
@@ -16,32 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
 
-# Two-sided critical values of Student's t.  Rows are df 1..30; larger
-# df falls back to the asymptotic (normal) row.
-_T_CRIT = {
-    0.05: [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-        2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-        2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-    ],
-    0.01: [
-        63.657, 9.925, 5.841, 4.604, 4.032, 3.707, 3.499, 3.355, 3.250, 3.169,
-        3.106, 3.055, 3.012, 2.977, 2.947, 2.921, 2.898, 2.878, 2.861, 2.845,
-        2.831, 2.819, 2.807, 2.797, 2.787, 2.779, 2.771, 2.763, 2.756, 2.750,
-    ],
-}
-_T_CRIT_INF = {0.05: 1.960, 0.01: 2.576}
-
-
-def critical_t(df: int, alpha: float = 0.05) -> float:
-    if alpha not in _T_CRIT:
-        raise ConfigError(f"alpha={alpha} not tabulated (use 0.05 or 0.01)")
-    if df < 1:
-        raise DegenerateInputError(f"df={df} must be >= 1")
-    if df > len(_T_CRIT[alpha]):
-        return _T_CRIT_INF[alpha]
-    return _T_CRIT[alpha][df - 1]
-
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -51,15 +25,6 @@ class RegressionFit:
     n: int
     slope_se: float | None = None
     t_stat: float | None = None
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
-    def significant(self, alpha: float = 0.05):
-        """True/False per the t-test on the slope, None when untestable."""
-        if self.t_stat is None:
-            return None
-        return abs(self.t_stat) > critical_t(self.n - 2, alpha)
 
 
 def ols_fit(points) -> RegressionFit:
@@ -154,10 +119,12 @@ def aggregate(rows) -> list[CellStats]:
     T/M/m statistics are over the replicates where an arch was detected;
     cells with no detection keep them as None.  Sorted by (c, w).
     """
+    widths = sorted({row.W for row in rows})
+    if len(widths) > 1:
+        raise ConfigError(f"rows mix corridor widths W={widths}")
     by_cell: dict[tuple[int, int], list] = {}
     for row in rows:
         by_cell.setdefault((row.c, row.w), []).append(row)
-    assert len({row.W for row in rows}) <= 1, "rows mix different corridor widths"
     out = []
     for (c, w) in sorted(by_cell):
         cell_rows = by_cell[(c, w)]

@@ -22,14 +22,7 @@ from pathlib import Path
 from . import analysis, config as configmod, render
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
 from .errors import ArchsimError
-from .metrics import detect_arch_onset
-from .sweep import (
-    MeasurementRow,
-    SweepConfig,
-    run_sweep,
-    write_errors_csv,
-    write_measurements_csv,
-)
+from .sweep import measure, run_sweep, write_errors_csv, write_measurements_csv
 from .world import build_world
 
 TABLE_HEADER = [
@@ -69,6 +62,19 @@ def _write_table_csv(stats, path) -> None:
             )
 
 
+def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
+    """(step, text) of the frame at ``step`` (default: the last), as ascii or svg."""
+    if step is None:
+        step = records[-1].t
+    frame = next((r for r in records if r.t == step), None)
+    if frame is None:
+        raise ArchsimError(f"step {step} outside trace 0..{records[-1].t}")
+    grid = build_world(sim_config.W, sim_config.L, sim_config.w)
+    if fmt == "ascii":
+        return step, render.ascii_frame(frame, grid) + "\n"
+    return step, render.svg_frame(frame, grid)
+
+
 def cmd_run(args) -> int:
     try:
         values = _load_config(args.config)
@@ -77,38 +83,21 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         records = run(sim_config)
-        grid = build_world(sim_config.W, sim_config.L, sim_config.w)
-        measurement = detect_arch_onset(records, grid)
+        row = measure(sim_config, records)
 
         write_trace_csv(records, out / "trace.csv")
         write_summary_csv(records, out / "summary.csv")
-        row = MeasurementRow(
-            c=sim_config.c, w=sim_config.w, W=sim_config.W, seed=sim_config.seed,
-            replicate=0, arch_detected=measurement.arch_detected,
-            T=measurement.T, M=measurement.M, m=measurement.m,
-            cluster_size=measurement.cluster_size,
-        )
         write_measurements_csv([row], out / "measurement.csv")
-        (out / "effective_config.txt").write_text(
-            configmod.dump_sim_config(sim_config)
-        )
+        (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
         if args.format is not None:
-            step = args.step if args.step is not None else records[-1].t
-            frame = next((r for r in records if r.t == step), None)
-            if frame is None:
-                return _fail(f"step {step} outside trace 0..{records[-1].t}")
-            if args.format == "ascii":
-                (out / f"frame_{step}.txt").write_text(
-                    render.ascii_frame(frame, grid) + "\n"
-                )
-            else:
-                (out / f"frame_{step}.svg").write_text(render.svg_frame(frame, grid))
+            step, text = _draw_frame(records, sim_config, args.step, args.format)
+            suffix = "txt" if args.format == "ascii" else "svg"
+            (out / f"frame_{step}.{suffix}").write_text(text)
         last = records[-1]
         print(
             f"run finished: {last.exited_count}/{last.agent_count} exited "
-            f"in {last.t} steps; arch_detected={int(measurement.arch_detected)}"
-            + (f" T={measurement.T} M={measurement.M} m={measurement.m}"
-               if measurement.arch_detected else "")
+            f"in {last.t} steps; arch_detected={int(row.arch_detected)}"
+            + (f" T={row.T} M={row.M} m={row.m}" if row.arch_detected else "")
         )
         return 0
     except (ArchsimError, OSError) as exc:
@@ -119,7 +108,6 @@ def cmd_sweep(args) -> int:
     try:
         values = _load_config(args.config)
         sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)
-        sweep_config.validate()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
@@ -133,7 +121,7 @@ def cmd_sweep(args) -> int:
         )
         write_measurements_csv(rows, out / "measurements.csv")
         _write_table_csv(analysis.aggregate(rows) if rows else [], out / "sweep_table.csv")
-        sidecar = configmod.dump_sweep_config(sweep_config)
+        sidecar = configmod.dump_config(sweep_config)
         sidecar += "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')\n"
         (out / "effective_config.txt").write_text(sidecar)
         if errors:
@@ -209,16 +197,7 @@ def cmd_render(args) -> int:
         records = read_trace_csv(args.trace)
         values = _load_config(args.config)
         sim_config = configmod.sim_config_from_mapping(values)
-        grid = build_world(sim_config.W, sim_config.L, sim_config.w)
-        step = args.step if args.step is not None else records[-1].t
-        frame = next((r for r in records if r.t == step), None)
-        if frame is None:
-            return _fail(f"step {step} outside trace 0..{records[-1].t}")
-        text = (
-            render.ascii_frame(frame, grid) + "\n"
-            if args.format == "ascii"
-            else render.svg_frame(frame, grid)
-        )
+        _, text = _draw_frame(records, sim_config, args.step, args.format)
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -7,7 +7,7 @@ should never silently fall back to a default.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .engine import SimConfig
 from .errors import ConfigError
@@ -21,24 +21,10 @@ def _int_list(raw: str) -> tuple:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-# key -> (parser, which configs use it)
+# field annotation -> parser of its `key = value` text
+_PARSERS = {"int": int, "float": float, "float | None": float, "tuple": _int_list}
 _KEY_TYPES = {
-    "c": int,
-    "w": int,
-    "W": int,
-    "L": int,
-    "seed": int,
-    "max_steps": int,
-    "vision_radius": int,
-    "spawn_margin": int,
-    "trigger_threshold": float,
-    "d_max": float,
-    "c_levels": _int_list,
-    "w_levels": _int_list,
-    "replicates": int,
-    "base_seed": int,
-    "threshold_factor": float,
-    "persistence": int,
+    f.name: _PARSERS[f.type] for cls in (SimConfig, SweepConfig) for f in fields(cls)
 }
 
 
@@ -57,11 +43,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser = _KEY_TYPES[key]
         try:
-            values[key] = parser(raw_value)
-        except ConfigError:
-            raise
+            values[key] = _KEY_TYPES[key](raw_value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {raw_value!r} for {key!r}"
@@ -71,73 +56,42 @@ def parse_config_text(text: str) -> dict:
 
 def load_config_file(path) -> dict:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def sim_config_from_mapping(values: dict, **overrides) -> SimConfig:
-    """Build a run config; keys that only make sense for sweeps are rejected."""
+def _config_from_mapping(cls, what: str, values: dict, overrides: dict):
+    """Build and validate ``cls`` from parsed keys; None overrides are unset flags."""
     merged = dict(values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    trigger = merged.pop("trigger_threshold", None)
-    d_max = merged.pop("d_max", None)
-    allowed = {f.name for f in fields(SimConfig)} - {"similarity"}
-    unknown = set(merged) - allowed
+    unknown = set(merged) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"keys not valid for a single run: {sorted(unknown)}")
-    if "c" not in merged or "w" not in merged:
-        raise ConfigError("a run needs both c and w")
-    config = SimConfig(**merged)
-    if trigger is not None or d_max is not None:
-        from .agent import SimilaritySpec
-
-        config.similarity = SimilaritySpec(
-            d_max=d_max if d_max is not None else float(config.vision_radius),
-            trigger_threshold=trigger if trigger is not None else 0.5,
-        )
+        raise ConfigError(f"keys not valid for {what}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in merged]
+    if missing:
+        raise ConfigError(f"{what} needs keys {missing}")
+    config = cls(**merged)
+    config.validate()
     return config
 
 
+def sim_config_from_mapping(values: dict, **overrides) -> SimConfig:
+    return _config_from_mapping(SimConfig, "a single run", values, overrides)
+
+
 def sweep_config_from_mapping(values: dict, **overrides) -> SweepConfig:
-    merged = dict(values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    allowed = {f.name for f in fields(SweepConfig)}
-    unknown = set(merged) - allowed
-    if unknown:
-        raise ConfigError(f"keys not valid for a sweep: {sorted(unknown)}")
-    return SweepConfig(**merged)
+    return _config_from_mapping(SweepConfig, "a sweep", values, overrides)
 
 
-def dump_sim_config(config: SimConfig) -> str:
-    lines = [
-        f"c = {config.c}",
-        f"w = {config.w}",
-        f"W = {config.W}",
-        f"L = {config.L}",
-        f"seed = {config.seed}",
-        f"max_steps = {config.max_steps}",
-        f"vision_radius = {config.vision_radius}",
-        f"spawn_margin = {config.spawn_margin}",
-        f"trigger_threshold = {config.similarity.trigger_threshold}",
-        f"d_max = {config.similarity.d_max}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def dump_sweep_config(config: SweepConfig) -> str:
-    d_max = config.d_max if config.d_max is not None else float(config.vision_radius)
-    lines = [
-        "c_levels = " + ",".join(str(c) for c in config.c_levels),
-        "w_levels = " + ",".join(str(w) for w in config.w_levels),
-        f"replicates = {config.replicates}",
-        f"base_seed = {config.base_seed}",
-        f"W = {config.W}",
-        f"L = {config.L}",
-        f"max_steps = {config.max_steps}",
-        f"vision_radius = {config.vision_radius}",
-        f"spawn_margin = {config.spawn_margin}",
-        f"threshold_factor = {config.threshold_factor}",
-        f"persistence = {config.persistence}",
-        f"trigger_threshold = {config.trigger_threshold}",
-        f"d_max = {d_max}",
-    ]
+def dump_config(config) -> str:
+    """One `key = value` line per field: reads back to an equal config."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

@@ -16,53 +16,66 @@ included) produce identical traces.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .agent import (
     Agent,
-    SimilaritySpec,
     choose_target_cell,
     cone_offsets,
     heading_toward,
     most_similar_neighbor,
     sct_adjust,
 )
-from .errors import ConfigError, CrowdTooLargeError
+from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import WorldGrid, build_world, is_free, nearest_exit_coordinate
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
 
 
-@dataclass
-class SimConfig:
-    """All tunables for one run."""
+@dataclass(kw_only=True)
+class RunSettings:
+    """World, behaviour and budget settings shared by a run and a sweep."""
 
-    c: int
-    w: int
     W: int = 19
     L: int = 60
-    seed: int = 0
     max_steps: int = 5000
     vision_radius: int = 3
     spawn_margin: int = 5
-    similarity: SimilaritySpec = None  # defaults to d_max = vision_radius
+    trigger_threshold: float = 0.5  # veer toward a best match scoring below this
+    d_max: float | None = None  # similarity reaches 0 at this distance; None: vision_radius
 
     def __post_init__(self):
-        if self.similarity is None:
-            self.similarity = SimilaritySpec(d_max=float(self.vision_radius))
+        if self.d_max is None:
+            self.d_max = float(self.vision_radius)
 
     def validate(self) -> None:
-        if self.c < 0:
-            raise ConfigError(f"crowd size c={self.c} must be nonnegative")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps={self.max_steps} must be positive")
         if self.vision_radius < 1:
             raise ConfigError(f"vision_radius={self.vision_radius} must be >= 1")
         if self.spawn_margin < 0 or self.spawn_margin >= self.L:
             raise ConfigError(f"spawn_margin={self.spawn_margin} outside corridor")
+        if not 0.0 <= self.trigger_threshold <= 1.0:
+            raise ConfigError(f"trigger_threshold={self.trigger_threshold} outside [0, 1]")
+        if self.d_max <= 0:
+            raise ConfigError(f"d_max={self.d_max} must be positive")
+
+
+@dataclass
+class SimConfig(RunSettings):
+    """All tunables for one run."""
+
+    c: int
+    w: int
+    seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        if self.c < 0:
+            raise ConfigError(f"crowd size c={self.c} must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be nonnegative")
         build_world(self.W, self.L, self.w)  # geometry preconditions
@@ -161,7 +174,6 @@ def step(
 ) -> StepRecord:
     """Advance the simulation by one step and record the result."""
     radius = config.vision_radius
-    spec = config.similarity
     exits_this_step = 0
 
     for idx in rng.permutation(len(agents)):
@@ -184,8 +196,8 @@ def step(
 
         goal = choose_target_cell(agent, grid, radius)
         visible = _visible_agents(agent, grid, agents, radius)
-        comparison = most_similar_neighbor(agent, visible, spec)
-        target = sct_adjust(agent, comparison, goal, grid, radius, spec)
+        comparison = most_similar_neighbor(agent, visible, config)
+        target = sct_adjust(agent, comparison, goal, grid, radius, config)
 
         moved = False
         if target is not None:
@@ -211,7 +223,11 @@ def step(
     dwelling = sum(
         1 for a in agents if a.exited and grid.occupancy.get(a.pos) == a.id
     )
-    assert len(grid.occupancy) == live + dwelling, "occupancy out of sync"
+    if len(grid.occupancy) != live + dwelling:
+        raise ArchsimError(
+            f"step {t}: {len(grid.occupancy)} occupied cells for {live} live agents "
+            f"and {dwelling} bodies in the doorway"
+        )
     return record
 
 
@@ -259,19 +275,39 @@ def write_summary_csv(records: list[StepRecord], path) -> None:
 
 
 def read_trace_csv(path) -> list[StepRecord]:
-    """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv)."""
+    """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
+
+    Every step must list agent ids 0..n-1 exactly once, with the n of
+    the first step; a malformed row or step raises ConfigError.
+    """
     by_step: dict[int, list[tuple[int, int, int, int]]] = {}
+    first_line: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_HEADER:
-            raise ConfigError(f"unexpected trace header: {header}")
+            raise ConfigError(f"{path}: unexpected trace header: {header}")
         for row in reader:
-            t, agent_id, x, y, exited = (int(v) for v in row)
+            try:
+                t, agent_id, x, y, exited = (int(v) for v in row)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: expected {len(TRACE_HEADER)} "
+                    f"integers, got {row}"
+                ) from None
             by_step.setdefault(t, []).append((agent_id, x, y, exited))
+            first_line.setdefault(t, reader.line_num)
+    if not by_step:
+        raise ConfigError(f"{path}: trace holds no rows")
     records = []
     for t in sorted(by_step):
         rows = sorted(by_step[t])
+        n = records[0].agent_count if records else len(rows)
+        if [r[0] for r in rows] != list(range(n)):
+            raise ConfigError(
+                f"{path}: line {first_line[t]}: step {t} does not list agent ids "
+                f"0..{n - 1} exactly once"
+            )
         xs = np.array([r[1] for r in rows], dtype=np.int16)
         ys = np.array([r[2] for r in rows], dtype=np.int16)
         exited = np.array([bool(r[3]) for r in rows])

@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-from .errors import EmptyClusterError
+from .errors import ArchsimError, EmptyClusterError
 from .world import Cell, WorldGrid
 
 _NEIGHBORS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
 _UPSTREAM = [(-1, 1), (0, 1), (1, 1)]
+
+THRESHOLD_FACTOR = 3.0  # an onset cluster holds at least 3 agents per exit cell
+PERSISTENCE = 3  # ... and stays nonempty for the next 3 steps
 
 
 @dataclass
@@ -82,7 +85,10 @@ def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
 
 
 def detect_arch_onset(
-    records, grid: WorldGrid, threshold_factor: float = 3.0, persistence: int = 3
+    records,
+    grid: WorldGrid,
+    threshold_factor: float = THRESHOLD_FACTOR,
+    persistence: int = PERSISTENCE,
 ) -> ArchMeasurement:
     """Find the arch onset in a trace and measure the arch there.
 
@@ -101,7 +107,10 @@ def detect_arch_onset(
         if len(window) < persistence or not all(window):
             continue
         M, m = measure_axes(cluster)
-        assert m <= grid.width, "arch wider than the corridor"
+        if m > grid.width:
+            raise ArchsimError(
+                f"step {records[i].t}: arch spans {m} cells, wider than the corridor"
+            )
         return ArchMeasurement(
             True, T=records[i].t, M=M, m=m, cluster_size=len(cluster)
         )

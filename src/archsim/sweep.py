@@ -11,16 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .engine import SimConfig, run
+from .engine import RunSettings, SimConfig, run
 from .errors import ConfigError
-from .metrics import detect_arch_onset
+from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
 from .world import build_world
 
-MEASUREMENT_HEADER = [
-    "c", "w", "W", "seed", "replicate", "arch_detected", "T", "M", "m", "cluster_size",
-]
 ERROR_HEADER = ["c", "w", "replicate", "error"]
 
 DEFAULT_C_LEVELS = (200, 300, 350, 400, 450)
@@ -28,22 +25,16 @@ DEFAULT_W_LEVELS = (1, 3, 5, 7, 9, 11, 13)
 
 
 @dataclass
-class SweepConfig:
+class SweepConfig(RunSettings):
     c_levels: tuple = DEFAULT_C_LEVELS
     w_levels: tuple = DEFAULT_W_LEVELS
     replicates: int = 3
     base_seed: int = 0
-    W: int = 19
-    L: int = 60
-    max_steps: int = 5000
-    vision_radius: int = 3
-    spawn_margin: int = 5
-    threshold_factor: float = 3.0
-    persistence: int = 3
-    trigger_threshold: float = 0.5
-    d_max: float = None  # defaults to vision_radius
+    threshold_factor: float = THRESHOLD_FACTOR
+    persistence: int = PERSISTENCE
 
     def validate(self) -> None:
+        super().validate()
         if not self.c_levels or not self.w_levels:
             raise ConfigError("c_levels and w_levels must be nonempty")
         if self.replicates < 1:
@@ -52,18 +43,13 @@ class SweepConfig:
             raise ConfigError(f"persistence={self.persistence} must be >= 1")
         if self.threshold_factor <= 0:
             raise ConfigError(f"threshold_factor={self.threshold_factor} must be > 0")
+        for w in self.w_levels:
+            build_world(self.W, self.L, w)  # geometry preconditions of every cell
 
     def sim_config(self, c: int, w: int, replicate: int) -> SimConfig:
-        from .agent import SimilaritySpec
-
         seed = derive_seed(self.base_seed, c, w, replicate)
-        d_max = self.d_max if self.d_max is not None else float(self.vision_radius)
-        spec = SimilaritySpec(d_max=d_max, trigger_threshold=self.trigger_threshold)
-        return SimConfig(
-            c=c, w=w, W=self.W, L=self.L, seed=seed, max_steps=self.max_steps,
-            vision_radius=self.vision_radius, spawn_margin=self.spawn_margin,
-            similarity=spec,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
+        return SimConfig(c=c, w=w, seed=seed, **shared)
 
 
 def derive_seed(base_seed: int, c: int, w: int, replicate: int) -> int:
@@ -73,34 +59,38 @@ def derive_seed(base_seed: int, c: int, w: int, replicate: int) -> int:
 
 
 @dataclass
-class MeasurementRow:
+class _RunKey:
+    """Which run a measurement belongs to: the leading CSV columns."""
+
     c: int
     w: int
     W: int
     seed: int
     replicate: int
-    arch_detected: bool
-    T: int | None = None
-    M: int | None = None
-    m: int | None = None
-    cluster_size: int | None = None
+
+
+@dataclass
+class MeasurementRow(ArchMeasurement, _RunKey):
+    """One CSV row: which run, then what the detector measured in it."""
 
     def to_csv_row(self) -> list:
-        opt = lambda v: "" if v is None else v
-        return [
-            self.c, self.w, self.W, self.seed, self.replicate,
-            int(self.arch_detected), opt(self.T), opt(self.M), opt(self.m),
-            opt(self.cluster_size),
-        ]
+        values = (getattr(self, f.name) for f in fields(self))
+        return ["" if v is None else int(v) if isinstance(v, bool) else v for v in values]
 
     @classmethod
     def from_csv_row(cls, row) -> "MeasurementRow":
-        opt = lambda v: None if v == "" else int(v)
-        return cls(
-            c=int(row[0]), w=int(row[1]), W=int(row[2]), seed=int(row[3]),
-            replicate=int(row[4]), arch_detected=bool(int(row[5])),
-            T=opt(row[6]), M=opt(row[7]), m=opt(row[8]), cluster_size=opt(row[9]),
-        )
+        if len(row) != len(MEASUREMENT_HEADER):
+            raise ValueError(f"expected {len(MEASUREMENT_HEADER)} fields, got {len(row)}")
+        values = {}
+        for f, raw in zip(fields(cls), row):
+            if raw == "" and f.default is None:
+                values[f.name] = None
+            else:
+                values[f.name] = bool(int(raw)) if f.type == "bool" else int(raw)
+        return cls(**values)
+
+
+MEASUREMENT_HEADER = [f.name for f in fields(MeasurementRow)]
 
 
 @dataclass
@@ -111,18 +101,27 @@ class SweepError:
     error: str
 
 
+def measure(
+    sim_config: SimConfig,
+    records,
+    replicate: int = 0,
+    threshold_factor: float = THRESHOLD_FACTOR,
+    persistence: int = PERSISTENCE,
+) -> MeasurementRow:
+    """Detect the arch in one run's trace and label it with the run."""
+    grid = build_world(sim_config.W, sim_config.L, sim_config.w)
+    measurement = detect_arch_onset(records, grid, threshold_factor, persistence)
+    return MeasurementRow(
+        c=sim_config.c, w=sim_config.w, W=sim_config.W, seed=sim_config.seed,
+        replicate=replicate, **asdict(measurement),
+    )
+
+
 def run_cell(config: SweepConfig, c: int, w: int, replicate: int) -> MeasurementRow:
     """Simulate one factorial cell and measure its arch."""
     sim_config = config.sim_config(c, w, replicate)
-    records = run(sim_config)
-    grid = build_world(config.W, config.L, w)
-    measurement = detect_arch_onset(
-        records, grid, config.threshold_factor, config.persistence
-    )
-    return MeasurementRow(
-        c=c, w=w, W=config.W, seed=sim_config.seed, replicate=replicate,
-        arch_detected=measurement.arch_detected, T=measurement.T,
-        M=measurement.M, m=measurement.m, cluster_size=measurement.cluster_size,
+    return measure(
+        sim_config, run(sim_config), replicate, config.threshold_factor, config.persistence
     )
 
 

@@ -40,19 +40,12 @@ class WorldGrid:
     def exit_width(self) -> int:
         return len(self.exit_cells)
 
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.length
-
     def is_wall(self, cell: Cell) -> bool:
         """True for out-of-bounds coordinates and non-exit end-wall cells."""
         x, y = cell
         if not (0 <= x < self.width and 0 <= y < self.length):
             return True
         return y == 0 and not (self._exit_x0 <= x <= self._exit_x1)
-
-    def occupant_at(self, cell: Cell) -> int | None:
-        return self.occupancy.get(cell)
 
     def place(self, agent_id: int, cell: Cell) -> None:
         if cell in self.occupancy:

@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from archsim.agent import (
     Agent,
-    SimilaritySpec,
     choose_target_cell,
     cone_offsets,
-    dimension_similarity,
-    field_of_desire,
     heading_toward,
     most_similar_neighbor,
     sct_adjust,
@@ -20,78 +17,52 @@ from archsim.agent import (
     signed_deviation,
     wrap_angle,
 )
-from archsim.errors import ConfigError
+from archsim.engine import SimConfig
 from archsim.world import build_world, is_free, nearest_exit_coordinate
 
 HALF_CONE_DEG = 50.0
+CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
 
 
 # ---------------------------------------------------------------- similarity
 
 def test_heading_similarity_quarter_turn():
-    spec = SimilaritySpec()
-    # pi/2 apart on the heading dimension -> 1 - (pi/2)/pi = 0.5
-    assert dimension_similarity("heading", 0.0, math.pi / 2, spec) == pytest.approx(0.5)
+    # same cell (distance term 1), headings pi/2 apart (heading term 0.5)
+    a = Agent(id=0, pos=(4, 4), heading=0.0)
+    b = Agent(id=1, pos=(4, 4), heading=math.pi / 2)
+    assert similarity(a, b, CONFIG) == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
 
 
 def test_distance_similarity_saturates():
-    spec = SimilaritySpec(d_max=3.0)
-    assert dimension_similarity("distance", 0.0, 0.0, spec) == 1.0
-    assert dimension_similarity("distance", 3.0, 0.0, spec) == 0.0
-    assert dimension_similarity("distance", 7.5, 0.0, spec) == 0.0  # clamped
-
-
-def test_scalar_similarity():
-    spec = SimilaritySpec(kinds=("scalar",), weights=(1.0,))
-    assert dimension_similarity("scalar", 0.4, 0.4, spec) == 1.0
-    assert dimension_similarity("scalar", 0.0, 0.25, spec) == pytest.approx(0.75)
-    assert dimension_similarity("scalar", 0.0, 2.0, spec) == 0.0
+    a = Agent(id=0, pos=(0, 0))
+    assert similarity(a, Agent(id=1, pos=(0, 0)), CONFIG) == 1.0
+    assert similarity(a, Agent(id=1, pos=(3, 0)), CONFIG) == 0.5  # at d_max = 3
+    assert similarity(a, Agent(id=1, pos=(7, 4)), CONFIG) == 0.5  # clamped
 
 
 def test_weighted_similarity_example():
-    """Dimension scores (0.5, 0.25) under weights (0.6, 0.4) -> 0.4."""
-    spec = SimilaritySpec(weights=(0.6, 0.4), d_max=10.0)
+    """Term scores (0.5, 0.25) under equal weights -> 0.375."""
+    config = SimConfig(c=2, w=1, d_max=10.0)
     a = Agent(id=0, pos=(0, 0), heading=0.0)
     b = Agent(id=1, pos=(5, 0), heading=3 * math.pi / 4)  # S_dist=0.5, S_head=0.25
-    assert similarity(a, b, spec) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_unknown_dimension_kind_rejected():
-    with pytest.raises(ConfigError):
-        SimilaritySpec(kinds=("color",), weights=(1.0,))
-    with pytest.raises(ConfigError):
-        dimension_similarity("color", 0.0, 0.0, SimilaritySpec())
-
-
-@pytest.mark.parametrize(
-    "kinds,weights",
-    [
-        (("distance",), (0.5,)),              # weights must sum to 1
-        (("distance", "heading"), (1.0,)),    # length mismatch
-        ((), ()),                             # empty
-        (("distance", "heading"), (1.5, -0.5)),
-    ],
-)
-def test_bad_similarity_spec(kinds, weights):
-    with pytest.raises(ConfigError):
-        SimilaritySpec(kinds=kinds, weights=weights)
+    assert similarity(a, b, config) == pytest.approx(0.375, abs=1e-12)
 
 
 def test_most_similar_neighbor_tie_to_lowest_id():
-    """Scores {0.2, 0.7, 0.7} for ids {5, 3, 9} -> (agent 3, 0.7)."""
-    spec = SimilaritySpec(kinds=("distance",), weights=(1.0,), d_max=10.0)
-    focal = Agent(id=0, pos=(0, 0))
-    far = Agent(id=5, pos=(8, 0))    # 1 - 8/10 = 0.2
-    near1 = Agent(id=3, pos=(3, 0))  # 1 - 3/10 = 0.7
+    """Scores {0.6, 0.85, 0.85} for ids {5, 3, 9} -> (agent 3, 0.85)."""
+    config = SimConfig(c=4, w=1, d_max=10.0)
+    focal = Agent(id=0, pos=(0, 0))  # every heading 0: heading term 1
+    far = Agent(id=5, pos=(8, 0))    # 0.5 * (1 - 8/10) + 0.5 = 0.6
+    near1 = Agent(id=3, pos=(3, 0))  # 0.5 * (1 - 3/10) + 0.5 = 0.85
     near2 = Agent(id=9, pos=(0, 3))  # same distance, same score
     for order in ([far, near1, near2], [near2, far, near1], [near1, near2, far]):
-        best, score = most_similar_neighbor(focal, order, spec)
+        best, score = most_similar_neighbor(focal, order, config)
         assert best.id == 3
-        assert score == pytest.approx(0.7)
+        assert score == pytest.approx(0.85)
 
 
 def test_most_similar_neighbor_empty():
-    assert most_similar_neighbor(Agent(id=0, pos=(0, 0)), [], SimilaritySpec()) is None
+    assert most_similar_neighbor(Agent(id=0, pos=(0, 0)), [], CONFIG) is None
 
 
 @given(
@@ -101,12 +72,11 @@ def test_most_similar_neighbor_empty():
     hb=st.floats(0, 2 * math.pi, allow_nan=False),
 )
 def test_similarity_symmetric_and_bounded(ax, ay, bx, by, ha, hb):
-    spec = SimilaritySpec()
     a = Agent(id=0, pos=(ax, ay), heading=ha)
     b = Agent(id=1, pos=(bx, by), heading=hb)
-    s = similarity(a, b, spec)
+    s = similarity(a, b, CONFIG)
     assert 0.0 <= s <= 1.0
-    assert similarity(b, a, spec) == pytest.approx(s, abs=1e-12)
+    assert similarity(b, a, CONFIG) == pytest.approx(s, abs=1e-12)
 
 
 # ------------------------------------------------------------------ geometry
@@ -177,18 +147,6 @@ def test_cone_boundary_inclusive():
     assert (1, 1) in members
 
 
-def test_field_of_desire_clips_to_bounds():
-    grid = build_world(19, 60, 7)
-    agent = Agent(id=0, pos=(0, 2), heading=3 * math.pi / 2)
-    cells = field_of_desire(agent, grid, 3)
-    assert cells  # something is visible
-    assert all(grid.in_bounds(c) for c in cells)
-    assert all(c[0] >= 0 for c in cells)
-    # occupancy does not affect membership
-    grid.place(7, (0, 1))
-    assert field_of_desire(agent, grid, 3) == cells
-
-
 def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     """Equal-distance candidates at ~10 and ~43 degrees: the 10-degree one."""
     grid = build_world(19, 60, 7)
@@ -238,10 +196,9 @@ def test_sct_passthrough_above_threshold():
     other = Agent(id=1, pos=(8, 10))
     grid.place(0, focal.pos)
     grid.place(1, other.pos)
-    spec = SimilaritySpec()
     goal = (10, 9)
-    assert sct_adjust(focal, (other, 0.9), goal, grid, 3, spec) == goal
-    assert sct_adjust(focal, None, goal, grid, 3, spec) == goal
+    assert sct_adjust(focal, (other, 0.9), goal, grid, 3, CONFIG) == goal
+    assert sct_adjust(focal, None, goal, grid, 3, CONFIG) == goal
 
 
 def test_sct_veers_toward_dissimilar_comparison():
@@ -252,7 +209,7 @@ def test_sct_veers_toward_dissimilar_comparison():
     other = Agent(id=1, pos=(8, 10))
     grid.place(0, focal.pos)
     grid.place(1, other.pos)
-    adjusted = sct_adjust(focal, (other, 0.2), (10, 9), grid, 3, SimilaritySpec())
+    adjusted = sct_adjust(focal, (other, 0.2), (10, 9), grid, 3, CONFIG)
     # nearest free cone cell to (8,10): one step down-left of the focal agent
     assert adjusted == (9, 9)
 
@@ -269,11 +226,11 @@ def test_sct_adjust_result_is_free_or_goal(data):
     if other_pos == focal.pos or grid.is_wall(other_pos):
         other_pos = (focal.pos[0], min(13, focal.pos[1] + 1))
     other = Agent(id=1, pos=other_pos)
-    if grid.occupant_at(other_pos) is None:
+    if other_pos not in grid.occupancy:
         grid.place(1, other_pos)
     score = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     goal = choose_target_cell(focal, grid, 3)
-    adjusted = sct_adjust(focal, (other, score), goal, grid, 3, SimilaritySpec())
+    adjusted = sct_adjust(focal, (other, score), goal, grid, 3, CONFIG)
     if score >= 0.5:
         assert adjusted == goal
     elif adjusted is not None:

@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour: artifacts, headers, reproducibility, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import archsim
 from archsim.cli import main
 
 RUN_CFG = "c = 5\nw = 3\nseed = 4\nmax_steps = 500\n"
@@ -113,6 +117,16 @@ def test_render_step_out_of_range(run_dir, capsys):
     assert "outside trace" in capsys.readouterr().err
 
 
+def test_render_rejects_ragged_trace(run_dir, tmp_path, capsys):
+    lines = (run_dir / "trace.csv").read_text().splitlines(keepends=True)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("".join(lines[:8] + lines[9:]))  # step 1 loses agent 2
+    assert main(["render", str(ragged),
+                 "--config", str(run_dir / "effective_config.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ragged.csv: line 7:" in err
+
+
 def _sweep(tmp_path, text, name="sweep.cfg", extra=()):
     cfg = tmp_path / name
     cfg.write_text(text)
@@ -162,6 +176,18 @@ def test_sweep_partial_failure(tmp_path, capsys):
     assert (out / "errors.csv").read_text().splitlines()[1].startswith("1100,3,0,")
     # the healthy cell is still measured
     assert (out / "measurements.csv").read_text().splitlines()[1].startswith("10,3,")
+
+
+def test_sweep_bad_shared_setting_fails_before_any_cell(tmp_path, capsys):
+    status, out = _sweep(
+        tmp_path,
+        "c_levels = 10,20\nw_levels = 3\nreplicates = 1\ntrigger_threshold = 2\n",
+        extra=["--verbose"],
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert "trigger_threshold" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_verbose_progress(tmp_path, capsys):
@@ -248,6 +274,30 @@ def test_analyze_empty_measurements(tmp_path, capsys):
     status, _ = _analyze(MEASUREMENTS_HEADER + "\n", tmp_path)
     assert status == 1
     assert "no measurement rows" in capsys.readouterr().err
+
+
+MIXED_W_CSV = MEASUREMENTS_HEADER + "\n200,1,19,5,0,1,9,2,2,3\n200,3,35,5,0,1,9,2,2,9\n"
+
+
+def test_analyze_rejects_mixed_corridor_widths(tmp_path, capsys):
+    status, out = _analyze(MIXED_W_CSV, tmp_path)
+    assert status == 1
+    assert "W=[19, 35]" in capsys.readouterr().err
+    assert not (out / "sweep_table.csv").exists()
+
+
+def test_checks_survive_optimized_mode(tmp_path):
+    """Invariant checks are exceptions, not asserts, so python -O keeps them."""
+    src = tmp_path / "measurements.csv"
+    src.write_text(MIXED_W_CSV)
+    env = dict(os.environ, PYTHONPATH=str(Path(archsim.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "archsim.cli", "analyze", str(src),
+         "--out", str(tmp_path / "analysis")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "W=[19, 35]" in proc.stderr
 
 
 def test_analyze_missing_file(tmp_path, capsys):

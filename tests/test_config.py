@@ -3,8 +3,7 @@
 import pytest
 
 from archsim.config import (
-    dump_sim_config,
-    dump_sweep_config,
+    dump_config,
     load_config_file,
     parse_config_text,
     sim_config_from_mapping,
@@ -42,11 +41,15 @@ def test_parse_int_list():
         ("c = abc\n", "bad value"),
         ("c_levels = 1,x,3\n", "comma-separated"),
         ("just some words\n", "key = value"),
+        ("c = 1\nw = 2\nq = 3\n", "run.cfg: line 3: unknown key 'q'"),
     ],
 )
-def test_parse_errors_are_located(text, needle):
+def test_parse_errors_are_located(text, needle, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
     with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
+        load_config_file(path)
+    assert str(err.value).startswith(f"{path}: line ")  # names the file and line
     assert needle in str(err.value)
 
 
@@ -75,23 +78,24 @@ def test_run_overrides_win():
 
 def test_similarity_keys_rebuild_spec():
     cfg = sim_config_from_mapping({"c": 10, "w": 3, "trigger_threshold": 0.8, "d_max": 5.0})
-    assert cfg.similarity.trigger_threshold == 0.8
-    assert cfg.similarity.d_max == 5.0
-    default = sim_config_from_mapping({"c": 10, "w": 3})
-    assert default.similarity.d_max == 3.0  # vision radius
+    assert cfg.trigger_threshold == 0.8
+    assert cfg.d_max == 5.0
+    default = sim_config_from_mapping({"c": 10, "w": 3, "vision_radius": 4})
+    assert default.d_max == 4.0  # vision radius
 
 
 def test_sim_config_round_trip():
     cfg = SimConfig(c=123, w=5, W=21, L=70, seed=9, max_steps=777, spawn_margin=8)
-    back = sim_config_from_mapping(parse_config_text(dump_sim_config(cfg)))
+    back = sim_config_from_mapping(parse_config_text(dump_config(cfg)))
     assert back == cfg
 
 
 def test_sweep_config_round_trip(tmp_path):
     cfg = SweepConfig(c_levels=(50, 80), w_levels=(1, 3), replicates=2, base_seed=4)
     path = tmp_path / "sweep.cfg"
-    path.write_text(dump_sweep_config(cfg))
+    path.write_text(dump_config(cfg))
     back = sweep_config_from_mapping(load_config_file(path))
+    assert back == cfg
     assert back.c_levels == (50, 80)
     assert back.w_levels == (1, 3)
     assert back.replicates == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from archsim.agent import Agent, heading_toward
 from archsim.engine import (
@@ -45,9 +46,9 @@ def test_agent_standing_on_exit_cell_exits():
     assert rec.exits_this_step == 1
     assert not rec.moved[0]
     # the body clears the doorway at the next activation, not immediately
-    assert grid.occupant_at((9, 0)) == 0
+    assert grid.occupancy.get((9, 0)) == 0
     step(grid, agents, rng, SimConfig(c=1, w=7), 2)
-    assert grid.occupant_at((9, 0)) is None
+    assert (9, 0) not in grid.occupancy
 
 
 def test_enclosed_agent_stays_put():
@@ -117,6 +118,9 @@ def test_spawn_region_exactly_filled():
         dict(c=10, w=7, vision_radius=0),
         dict(c=10, w=7, spawn_margin=60),
         dict(c=10, w=7, seed=-1),
+        dict(c=10, w=7, trigger_threshold=1.5),
+        dict(c=10, w=7, trigger_threshold=-0.1),
+        dict(c=10, w=7, d_max=0.0),
     ],
 )
 def test_config_validation(kwargs):
@@ -150,6 +154,49 @@ def test_run_invariants_small_crowd():
         prev = rec
 
 
+@st.composite
+def _small_configs(draw):
+    W = draw(st.integers(3, 12))
+    L = draw(st.integers(W + 1, 30))
+    spawn_margin = draw(st.integers(0, L - 1))
+    spawnable = W * (L - spawn_margin) - (W - 1 if spawn_margin == 0 else 0)
+    return SimConfig(
+        c=draw(st.integers(0, min(60, spawnable))),
+        w=draw(st.integers(1, W)),
+        W=W,
+        L=L,
+        seed=draw(st.integers(0, 2**32)),
+        max_steps=150,
+        vision_radius=draw(st.integers(1, 4)),
+        spawn_margin=spawn_margin,
+        trigger_threshold=draw(st.floats(0.0, 1.0)),
+        d_max=draw(st.none() | st.floats(0.5, 6.0)),
+    )
+
+
+@given(cfg=_small_configs())
+@settings(max_examples=20, deadline=None)
+def test_step_invariants_hold_on_random_configs(cfg):
+    """One body per cell, none on a wall, occupancy = live agents plus the
+    bodies of this step's exits, exits never undone, every move one
+    8-neighbour pace."""
+    grid, agents, rng = initialize(cfg)
+    for t in range(1, cfg.max_steps + 1):
+        before = [(a.pos, a.exited) for a in agents]
+        step(grid, agents, rng, cfg, t)
+        for a, (pos, was_exited) in zip(agents, before):
+            assert a.exited or not was_exited
+            assert max(abs(a.pos[0] - pos[0]), abs(a.pos[1] - pos[1])) <= 1
+        # a body leaves the doorway at its agent's next activation
+        bodies = [(a.pos, a.id) for a, (_, was_exited) in zip(agents, before)
+                  if not was_exited]
+        assert len({pos for pos, _ in bodies}) == len(bodies)  # one body per cell
+        assert dict(bodies) == grid.occupancy
+        assert not any(grid.is_wall(pos) for pos, _ in bodies)
+        if all(a.exited for a in agents):
+            break
+
+
 def test_default_scenario_drains_within_budget():
     from archsim.sweep import derive_seed
 
@@ -179,6 +226,32 @@ def test_trace_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    [
+        ("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n", 4),
+        ("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n1,0,2,4,0\n", 4),
+        ("0,0,1,5,0\n0,2,2,5,0\n", 2),
+        ("0,0,1,5,0\n0,1,2,5\n", 3),
+        ("0,0,1,5,0\n0,1,2.5,5,0\n", 3),
+    ],
+    ids=["missing-agent", "duplicate-agent", "skipped-id", "short-row", "non-integer"],
+)
+def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,agent_id,transverse,longitudinal,exited\n" + body)
+    with pytest.raises(ConfigError) as err:
+        read_trace_csv(path)
+    assert str(err.value).startswith(f"{path}: line {line}:")
+
+
+def test_trace_csv_without_rows_is_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(SimConfig(c=0, w=7)), path)  # an empty crowd: header only
+    with pytest.raises(ConfigError, match="no rows"):
         read_trace_csv(path)
 
 

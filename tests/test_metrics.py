@@ -6,7 +6,7 @@ import random
 import pytest
 
 from archsim.engine import SimConfig, read_trace_csv, run, write_trace_csv
-from archsim.errors import EmptyClusterError
+from archsim.errors import ArchsimError, EmptyClusterError
 from archsim.metrics import (
     clog_cluster,
     cluster_frontier,
@@ -202,7 +202,7 @@ def test_width_overflow_is_a_hard_assertion():
     grid = build_world(19, 60, 7)
     row = [(x, 1) for x in range(-2, 21)]
     frames = [make_record(t, row) for t in range(6)]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArchsimError):
         detect_arch_onset(frames, grid)
 
 

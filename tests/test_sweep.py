@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from archsim.errors import ConfigError
+from archsim.errors import ConfigError, InvalidDimensionsError
 from archsim.sweep import (
     DEFAULT_C_LEVELS,
     DEFAULT_W_LEVELS,
@@ -106,6 +106,15 @@ def test_invalid_sweep_configs():
         SweepConfig(persistence=0).validate()
     with pytest.raises(ConfigError):
         SweepConfig(threshold_factor=0.0).validate()
+    # settings shared with every run fail once, before any cell starts
+    with pytest.raises(ConfigError):
+        SweepConfig(trigger_threshold=2.0).validate()
+    with pytest.raises(ConfigError):
+        run_sweep(SweepConfig(c_levels=(10,), w_levels=(3,), replicates=1, d_max=-1.0))
+    with pytest.raises(InvalidDimensionsError):
+        SweepConfig(L=10).validate()
+    with pytest.raises(InvalidDimensionsError):
+        SweepConfig(w_levels=(1, 25)).validate()
 
 
 def test_measurements_csv_round_trip(tmp_path):

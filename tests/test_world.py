@@ -61,7 +61,7 @@ def test_is_free_and_occupancy():
     assert is_free(grid, (9, 5))
     grid.place(0, (9, 5))
     assert not is_free(grid, (9, 5))
-    assert grid.occupant_at((9, 5)) == 0
+    assert grid.occupancy[(9, 5)] == 0
     assert not is_free(grid, (0, 0))     # wall
     assert not is_free(grid, (-1, 3))    # out of bounds
     assert is_free(grid, (9, 0))         # exit cells count as free
@@ -72,7 +72,7 @@ def test_is_free_and_occupancy():
         grid.place(1, (0, 0))            # wall
 
     grid.move((9, 5), (9, 4))
-    assert grid.occupant_at((9, 4)) == 0
+    assert grid.occupancy[(9, 4)] == 0
     assert is_free(grid, (9, 5))
     grid.vacate((9, 4))
     assert grid.occupancy == {}
