@@ -23,7 +23,6 @@ class RegressionFit:
     intercept: float
     r_squared: float
     n: int
-    slope_se: float | None = None
     t_stat: float | None = None
 
 
@@ -55,13 +54,12 @@ def ols_fit(points) -> RegressionFit:
         r_squared = 0.0
     else:
         r_squared = min(1.0, max(0.0, 1.0 - sse / sst))
-    slope_se = None
     t_stat = None
     if n >= 3:
         slope_se = math.sqrt(sse / (n - 2) / sxx)
         if slope_se > 0.0:
             t_stat = slope / slope_se
-    return RegressionFit(slope, intercept, r_squared, n, slope_se, t_stat)
+    return RegressionFit(slope, intercept, r_squared, n, t_stat)
 
 
 def trend_correlation(xs, ys) -> float:

@@ -79,18 +79,18 @@ def cmd_run(args) -> int:
     try:
         values = _load_config(args.config)
         sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-
         records = run(sim_config)
         row = measure(sim_config, records)
+        if args.format is not None:
+            step, text = _draw_frame(records, sim_config, args.step, args.format)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
 
         write_trace_csv(records, out / "trace.csv")
         write_summary_csv(records, out / "summary.csv")
         write_measurements_csv([row], out / "measurement.csv")
         (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
         if args.format is not None:
-            step, text = _draw_frame(records, sim_config, args.step, args.format)
             suffix = "txt" if args.format == "ascii" else "svg"
             (out / f"frame_{step}.{suffix}").write_text(text)
         last = records[-1]

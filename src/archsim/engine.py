@@ -10,7 +10,9 @@ doorway until the agent's next activation, when it moves off the world
 — so exit cells are briefly blocked and the door is a real bottleneck.
 
 A run is a pure function of its config: identical configs (seed
-included) produce identical traces.
+included) produce identical traces.  ``simulate`` yields the trace one
+StepRecord at a time, so a consumer such as the arch detector can stop
+the run as soon as it has read enough; ``run`` collects the whole trace.
 """
 
 from __future__ import annotations
@@ -231,21 +233,25 @@ def step(
     return record
 
 
-def run(config: SimConfig) -> list[StepRecord]:
-    """Run until every agent has exited or max_steps is reached.
+def simulate(config: SimConfig):
+    """Yield the t=0 snapshot, then one record per step.
 
-    Returns the full trace including the initial (t=0) snapshot.
+    Stops once every agent has exited or max_steps is reached.  A
+    consumer that stops reading stops the simulation there.
     """
     grid, agents, rng = initialize(config)
-    records = [_snapshot(0, agents, 0)]
-    if records[0].exited_count == len(agents):  # empty crowd
-        return records
-    for t in range(1, config.max_steps + 1):
+    record = _snapshot(0, agents, 0)
+    yield record
+    t = 0
+    while record.exited_count < len(agents) and t < config.max_steps:
+        t += 1
         record = step(grid, agents, rng, config, t)
-        records.append(record)
-        if record.exited_count == len(agents):
-            break
-    return records
+        yield record
+
+
+def run(config: SimConfig) -> list[StepRecord]:
+    """The full trace of simulate(config), initial snapshot included."""
+    return list(simulate(config))
 
 
 def write_trace_csv(records: list[StepRecord], path) -> None:

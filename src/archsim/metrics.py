@@ -1,4 +1,4 @@
-"""Arch detection and measurement on recorded runs.
+"""Arch detection and measurement on recorded or live runs.
 
 An arch shows up as a clog: a connected blob of agents that stopped
 moving because the cells ahead of them are taken, anchored at the exit.
@@ -97,23 +97,33 @@ def detect_arch_onset(
     next `persistence` steps.  Returns a no-arch measurement when no
     step qualifies (or the trace ends before persistence can be
     confirmed).
+
+    `records` may be any iterable, a live simulation included: it is
+    read only up to step T + persistence.  One candidate is pending at a
+    time.  While it waits, a later qualifying step cannot win: it is
+    either later than a confirmed candidate or its own window holds the
+    empty cluster that rejects the pending one.
     """
     threshold = threshold_factor * grid.exit_width
-    clusters = [clog_cluster(rec, grid) for rec in records]
-    for i, cluster in enumerate(clusters):
-        if len(cluster) < threshold:
+    pending = None  # (record, cluster) of the candidate onset
+    confirmed = 0  # nonempty clusters seen since the candidate
+    for record in records:
+        cluster = clog_cluster(record, grid)
+        if pending is not None and cluster:
+            confirmed += 1
+        elif len(cluster) >= threshold:  # an empty cluster ends any pending window
+            pending, confirmed = (record, cluster), 0
+        else:
+            pending = None
             continue
-        window = clusters[i + 1 : i + 1 + persistence]
-        if len(window) < persistence or not all(window):
-            continue
-        M, m = measure_axes(cluster)
-        if m > grid.width:
-            raise ArchsimError(
-                f"step {records[i].t}: arch spans {m} cells, wider than the corridor"
-            )
-        return ArchMeasurement(
-            True, T=records[i].t, M=M, m=m, cluster_size=len(cluster)
-        )
+        if confirmed >= persistence:
+            onset, cluster = pending
+            M, m = measure_axes(cluster)
+            if m > grid.width:
+                raise ArchsimError(
+                    f"step {onset.t}: arch spans {m} cells, wider than the corridor"
+                )
+            return ArchMeasurement(True, T=onset.t, M=M, m=m, cluster_size=len(cluster))
     return ArchMeasurement(arch_detected=False)
 
 

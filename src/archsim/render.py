@@ -106,8 +106,7 @@ def svg_scatter(
 ) -> str:
     """Scatter plot with an optional fitted line y = slope*x + intercept.
 
-    `fit` is anything with slope/intercept attributes, or a (slope,
-    intercept) pair.
+    `fit` is anything with slope/intercept attributes, e.g. a RegressionFit.
     """
     ml, mr, mt, mb = 52, 16, 30, 42
     xs = [p[0] for p in points]
@@ -148,10 +147,7 @@ def svg_scatter(
             f'<text x="{ml - 7}" y="{y + 3.5:.1f}" text-anchor="end">{_fmt(ty)}</text>'
         )
     if fit is not None:
-        slope = getattr(fit, "slope", None)
-        intercept = getattr(fit, "intercept", None)
-        if slope is None:
-            slope, intercept = fit
+        slope, intercept = fit.slope, fit.intercept
         x1, x2 = xlo + xpad * 0.25, xhi - xpad * 0.25
         parts.append(
             f'<line x1="{px(x1):.1f}" y1="{py(slope * x1 + intercept):.1f}" '

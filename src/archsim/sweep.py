@@ -13,7 +13,7 @@ import hashlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, fields
 
-from .engine import RunSettings, SimConfig, run
+from .engine import RunSettings, SimConfig, simulate
 from .errors import ConfigError
 from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
 from .world import build_world
@@ -87,7 +87,15 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                 values[f.name] = None
             else:
                 values[f.name] = bool(int(raw)) if f.type == "bool" else int(raw)
-        return cls(**values)
+        parsed = cls(**values)
+        measured = {getattr(parsed, f.name) is not None for f in fields(ArchMeasurement)[1:]}
+        if measured != {parsed.arch_detected}:
+            state = "all set" if parsed.arch_detected else "all empty"
+            raise ValueError(
+                f"arch_detected={int(parsed.arch_detected)} needs T, M, m and "
+                f"cluster_size {state}"
+            )
+        return parsed
 
 
 MEASUREMENT_HEADER = [f.name for f in fields(MeasurementRow)]
@@ -108,7 +116,8 @@ def measure(
     threshold_factor: float = THRESHOLD_FACTOR,
     persistence: int = PERSISTENCE,
 ) -> MeasurementRow:
-    """Detect the arch in one run's trace and label it with the run."""
+    """Detect the arch in one run's records (a list or a live simulation)
+    and label it with the run."""
     grid = build_world(sim_config.W, sim_config.L, sim_config.w)
     measurement = detect_arch_onset(records, grid, threshold_factor, persistence)
     return MeasurementRow(
@@ -118,10 +127,15 @@ def measure(
 
 
 def run_cell(config: SweepConfig, c: int, w: int, replicate: int) -> MeasurementRow:
-    """Simulate one factorial cell and measure its arch."""
+    """Simulate one factorial cell and measure its arch.
+
+    The simulation stops at the confirmed onset (step T + persistence);
+    a cell with no arch runs until the crowd drains or max_steps.
+    """
     sim_config = config.sim_config(c, w, replicate)
     return measure(
-        sim_config, run(sim_config), replicate, config.threshold_factor, config.persistence
+        sim_config, simulate(sim_config), replicate,
+        config.threshold_factor, config.persistence,
     )
 
 

@@ -26,6 +26,13 @@ def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
     return StepRecord(t, xs, ys, ex, mv, exits_this_step)
 
 
+def reading(records, seen):
+    """Pass `records` through, appending each step's t to `seen` as it is read."""
+    for rec in records:
+        seen.append(rec.t)
+        yield rec
+
+
 @pytest.fixture(scope="session")
 def default_sweep(tmp_path_factory):
     """One full default sweep (5 c-levels x 7 w-levels x 3 replicates).

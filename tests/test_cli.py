@@ -60,6 +60,18 @@ def test_run_rejects_oversized_crowd(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 2000\nw = 3\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    cfg.write_text(RUN_CFG)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--step", "999999",
+                 "--format", "ascii"]) == 1
+    assert "outside trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)
@@ -284,6 +296,14 @@ def test_analyze_rejects_mixed_corridor_widths(tmp_path, capsys):
     assert status == 1
     assert "W=[19, 35]" in capsys.readouterr().err
     assert not (out / "sweep_table.csv").exists()
+
+
+def test_analyze_rejects_detection_without_measurements(tmp_path, capsys):
+    status, out = _analyze(MEASUREMENTS_HEADER + "\n400,7,19,11,0,1,,,,\n", tmp_path)
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "measurements.csv: row 2:" in err
+    assert not out.exists()
 
 
 def test_checks_survive_optimized_mode(tmp_path):

@@ -10,12 +10,16 @@ from archsim.engine import (
     initialize,
     read_trace_csv,
     run,
+    simulate,
     step,
     write_summary_csv,
     write_trace_csv,
 )
 from archsim.errors import ConfigError, CrowdTooLargeError, InvalidDimensionsError
+from archsim.metrics import detect_arch_onset
 from archsim.world import build_world, nearest_exit_coordinate
+
+from conftest import reading
 
 
 def _lone_agent_world(pos, w=1):
@@ -195,6 +199,26 @@ def test_step_invariants_hold_on_random_configs(cfg):
         assert not any(grid.is_wall(pos) for pos, _ in bodies)
         if all(a.exited for a in agents):
             break
+
+
+@given(
+    cfg=_small_configs(),
+    threshold_factor=st.sampled_from([0.5, 1.0, 3.0]),
+    persistence=st.integers(1, 4),
+)
+@settings(max_examples=20, deadline=None)
+def test_detector_on_live_simulation_matches_full_trace(cfg, threshold_factor, persistence):
+    """Streaming the run gives the stored trace's measurement, and an
+    arch stops the simulation right after its persistence window."""
+    grid = build_world(cfg.W, cfg.L, cfg.w)
+    records = run(cfg)
+    read = []
+    live = detect_arch_onset(reading(simulate(cfg), read), grid, threshold_factor, persistence)
+    assert live == detect_arch_onset(records, grid, threshold_factor, persistence)
+    if live.arch_detected:
+        assert read == list(range(live.T + persistence + 1))
+    else:
+        assert read == [rec.t for rec in records]
 
 
 def test_default_scenario_drains_within_budget():

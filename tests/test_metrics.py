@@ -17,7 +17,7 @@ from archsim.metrics import (
 )
 from archsim.world import build_world
 
-from conftest import make_record
+from conftest import make_record, reading
 
 
 def _oracle_clog(record, grid):
@@ -172,6 +172,64 @@ def test_transient_cluster_is_not_onset():
     # t=5 qualifies on size but its cluster dissolves at t=7; the run of
     # stationary frames from t=9 leaves a full persistence window
     assert result.T == 9
+
+
+def _column_frames(sizes):
+    """One frame per size: a stationary column of that many agents on the
+    exit (size 0: the same column, all moving), so each frame's clog
+    cluster holds exactly `size` cells."""
+    column = [(9, y) for y in range(1, 1 + max(sizes))]
+    return [
+        make_record(t, column, moved=range(n, len(column)))
+        for t, n in enumerate(sizes)
+    ]
+
+
+def _reference_onset(frames, grid, threshold_factor, persistence):
+    """The detector's definition spelled out on the stored trace: the first
+    qualifying step whose next `persistence` clusters are all nonempty."""
+    clusters = [clog_cluster(rec, grid) for rec in frames]
+    for i, cluster in enumerate(clusters):
+        window = clusters[i + 1 : i + 1 + persistence]
+        if len(cluster) >= threshold_factor * grid.exit_width and (
+            len(window) == persistence and all(window)
+        ):
+            return frames[i].t, len(cluster)
+    return None
+
+
+def test_empty_cluster_in_window_resumes_scan_after_it():
+    grid = build_world(19, 60, 1)  # threshold 3
+    # t=0 and t=1 qualify, but t=2 is empty; t=3 qualifies and holds
+    frames = _column_frames([3, 4, 0, 3, 1, 1, 2, 5, 5])
+    read = []
+    result = detect_arch_onset(reading(frames, read), grid)
+    assert (result.T, result.cluster_size) == (3, 3)
+    assert read == [0, 1, 2, 3, 4, 5, 6]  # stopped at T + persistence
+
+
+def test_trace_ending_inside_the_window_has_no_arch():
+    grid = build_world(19, 60, 1)
+    frames = _column_frames([1, 0, 4, 2, 1])  # t=2 qualifies, trace ends at t=4
+    read = []
+    assert not detect_arch_onset(reading(frames, read), grid).arch_detected
+    assert read == [0, 1, 2, 3, 4]
+    assert detect_arch_onset(frames, grid, persistence=2).T == 2
+
+
+def test_streaming_detector_matches_reference_on_random_traces():
+    grid = build_world(19, 60, 1)
+    rnd = random.Random(77)
+    for trial in range(400):
+        sizes = [rnd.choice([0, 0, 1, 2, 3, 4]) for _ in range(rnd.randint(1, 12))]
+        sizes.append(1)  # keep the column at least one cell tall
+        frames = _column_frames(sizes)
+        threshold_factor = rnd.choice([1.0, 3.0, 4.0])
+        persistence = rnd.randint(0, 4)
+        result = detect_arch_onset(frames, grid, threshold_factor, persistence)
+        expected = _reference_onset(frames, grid, threshold_factor, persistence)
+        got = (result.T, result.cluster_size) if result.arch_detected else None
+        assert got == expected, (trial, sizes, threshold_factor, persistence)
 
 
 def test_onset_threshold_scales_with_exit_width():

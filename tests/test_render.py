@@ -68,11 +68,6 @@ def test_svg_scatter_without_fit():
     assert svg.count("<circle") == 2
 
 
-def test_svg_scatter_accepts_plain_pair():
-    svg = svg_scatter([(1, 48), (5, 40)], fit=(-2.0, 50.0))
-    assert svg.count('stroke="#4878b0"') == 1
-
-
 def test_nice_ticks():
     assert _nice_ticks(0, 10) == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     assert _nice_ticks(0.37, 0.82) == [0.4, 0.5, 0.6, 0.7, 0.8]

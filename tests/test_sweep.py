@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from archsim import engine
+from archsim.engine import run
 from archsim.errors import ConfigError, InvalidDimensionsError
 from archsim.sweep import (
     DEFAULT_C_LEVELS,
@@ -11,6 +13,7 @@ from archsim.sweep import (
     MeasurementRow,
     SweepConfig,
     derive_seed,
+    measure,
     read_measurements_csv,
     run_cell,
     run_sweep,
@@ -52,6 +55,23 @@ def test_run_cell_reproducible():
     assert (row.c, row.w, row.replicate, row.W) == (20, 3, 0, 19)
     assert row.seed == derive_seed(1, 20, 3, 0)
     assert row == run_cell(TINY, 20, 3, 0)
+
+
+def test_run_cell_stops_at_confirmed_onset(monkeypatch):
+    cfg = SweepConfig(c_levels=(200,), w_levels=(3,), replicates=1)
+    sim_config = cfg.sim_config(200, 3, 0)
+    records = run(sim_config)
+    steps = []
+    real_step = engine.step
+
+    def counting_step(*args):
+        steps.append(args[-1])
+        return real_step(*args)
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    row = run_cell(cfg, 200, 3, 0)
+    assert row == measure(sim_config, records) and row.arch_detected
+    assert len(steps) == row.T + cfg.persistence < len(records) - 1
 
 
 def test_sweep_rows_sorted_and_complete():
@@ -147,3 +167,22 @@ def test_measurements_csv_rejects_garbage(tmp_path):
     with pytest.raises(ConfigError) as err:
         read_measurements_csv(bad_row)
     assert "3" in str(err.value)  # diagnostic carries the file row number
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "400,7,19,11,0,1,,,,",  # detected, nothing measured
+        "400,7,19,11,0,1,21,6,,30",  # detected, one axis missing
+        "400,7,19,11,0,0,21,6,11,30",  # not detected, yet measured
+        "400,7,19,11,0,0,,,,30",
+    ],
+)
+def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size\n"
+        "200,13,19,12,1,0,,,,\n" + row + "\n"
+    )
+    with pytest.raises(ConfigError, match=r"m\.csv: row 3: arch_detected="):
+        read_measurements_csv(path)
