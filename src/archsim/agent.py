@@ -7,10 +7,12 @@ decisions are pure functions of (agent, world snapshot, run config):
 
 * :func:`cone_offsets` lists the offsets inside the forward vision
   cone, a 100-degree wedge facing the heading.
-* :func:`choose_target_cell` picks the closest free visible cell.
-* When an agent's best social match looks too dissimilar, the agent is
-  triggered to close the gap: :func:`sct_adjust` overrides the target
-  with the visible free cell nearest the match.
+* :func:`scan_cone` walks the cone once and returns the free cells, in
+  cone order, and the live agents in view.
+* :func:`most_similar_neighbor` picks the best social match among them.
+* :func:`steer` takes the closest free cell, unless the best match
+  looks too dissimilar: then the agent is triggered to close the gap
+  and takes the free cell nearest the match.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .world import Cell, WorldGrid, is_free
+from .world import Cell, WorldGrid
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -128,52 +130,43 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
     return tuple((ox, oy, dist) for dist, _, _, ox, oy in selected)
 
 
-def choose_target_cell(agent: Agent, grid: WorldGrid, radius: int) -> Cell | None:
-    """Closest free cell in the vision cone, or None when fully blocked.
+def scan_cone(
+    agent: Agent, grid: WorldGrid, agents: list[Agent], radius: int
+) -> tuple[list[Cell], list[Agent]]:
+    """One pass over the vision cone: (free cells, visible live agents).
 
-    Ties on distance resolve toward the smallest angular deviation,
-    then the clockwise side (the cone scan order).
+    Both lists follow the cone scan order, so ``free[0]`` is the closest
+    free cell, ties resolved toward the smallest angular deviation, then
+    the clockwise side.
     """
     x, y = agent.pos
+    occupancy = grid.occupancy
+    free = []
+    visible = []
     for ox, oy, _ in cone_offsets(radius, agent.heading):
         cell = (x + ox, y + oy)
-        if is_free(grid, cell):
-            return cell
-    return None
+        other_id = occupancy.get(cell)
+        if other_id is None:
+            if not grid.is_wall(cell):
+                free.append(cell)
+        elif not agents[other_id].exited:
+            visible.append(agents[other_id])
+    return free, visible
 
 
-def sct_adjust(
-    agent: Agent,
-    comparison: tuple[Agent, float] | None,
-    goal_target: Cell | None,
-    grid: WorldGrid,
-    radius: int,
-    config: SimConfig,
+def steer(
+    comparison: tuple[Agent, float] | None, free: list[Cell], config: SimConfig
 ) -> Cell | None:
-    """Override the goal target when social comparison is triggered.
+    """The target cell: the closest free cell, unless comparison triggers.
 
     If the best match scores below the trigger threshold, the agent
-    moves to reduce the difference: the target becomes the visible free
-    cell closest to the match's position.  Otherwise the goal target
-    passes through unchanged.
+    moves to reduce the difference: the target becomes the free cell
+    closest to the match's position, ties to the earlier cone cell.
+    None when the cone holds no free cell.
     """
-    if comparison is None:
-        return goal_target
-    other, score = comparison
-    if score >= config.trigger_threshold:
-        return goal_target
-    x, y = agent.pos
-    tx, ty = other.pos
-    best = None
-    best_d2 = None
-    for ox, oy, _ in cone_offsets(radius, agent.heading):
-        cell = (x + ox, y + oy)
-        if not is_free(grid, cell):
-            continue
-        dx = cell[0] - tx
-        dy = cell[1] - ty
-        d2 = dx * dx + dy * dy
-        if best_d2 is None or d2 < best_d2:  # ties keep the earlier cone cell
-            best = cell
-            best_d2 = d2
-    return best
+    if not free:
+        return None
+    if comparison is None or comparison[1] >= config.trigger_threshold:
+        return free[0]
+    tx, ty = comparison[0].pos
+    return min(free, key=lambda cell: (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2)

@@ -1,13 +1,14 @@
 """Deterministic simulation loop.
 
 Each step visits every live agent once, in a fresh seeded random
-permutation.  An agent aims at the nearest exit coordinate, scans its
-vision cone for the closest free cell, lets social comparison override
-that choice, then takes one pace (one 8-neighbor cell) toward the
-resulting target if the pace cell is free.  Reaching an exit coordinate
-(distance < 1) marks the agent as exited; the body keeps occupying the
-doorway until the agent's next activation, when it moves off the world
-— so exit cells are briefly blocked and the door is a real bottleneck.
+permutation.  An agent faces the nearest exit coordinate, scans its
+vision cone once for free cells and visible neighbours, aims at the
+closest free cell unless social comparison steers it elsewhere, then
+takes one pace (one 8-neighbor cell) toward that target if the pace
+cell is free.  Reaching an exit coordinate (distance < 1) marks the
+agent as exited; the body keeps occupying the doorway until the
+agent's next activation, when it moves off the world — so exit cells
+are briefly blocked and the door is a real bottleneck.
 
 A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
@@ -22,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (
-    Agent,
-    choose_target_cell,
-    cone_offsets,
-    heading_toward,
-    most_similar_neighbor,
-    sct_adjust,
-)
+from .agent import Agent, heading_toward, most_similar_neighbor, scan_cone, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import WorldGrid, build_world, is_free, nearest_exit_coordinate
 
@@ -151,22 +145,6 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _visible_agents(
-    agent: Agent, grid: WorldGrid, agents: list[Agent], radius: int
-) -> list[Agent]:
-    """Live agents standing on cells inside the vision cone."""
-    x, y = agent.pos
-    occupancy = grid.occupancy
-    out = []
-    for ox, oy, _ in cone_offsets(radius, agent.heading):
-        other_id = occupancy.get((x + ox, y + oy))
-        if other_id is not None:
-            other = agents[other_id]
-            if not other.exited:
-                out.append(other)
-    return out
-
-
 def step(
     grid: WorldGrid,
     agents: list[Agent],
@@ -188,18 +166,18 @@ def step(
             agent.moved_last_step = False
             continue
 
-        target_exit = nearest_exit_coordinate(grid, agent.pos)
-        if agent.pos == target_exit:  # already standing on an exit coordinate
+        # spawned on an exit coordinate (possible with spawn_margin = 0)
+        if agent.pos == nearest_exit_coordinate(grid, agent.pos):
             agent.exited = True
             agent.moved_last_step = False
             exits_this_step += 1
             continue
-        agent.heading = heading_toward(agent.pos, target_exit)
 
-        goal = choose_target_cell(agent, grid, radius)
-        visible = _visible_agents(agent, grid, agents, radius)
+        # the heading set at spawn or at the end of the last activation
+        # still faces the nearest exit: only the agent moves its body
+        free, visible = scan_cone(agent, grid, agents, radius)
         comparison = most_similar_neighbor(agent, visible, config)
-        target = sct_adjust(agent, comparison, goal, grid, radius, config)
+        target = steer(comparison, free, config)
 
         moved = False
         if target is not None:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 from .engine import RunSettings, SimConfig, simulate
-from .errors import ConfigError
+from .errors import ArchsimError, ConfigError
 from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
 from .world import build_world
 
@@ -85,15 +86,25 @@ class MeasurementRow(ArchMeasurement, _RunKey):
         for f, raw in zip(fields(cls), row):
             if raw == "" and f.default is None:
                 values[f.name] = None
+            elif f.type == "bool":
+                if raw not in ("0", "1"):
+                    raise ValueError(f"{f.name}={raw} must be 0 or 1")
+                values[f.name] = raw == "1"
             else:
-                values[f.name] = bool(int(raw)) if f.type == "bool" else int(raw)
+                values[f.name] = int(raw)
         parsed = cls(**values)
-        measured = {getattr(parsed, f.name) is not None for f in fields(ArchMeasurement)[1:]}
-        if measured != {parsed.arch_detected}:
+        measured = {f.name: getattr(parsed, f.name) for f in fields(ArchMeasurement)[1:]}
+        if {v is not None for v in measured.values()} != {parsed.arch_detected}:
             state = "all set" if parsed.arch_detected else "all empty"
             raise ValueError(
                 f"arch_detected={int(parsed.arch_detected)} needs T, M, m and "
                 f"cluster_size {state}"
+            )
+        negative = [f"{k}={v}" for k, v in measured.items() if v is not None and v < 0]
+        if negative:
+            raise ValueError(
+                "arch_detected=1 needs T, M, m and cluster_size nonnegative, "
+                f"got {', '.join(negative)}"
             )
         return parsed
 
@@ -146,7 +157,8 @@ def run_sweep(
 
     Failed cells are collected rather than aborting the sweep.  Both
     returned lists are sorted by (c, w, replicate), so the output is
-    byte-identical across parallelism settings.
+    byte-identical across parallelism settings.  A crashed pool worker
+    aborts the sweep with one ArchsimError.
     """
     config.validate()
     tasks = [
@@ -186,6 +198,13 @@ def run_sweep(
                     task = futures[fut]
                     try:
                         finish(task, fut.result(), None)
+                    except BrokenProcessPool:
+                        # every unfinished cell fails with it: not their fault
+                        lost = sum(isinstance(f.exception(), BrokenProcessPool) for f in futures)
+                        raise ArchsimError(
+                            f"a sweep worker crashed; {lost} of {len(tasks)} cells "
+                            "left unfinished"
+                        ) from None
                     except Exception as exc:  # noqa: BLE001
                         finish(task, None, f"{type(exc).__name__}: {exc}")
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from archsim.agent import (
     Agent,
-    choose_target_cell,
     cone_offsets,
     heading_toward,
     most_similar_neighbor,
-    sct_adjust,
+    scan_cone,
     similarity,
     signed_deviation,
+    steer,
     wrap_angle,
 )
 from archsim.engine import SimConfig
@@ -147,24 +147,40 @@ def test_cone_boundary_inclusive():
     assert (1, 1) in members
 
 
+def _crowd(grid, cells):
+    """Agents 0..n-1 standing on ``cells``, placed on ``grid``."""
+    agents = [Agent(id=i, pos=cell) for i, cell in enumerate(cells)]
+    for agent in agents:
+        grid.place(agent.id, agent.pos)
+    return agents
+
+
+def _facing_exit(grid, agent):
+    agent.heading = heading_toward(agent.pos, nearest_exit_coordinate(grid, agent.pos))
+    return agent
+
+
 def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     """Equal-distance candidates at ~10 and ~43 degrees: the 10-degree one."""
     grid = build_world(19, 60, 7)
-    agent = Agent(id=0, pos=(5, 30), heading=math.atan2(1, 2) - math.radians(10))
-    grid.place(0, agent.pos)
-    for i, (ox, oy) in enumerate([(1, 0), (1, 1), (2, 0)]):  # block nearer cells
-        grid.place(i + 1, (5 + ox, 30 + oy))
-    assert choose_target_cell(agent, grid, 3) == (7, 31)
+    # the focal agent, then blockers on the nearer cells (1,0), (1,1), (2,0)
+    agents = _crowd(grid, [(5, 30), (6, 30), (6, 31), (7, 30)])
+    agents[0].heading = math.atan2(1, 2) - math.radians(10)
+    free, visible = scan_cone(agents[0], grid, agents, 3)
+    assert steer(None, free, CONFIG) == (7, 31)
+    assert [a.id for a in visible] == [1, 2, 3]
 
 
 def test_choose_target_none_when_cone_blocked():
     grid = build_world(19, 60, 7)
-    agent = Agent(id=0, pos=(9, 30), heading=3 * math.pi / 2)
-    grid.place(0, agent.pos)
-    blockers = _oracle_cone(3, 3 * math.pi / 2)
-    for i, (ox, oy) in enumerate(sorted(blockers)):
-        grid.place(i + 1, (9 + ox, 30 + oy))
-    assert choose_target_cell(agent, grid, 3) is None
+    blockers = [(9 + ox, 30 + oy) for ox, oy in sorted(_oracle_cone(3, 3 * math.pi / 2))]
+    agents = _crowd(grid, [(9, 30)] + blockers)
+    agents[0].heading = 3 * math.pi / 2
+    free, visible = scan_cone(agents[0], grid, agents, 3)
+    assert free == []
+    assert len(visible) == len(blockers)
+    assert steer(None, free, CONFIG) is None
+    assert steer((agents[1], 0.0), free, CONFIG) is None
 
 
 @given(data=st.data())
@@ -173,15 +189,12 @@ def test_choose_target_returns_free_cell(data):
     grid = build_world(9, 14, 3)
     x = data.draw(st.integers(0, 8))
     y = data.draw(st.integers(1, 13))
-    agent = Agent(id=0, pos=(x, y))
-    agent.heading = heading_toward(agent.pos, nearest_exit_coordinate(grid, agent.pos))
-    grid.place(0, agent.pos)
-    free = [(i, j) for i in range(9) for j in range(14)
-            if is_free(grid, (i, j))]
-    blocked = data.draw(st.lists(st.sampled_from(free), max_size=20, unique=True))
-    for i, cell in enumerate(blocked):
-        grid.place(i + 1, cell)
-    target = choose_target_cell(agent, grid, 3)
+    cells = [(i, j) for i in range(9) for j in range(14)
+             if is_free(grid, (i, j)) and (i, j) != (x, y)]
+    blocked = data.draw(st.lists(st.sampled_from(cells), max_size=20, unique=True))
+    agents = _crowd(grid, [(x, y)] + blocked)
+    free, _ = scan_cone(_facing_exit(grid, agents[0]), grid, agents, 3)
+    target = steer(None, free, CONFIG)
     if target is not None:
         assert is_free(grid, target)
         assert math.hypot(target[0] - x, target[1] - y) <= 3.0
@@ -191,47 +204,117 @@ def test_choose_target_returns_free_cell(data):
 
 def test_sct_passthrough_above_threshold():
     grid = build_world(19, 60, 1)
-    focal = Agent(id=0, pos=(10, 10))
-    focal.heading = heading_toward(focal.pos, nearest_exit_coordinate(grid, focal.pos))
-    other = Agent(id=1, pos=(8, 10))
-    grid.place(0, focal.pos)
-    grid.place(1, other.pos)
-    goal = (10, 9)
-    assert sct_adjust(focal, (other, 0.9), goal, grid, 3, CONFIG) == goal
-    assert sct_adjust(focal, None, goal, grid, 3, CONFIG) == goal
+    focal, other = _crowd(grid, [(10, 10), (8, 10)])
+    free, _ = scan_cone(_facing_exit(grid, focal), grid, [focal, other], 3)
+    assert steer((other, 0.9), free, CONFIG) == (10, 9)
+    assert steer((other, 0.5), free, CONFIG) == (10, 9)  # at the threshold
+    assert steer(None, free, CONFIG) == (10, 9)
 
 
 def test_sct_veers_toward_dissimilar_comparison():
     """A low-scoring match two cells to the left pulls the target leftward."""
     grid = build_world(19, 60, 1)
-    focal = Agent(id=0, pos=(10, 10))
-    focal.heading = heading_toward(focal.pos, nearest_exit_coordinate(grid, focal.pos))
-    other = Agent(id=1, pos=(8, 10))
-    grid.place(0, focal.pos)
-    grid.place(1, other.pos)
-    adjusted = sct_adjust(focal, (other, 0.2), (10, 9), grid, 3, CONFIG)
+    focal, other = _crowd(grid, [(10, 10), (8, 10)])
+    free, _ = scan_cone(_facing_exit(grid, focal), grid, [focal, other], 3)
     # nearest free cone cell to (8,10): one step down-left of the focal agent
-    assert adjusted == (9, 9)
+    assert steer((other, 0.2), free, CONFIG) == (9, 9)
 
 
 @given(data=st.data())
 @settings(max_examples=60)
 def test_sct_adjust_result_is_free_or_goal(data):
     grid = build_world(9, 14, 3)
-    focal = Agent(id=0, pos=(data.draw(st.integers(0, 8)), data.draw(st.integers(2, 13))))
-    focal.heading = heading_toward(focal.pos, nearest_exit_coordinate(grid, focal.pos))
-    grid.place(0, focal.pos)
+    x, y = data.draw(st.integers(0, 8)), data.draw(st.integers(2, 13))
     ox, oy = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
-    other_pos = (focal.pos[0] + ox, focal.pos[1] + oy)
-    if other_pos == focal.pos or grid.is_wall(other_pos):
-        other_pos = (focal.pos[0], min(13, focal.pos[1] + 1))
+    other_pos = (x + ox, y + oy)
+    if other_pos == (x, y) or grid.is_wall(other_pos):
+        other_pos = (x, min(13, y + 1))
+    agents = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
     other = Agent(id=1, pos=other_pos)
-    if other_pos not in grid.occupancy:
-        grid.place(1, other_pos)
     score = data.draw(st.floats(0.0, 1.0, allow_nan=False))
-    goal = choose_target_cell(focal, grid, 3)
-    adjusted = sct_adjust(focal, (other, score), goal, grid, 3, CONFIG)
+    free, _ = scan_cone(_facing_exit(grid, agents[0]), grid, agents, 3)
+    adjusted = steer((other, score), free, CONFIG)
     if score >= 0.5:
-        assert adjusted == goal
+        assert adjusted == steer(None, free, CONFIG)
     elif adjusted is not None:
         assert is_free(grid, adjusted)
+
+
+# ------------------------------------------- the three scans the fused one replaced
+
+def _choose_target_cell(agent, grid, radius):
+    x, y = agent.pos
+    for ox, oy, _ in cone_offsets(radius, agent.heading):
+        cell = (x + ox, y + oy)
+        if is_free(grid, cell):
+            return cell
+    return None
+
+
+def _visible_agents(agent, grid, agents, radius):
+    x, y = agent.pos
+    out = []
+    for ox, oy, _ in cone_offsets(radius, agent.heading):
+        other_id = grid.occupancy.get((x + ox, y + oy))
+        if other_id is not None and not agents[other_id].exited:
+            out.append(agents[other_id])
+    return out
+
+
+def _sct_adjust(agent, comparison, goal_target, grid, radius, config):
+    if comparison is None:
+        return goal_target
+    other, score = comparison
+    if score >= config.trigger_threshold:
+        return goal_target
+    x, y = agent.pos
+    tx, ty = other.pos
+    best = None
+    best_d2 = None
+    for ox, oy, _ in cone_offsets(radius, agent.heading):
+        cell = (x + ox, y + oy)
+        if not is_free(grid, cell):
+            continue
+        d2 = (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2
+        if best_d2 is None or d2 < best_d2:
+            best = cell
+            best_d2 = d2
+    return best
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fused_scan_matches_three_scans(data):
+    """scan_cone + steer choose the target and the visible agents exactly
+    as the separate target, visibility and veering scans did: random
+    blockers, the corridor walls in view, exited bodies still standing in
+    the doorway, and trigger scores on both sides of the threshold."""
+    W = data.draw(st.integers(3, 10))
+    L = data.draw(st.integers(W + 1, 14))
+    grid = build_world(W, L, data.draw(st.integers(1, W)))
+    open_cells = [(x, y) for y in range(L) for x in range(W) if not grid.is_wall((x, y))]
+    cells = data.draw(st.lists(st.sampled_from(open_cells), min_size=1, unique=True))
+    agents = _crowd(grid, cells)
+    focal = agents[data.draw(st.integers(0, len(agents) - 1))]
+    for agent in agents:
+        if agent is not focal and agent.pos[1] == 0:
+            agent.exited = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        _facing_exit(grid, focal)
+    else:
+        focal.heading = data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    threshold = data.draw(st.floats(0.0, 1.0))
+    config = SimConfig(c=len(agents), w=1, W=W, L=L, trigger_threshold=threshold)
+    comparison = None
+    if data.draw(st.booleans()):
+        score = data.draw(st.sampled_from([threshold, math.nextafter(threshold, -1.0)])
+                          | st.floats(0.0, 1.0))
+        comparison = (data.draw(st.sampled_from(agents)), score)
+    radius = data.draw(st.integers(1, 4))
+
+    free, visible = scan_cone(focal, grid, agents, radius)
+    goal = _choose_target_cell(focal, grid, radius)
+    assert visible == _visible_agents(focal, grid, agents, radius)
+    assert steer(comparison, free, config) == _sct_adjust(
+        focal, comparison, goal, grid, radius, config
+    )

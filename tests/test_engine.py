@@ -183,7 +183,7 @@ def _small_configs(draw):
 def test_step_invariants_hold_on_random_configs(cfg):
     """One body per cell, none on a wall, occupancy = live agents plus the
     bodies of this step's exits, exits never undone, every move one
-    8-neighbour pace."""
+    8-neighbour pace, every live heading facing the nearest exit."""
     grid, agents, rng = initialize(cfg)
     for t in range(1, cfg.max_steps + 1):
         before = [(a.pos, a.exited) for a in agents]
@@ -197,6 +197,9 @@ def test_step_invariants_hold_on_random_configs(cfg):
         assert len({pos for pos, _ in bodies}) == len(bodies)  # one body per cell
         assert dict(bodies) == grid.occupancy
         assert not any(grid.is_wall(pos) for pos, _ in bodies)
+        for a in agents:
+            if not a.exited:
+                assert a.heading == heading_toward(a.pos, nearest_exit_coordinate(grid, a.pos))
         if all(a.exited for a in agents):
             break
 

@@ -1,12 +1,14 @@
 """Sweep harness: seed derivation, cell execution, CSV artifacts, parallelism."""
 
 import hashlib
+import os
 
 import pytest
 
-from archsim import engine
+from archsim import config as configmod, engine, sweep
+from archsim.cli import main
 from archsim.engine import run
-from archsim.errors import ConfigError, InvalidDimensionsError
+from archsim.errors import ArchsimError, ConfigError, InvalidDimensionsError
 from archsim.sweep import (
     DEFAULT_C_LEVELS,
     DEFAULT_W_LEVELS,
@@ -117,6 +119,29 @@ def test_failing_cells_become_error_rows(tmp_path):
     assert lines[1].startswith("1100,3,0,")
 
 
+def _cell_that_kills_its_worker(config, c, w, replicate):
+    if (c, w, replicate) == (20, 5, 0):
+        os._exit(1)
+    return run_cell(config, c, w, replicate)
+
+
+def test_crashed_worker_is_reported_once(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sweep, "run_cell", _cell_that_kills_its_worker)
+    cfg = SweepConfig(c_levels=(20,), w_levels=(1, 3, 5, 7, 9), replicates=2, max_steps=200)
+    with pytest.raises(ArchsimError, match=r"worker crashed; \d+ of 10 cells left unfinished"):
+        run_sweep(cfg, parallelism=2)
+
+    (tmp_path / "sweep.cfg").write_text(configmod.dump_config(cfg))
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out), "--config", str(tmp_path / "sweep.cfg"),
+            "--parallelism", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "worker crashed" in err[0]
+    assert not (out / "errors.csv").exists()
+    assert not (out / "measurements.csv").exists()
+
+
 def test_invalid_sweep_configs():
     with pytest.raises(ConfigError):
         SweepConfig(c_levels=()).validate()
@@ -176,6 +201,8 @@ def test_measurements_csv_rejects_garbage(tmp_path):
         "400,7,19,11,0,1,21,6,,30",  # detected, one axis missing
         "400,7,19,11,0,0,21,6,11,30",  # not detected, yet measured
         "400,7,19,11,0,0,,,,30",
+        "400,7,19,11,0,2,21,6,11,30",  # arch_detected neither 0 nor 1
+        "400,7,19,11,0,1,-4,6,11,30",  # negative onset step
     ],
 )
 def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row):
