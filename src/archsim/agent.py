@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .world import Cell, WorldGrid
+from .world import FREE, Cell, WorldGrid
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -39,7 +39,6 @@ class Agent:
     pos: Cell
     heading: float = 0.0  # radians in [0, 2*pi)
     exited: bool = False
-    moved_last_step: bool = False
 
 
 def wrap_angle(a: float) -> float:
@@ -145,11 +144,10 @@ def scan_cone(
     visible = []
     for ox, oy, _ in cone_offsets(radius, agent.heading):
         cell = (x + ox, y + oy)
-        other_id = occupancy.get(cell)
-        if other_id is None:
-            if not grid.is_wall(cell):
-                free.append(cell)
-        elif not agents[other_id].exited:
+        other_id = occupancy.get(cell)  # None off the floor
+        if other_id == FREE:
+            free.append(cell)
+        elif other_id is not None and not agents[other_id].exited:
             visible.append(agents[other_id])
     return free, visible
 

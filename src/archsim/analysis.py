@@ -151,14 +151,14 @@ class TrendReport:
     n_saturated_excluded: int
 
 
-def compute_trends(rows, include_saturated: bool = False) -> TrendReport:
+def compute_trends(rows) -> TrendReport:
     """Pearson correlations of cell means against the scaling predictors.
 
     Cells where the arch spans the whole corridor (mean m >= W - 1) are
-    excluded by default: their width is set by the walls, not by c and w.
+    excluded: their width is set by the walls, not by c and w.
     """
     cells = [s for s in aggregate(rows) if s.n_detected > 0]
-    usable = cells if include_saturated else [s for s in cells if not s.saturated]
+    usable = [s for s in cells if not s.saturated]
     n_saturated = len(cells) - len(usable)
     if len(usable) < 3:
         raise DegenerateInputError(

@@ -108,8 +108,6 @@ def cmd_sweep(args) -> int:
     try:
         values = _load_config(args.config)
         sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
 
         def progress(done, total, task):
             c, w, rep = task
@@ -119,6 +117,8 @@ def cmd_sweep(args) -> int:
             sweep_config, parallelism=args.parallelism,
             progress=progress if args.verbose else None,
         )
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         write_measurements_csv(rows, out / "measurements.csv")
         _write_table_csv(analysis.aggregate(rows) if rows else [], out / "sweep_table.csv")
         sidecar = configmod.dump_config(sweep_config)

@@ -19,13 +19,14 @@ the run as soon as it has read enough; ``run`` collects the whole trace.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agent import Agent, heading_toward, most_similar_neighbor, scan_cone, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import WorldGrid, build_world, is_free, nearest_exit_coordinate
+from .world import FREE, WorldGrid, build_world, is_free, nearest_exit_coordinate
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
@@ -102,13 +103,12 @@ class StepRecord:
         return int((~self.exited & ~self.moved).sum())
 
 
-def _snapshot(t: int, agents: list[Agent], exits_this_step: int) -> StepRecord:
+def _snapshot(t: int, agents: list[Agent], moved: np.ndarray, exits: int) -> StepRecord:
     n = len(agents)
     xs = np.fromiter((a.pos[0] for a in agents), dtype=np.int16, count=n)
     ys = np.fromiter((a.pos[1] for a in agents), dtype=np.int16, count=n)
     exited = np.fromiter((a.exited for a in agents), dtype=bool, count=n)
-    moved = np.fromiter((a.moved_last_step for a in agents), dtype=bool, count=n)
-    return StepRecord(t, xs, ys, exited, moved, exits_this_step)
+    return StepRecord(t, xs, ys, exited, moved, exits)
 
 
 def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Generator]:
@@ -121,12 +121,7 @@ def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Gen
     config.validate()
     grid = build_world(config.W, config.L, config.w)
     rng = np.random.default_rng(config.seed)
-    spawn = [
-        (x, y)
-        for y in range(config.spawn_margin, config.L)
-        for x in range(config.W)
-        if not grid.is_wall((x, y))
-    ]
+    spawn = [cell for cell in grid.occupancy if cell[1] >= config.spawn_margin]
     if config.c > len(spawn):
         raise CrowdTooLargeError(
             f"crowd size c={config.c} exceeds {len(spawn)} spawnable cells"
@@ -155,6 +150,7 @@ def step(
     """Advance the simulation by one step and record the result."""
     radius = config.vision_radius
     exits_this_step = 0
+    moved = np.zeros(len(agents), dtype=bool)
 
     for idx in rng.permutation(len(agents)):
         agent = agents[int(idx)]
@@ -163,13 +159,11 @@ def step(
             # activation ("moves to the edge of the world")
             if grid.occupancy.get(agent.pos) == agent.id:
                 grid.vacate(agent.pos)
-            agent.moved_last_step = False
             continue
 
         # spawned on an exit coordinate (possible with spawn_margin = 0)
         if agent.pos == nearest_exit_coordinate(grid, agent.pos):
             agent.exited = True
-            agent.moved_last_step = False
             exits_this_step += 1
             continue
 
@@ -179,7 +173,6 @@ def step(
         comparison = most_similar_neighbor(agent, visible, config)
         target = steer(comparison, free, config)
 
-        moved = False
         if target is not None:
             pace = (
                 agent.pos[0] + _sign(target[0] - agent.pos[0]),
@@ -188,8 +181,7 @@ def step(
             if is_free(grid, pace):
                 grid.move(agent.pos, pace)
                 agent.pos = pace
-                moved = True
-        agent.moved_last_step = moved
+                moved[agent.id] = True
 
         new_exit = nearest_exit_coordinate(grid, agent.pos)
         if agent.pos == new_exit:  # distance < 1 on integer cells means distance 0
@@ -198,14 +190,15 @@ def step(
         else:
             agent.heading = heading_toward(agent.pos, new_exit)
 
-    record = _snapshot(t, agents, exits_this_step)
+    record = _snapshot(t, agents, moved, exits_this_step)
     live = record.agent_count - record.exited_count
     dwelling = sum(
         1 for a in agents if a.exited and grid.occupancy.get(a.pos) == a.id
     )
-    if len(grid.occupancy) != live + dwelling:
+    occupied = len(grid.occupancy) - operator.countOf(grid.occupancy.values(), FREE)
+    if occupied != live + dwelling:
         raise ArchsimError(
-            f"step {t}: {len(grid.occupancy)} occupied cells for {live} live agents "
+            f"step {t}: {occupied} occupied cells for {live} live agents "
             f"and {dwelling} bodies in the doorway"
         )
     return record
@@ -218,7 +211,7 @@ def simulate(config: SimConfig):
     consumer that stops reading stops the simulation there.
     """
     grid, agents, rng = initialize(config)
-    record = _snapshot(0, agents, 0)
+    record = _snapshot(0, agents, np.zeros(len(agents), dtype=bool), 0)
     yield record
     t = 0
     while record.exited_count < len(agents) and t < config.max_steps:

@@ -12,10 +12,10 @@ the corridor, m is how wide it spans the exit wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import dist, sqrt
 
 from .errors import ArchsimError, EmptyClusterError
-from .world import Cell, WorldGrid
+from .world import Cell, WorldGrid, nearest_exit_coordinate
 
 _NEIGHBORS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
 _UPSTREAM = [(-1, 1), (0, 1), (1, 1)]
@@ -58,12 +58,9 @@ def _components(cells: set[Cell]) -> list[set[Cell]]:
     return components
 
 
-def _touches_exit(comp: set[Cell], exit_cells) -> bool:
-    for x, y in comp:
-        for ex, ey in exit_cells:
-            if (x - ex) ** 2 + (y - ey) ** 2 <= 1:
-                return True
-    return False
+def _touches_exit(comp: set[Cell], grid: WorldGrid) -> bool:
+    """Some member lies within distance 1 of its nearest (clamped) exit cell."""
+    return any(dist(cell, nearest_exit_coordinate(grid, cell)) <= 1 for cell in comp)
 
 
 def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
@@ -76,7 +73,7 @@ def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
     candidates = [
         comp
         for comp in _components(_stationary_cells(record))
-        if _touches_exit(comp, grid.exit_cells)
+        if _touches_exit(comp, grid)
     ]
     if not candidates:
         return set()

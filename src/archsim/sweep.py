@@ -93,6 +93,11 @@ class MeasurementRow(ArchMeasurement, _RunKey):
             else:
                 values[f.name] = int(raw)
         parsed = cls(**values)
+        if not 1 <= parsed.w <= parsed.W:
+            raise ValueError(f"w={parsed.w} must satisfy 1 <= w <= W={parsed.W}")
+        for name in ("c", "seed", "replicate"):
+            if getattr(parsed, name) < 0:
+                raise ValueError(f"{name}={getattr(parsed, name)} must be nonnegative")
         measured = {f.name: getattr(parsed, f.name) for f in fields(ArchMeasurement)[1:]}
         if {v is not None for v in measured.values()} != {parsed.arch_detected}:
             state = "all set" if parsed.arch_detected else "all empty"
@@ -100,11 +105,13 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                 f"arch_detected={int(parsed.arch_detected)} needs T, M, m and "
                 f"cluster_size {state}"
             )
-        negative = [f"{k}={v}" for k, v in measured.items() if v is not None and v < 0]
-        if negative:
+        if parsed.arch_detected and not (
+            min(parsed.T, parsed.M, parsed.m) >= 0 and 1 <= parsed.cluster_size <= parsed.c
+        ):
+            got = ", ".join(f"{k}={v}" for k, v in measured.items())
             raise ValueError(
-                "arch_detected=1 needs T, M, m and cluster_size nonnegative, "
-                f"got {', '.join(negative)}"
+                f"arch_detected=1 needs T, M, m >= 0 and 1 <= cluster_size <= c={parsed.c}, "
+                f"got {got}"
             )
         return parsed
 

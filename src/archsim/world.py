@@ -15,51 +15,54 @@ from .errors import InvalidDimensionsError
 
 Cell = tuple[int, int]
 
+FREE = -1  # occupancy value of a floor cell nobody stands on
+
 
 @dataclass
 class WorldGrid:
-    """Corridor state: dimensions, exit segment, and cell occupancy.
+    """Corridor state: dimensions, exit segment, and the floor map.
 
-    ``occupancy`` maps a cell to the id of the agent standing on it;
-    absent keys are empty cells.  The exit segment is contiguous along
-    the end wall and ordered by transverse index.
+    ``occupancy`` holds one key per floor cell: the exit segment first,
+    then rows 1..L-1 in y-major order.  Each key maps to the id of the
+    agent standing there, or to FREE.  A wall is a cell that is not a
+    key.  The exit segment is contiguous along the end wall and ordered
+    by transverse index.
     """
 
     width: int
     length: int
     exit_cells: tuple[Cell, ...]
-    occupancy: dict[Cell, int] = field(default_factory=dict)
+    occupancy: dict[Cell, int] = field(init=False)
 
     def __post_init__(self):
-        xs = [x for x, _ in self.exit_cells]
         # contiguous segment bounds, used for O(1) nearest-exit lookups
-        self._exit_x0 = min(xs)
-        self._exit_x1 = max(xs)
+        self._exit_x0 = self.exit_cells[0][0]
+        self._exit_x1 = self.exit_cells[-1][0]
+        rows = ((x, y) for y in range(1, self.length) for x in range(self.width))
+        self.occupancy = dict.fromkeys((*self.exit_cells, *rows), FREE)
 
     @property
     def exit_width(self) -> int:
         return len(self.exit_cells)
 
     def is_wall(self, cell: Cell) -> bool:
-        """True for out-of-bounds coordinates and non-exit end-wall cells."""
-        x, y = cell
-        if not (0 <= x < self.width and 0 <= y < self.length):
-            return True
-        return y == 0 and not (self._exit_x0 <= x <= self._exit_x1)
+        """True for every cell off the floor: out of bounds or end wall."""
+        return cell not in self.occupancy
 
     def place(self, agent_id: int, cell: Cell) -> None:
-        if cell in self.occupancy:
-            raise ValueError(f"cell {cell} already occupied by {self.occupancy[cell]}")
-        if self.is_wall(cell):
+        occupant = self.occupancy.get(cell)
+        if occupant is None:
             raise ValueError(f"cell {cell} is a wall")
+        if occupant != FREE:
+            raise ValueError(f"cell {cell} already occupied by {occupant}")
         self.occupancy[cell] = agent_id
 
     def vacate(self, cell: Cell) -> None:
-        del self.occupancy[cell]
+        self.occupancy[cell] = FREE
 
     def move(self, old: Cell, new: Cell) -> None:
-        agent_id = self.occupancy.pop(old)
-        self.place(agent_id, new)
+        self.place(self.occupancy[old], new)
+        self.vacate(old)
 
 
 def build_world(W: int, L: int, w: int) -> WorldGrid:
@@ -82,11 +85,11 @@ def build_world(W: int, L: int, w: int) -> WorldGrid:
 
 
 def is_free(grid: WorldGrid, cell: Cell) -> bool:
-    """True iff ``cell`` is inside the corridor, not a wall, and empty.
+    """True iff ``cell`` is a floor cell nobody stands on.
 
-    Exit cells count as free; out-of-bounds queries return False.
+    Exit cells count as free; walls and out-of-bounds queries do not.
     """
-    return not grid.is_wall(cell) and cell not in grid.occupancy
+    return grid.occupancy.get(cell) == FREE
 
 
 def nearest_exit_coordinate(grid: WorldGrid, pos: Cell) -> Cell:

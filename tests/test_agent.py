@@ -18,7 +18,7 @@ from archsim.agent import (
     wrap_angle,
 )
 from archsim.engine import SimConfig
-from archsim.world import build_world, is_free, nearest_exit_coordinate
+from archsim.world import FREE, build_world, is_free, nearest_exit_coordinate
 
 HALF_CONE_DEG = 50.0
 CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
@@ -256,7 +256,7 @@ def _visible_agents(agent, grid, agents, radius):
     out = []
     for ox, oy, _ in cone_offsets(radius, agent.heading):
         other_id = grid.occupancy.get((x + ox, y + oy))
-        if other_id is not None and not agents[other_id].exited:
+        if other_id not in (None, FREE) and not agents[other_id].exited:
             out.append(agents[other_id])
     return out
 

@@ -271,9 +271,6 @@ def test_trends_exclude_saturated_cells_by_default():
     trends = compute_trends(rows)
     assert trends.n_cells == 4
     assert trends.n_saturated_excluded == 1
-    included = compute_trends(rows, include_saturated=True)
-    assert included.n_cells == 5
-    assert included.n_saturated_excluded == 0
 
 
 def test_trends_need_three_cells():

@@ -306,6 +306,16 @@ def test_analyze_rejects_detection_without_measurements(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_rejects_zero_exit_width(tmp_path, capsys):
+    status, out = _analyze(PERFECT_LINE_CSV + "400,0,19,11,0,1,21,6,11,30\n"
+                           "200,0,19,14,0,1,22,6,11,30\n", tmp_path)
+    assert status == 1
+    err = capsys.readouterr().err
+    rows = PERFECT_LINE_CSV.count("\n") + 1
+    assert err.startswith("error:") and f"measurements.csv: row {rows}: w=0" in err
+    assert not out.exists()
+
+
 def test_checks_survive_optimized_mode(tmp_path):
     """Invariant checks are exceptions, not asserts, so python -O keeps them."""
     src = tmp_path / "measurements.csv"

@@ -15,9 +15,9 @@ from archsim.engine import (
     write_summary_csv,
     write_trace_csv,
 )
-from archsim.errors import ConfigError, CrowdTooLargeError, InvalidDimensionsError
+from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError, InvalidDimensionsError
 from archsim.metrics import detect_arch_onset
-from archsim.world import build_world, nearest_exit_coordinate
+from archsim.world import FREE, build_world, nearest_exit_coordinate
 
 from conftest import reading
 
@@ -52,7 +52,7 @@ def test_agent_standing_on_exit_cell_exits():
     # the body clears the doorway at the next activation, not immediately
     assert grid.occupancy.get((9, 0)) == 0
     step(grid, agents, rng, SimConfig(c=1, w=7), 2)
-    assert (9, 0) not in grid.occupancy
+    assert grid.occupancy[(9, 0)] == FREE
 
 
 def test_enclosed_agent_stays_put():
@@ -72,9 +72,17 @@ def test_enclosed_agent_stays_put():
     seed = next(
         s for s in range(100) if np.random.default_rng(s).permutation(9)[0] == 0
     )
-    step(grid, agents, np.random.default_rng(seed), SimConfig(c=9, w=7, seed=seed), 1)
+    rec = step(grid, agents, np.random.default_rng(seed), SimConfig(c=9, w=7, seed=seed), 1)
     assert focal.pos == (9, 30)
-    assert not focal.moved_last_step
+    assert not rec.moved[0]
+
+
+def test_phantom_body_fails_the_occupancy_check():
+    cfg = SimConfig(c=30, w=3)
+    grid, agents, rng = initialize(cfg)
+    grid.occupancy[(0, 1)] = 7  # a second body for agent 7
+    with pytest.raises(ArchsimError, match="31 occupied cells for 30 live agents"):
+        step(grid, agents, rng, cfg, 1)
 
 
 def test_lone_agent_trace_length_is_taxicab_distance():
@@ -108,7 +116,7 @@ def test_spawn_region_exactly_filled():
     cfg = SimConfig(c=1045, w=7)
     grid, agents, _ = initialize(cfg)
     assert len(agents) == 1045
-    assert len(grid.occupancy) == 1045
+    assert sum(v != FREE for v in grid.occupancy.values()) == 1045
     assert all(a.pos[1] >= cfg.spawn_margin for a in agents)
     with pytest.raises(CrowdTooLargeError):
         initialize(SimConfig(c=1046, w=7))
@@ -195,7 +203,7 @@ def test_step_invariants_hold_on_random_configs(cfg):
         bodies = [(a.pos, a.id) for a, (_, was_exited) in zip(agents, before)
                   if not was_exited]
         assert len({pos for pos, _ in bodies}) == len(bodies)  # one body per cell
-        assert dict(bodies) == grid.occupancy
+        assert dict(bodies) == {pos: i for pos, i in grid.occupancy.items() if i != FREE}
         assert not any(grid.is_wall(pos) for pos, _ in bodies)
         for a in agents:
             if not a.exited:

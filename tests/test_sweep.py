@@ -138,8 +138,7 @@ def test_crashed_worker_is_reported_once(monkeypatch, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "worker crashed" in err[0]
-    assert not (out / "errors.csv").exists()
-    assert not (out / "measurements.csv").exists()
+    assert not out.exists()
 
 
 def test_invalid_sweep_configs():
@@ -194,22 +193,32 @@ def test_measurements_csv_rejects_garbage(tmp_path):
     assert "3" in str(err.value)  # diagnostic carries the file row number
 
 
+REJECTED_ROWS = [
+    ("400,7,19,11,0,1,,,,", "arch_detected="),  # detected, nothing measured
+    ("400,7,19,11,0,1,21,6,,30", "arch_detected="),  # detected, one axis missing
+    ("400,7,19,11,0,0,21,6,11,30", "arch_detected="),  # not detected, yet measured
+    ("400,7,19,11,0,0,,,,30", "arch_detected="),
+    ("400,7,19,11,0,2,21,6,11,30", "arch_detected="),  # neither 0 nor 1
+    ("400,7,19,11,0,1,-4,6,11,30", "arch_detected="),  # negative onset step
+    ("400,0,19,11,0,1,21,6,11,30", "w=0"),  # no exit: 1/(c*w) undefined
+    ("200,0,19,14,0,1,22,6,11,30", "w=0"),
+    ("400,20,19,11,0,1,21,6,11,30", "w=20"),  # exit wider than the corridor
+    ("-400,7,19,11,0,0,,,,", "c=-400"),
+    ("400,7,19,-11,0,0,,,,", "seed=-11"),
+    ("400,7,19,11,-1,0,,,,", "replicate=-1"),
+    ("0,7,19,11,0,1,21,6,11,30", "cluster_size=30"),  # a cluster at c = 0
+    ("400,7,19,11,0,1,21,6,11,0", "cluster_size=0"),  # an empty onset cluster
+]
+
+
 @pytest.mark.parametrize(
-    "row",
-    [
-        "400,7,19,11,0,1,,,,",  # detected, nothing measured
-        "400,7,19,11,0,1,21,6,,30",  # detected, one axis missing
-        "400,7,19,11,0,0,21,6,11,30",  # not detected, yet measured
-        "400,7,19,11,0,0,,,,30",
-        "400,7,19,11,0,2,21,6,11,30",  # arch_detected neither 0 nor 1
-        "400,7,19,11,0,1,-4,6,11,30",  # negative onset step
-    ],
+    "row,problem", [pytest.param(row, problem, id=row) for row, problem in REJECTED_ROWS]
 )
-def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row):
+def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row, problem):
     path = tmp_path / "m.csv"
     path.write_text(
         "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size\n"
         "200,13,19,12,1,0,,,,\n" + row + "\n"
     )
-    with pytest.raises(ConfigError, match=r"m\.csv: row 3: arch_detected="):
+    with pytest.raises(ConfigError, match=rf"m\.csv: row 3: .*{problem}"):
         read_measurements_csv(path)

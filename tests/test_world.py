@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from archsim.errors import InvalidDimensionsError
-from archsim.world import WorldGrid, build_world, is_free, nearest_exit_coordinate
+from archsim.world import FREE, WorldGrid, build_world, is_free, nearest_exit_coordinate
 
 
 def test_centered_exit_19_7():
@@ -75,7 +75,42 @@ def test_is_free_and_occupancy():
     assert grid.occupancy[(9, 4)] == 0
     assert is_free(grid, (9, 5))
     grid.vacate((9, 4))
-    assert grid.occupancy == {}
+    assert set(grid.occupancy.values()) == {FREE}
+
+
+def _reference_is_wall(grid, cell):
+    """The bounds arithmetic the floor map replaced."""
+    x, y = cell
+    if not (0 <= x < grid.width and 0 <= y < grid.length):
+        return True
+    x0, x1 = grid.exit_cells[0][0], grid.exit_cells[-1][0]
+    return y == 0 and not (x0 <= x <= x1)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_floor_map_matches_bounds_arithmetic(data):
+    """is_wall, is_free and place agree with the bounds-arithmetic walls on
+    every cell of a box reaching 4 cells beyond the corridor."""
+    W = data.draw(st.integers(1, 9))
+    L = data.draw(st.integers(W + 1, 12))
+    grid = build_world(W, L, data.draw(st.integers(1, W)))
+    box = [(x, y) for y in range(-4, L + 4) for x in range(-4, W + 4)]
+    floor = [cell for cell in box if not _reference_is_wall(grid, cell)]
+    bodies = data.draw(st.lists(st.sampled_from(floor), unique=True))
+    for agent_id, cell in enumerate(bodies):
+        grid.place(agent_id, cell)
+    occupied = set(bodies)
+    for cell in box:
+        wall = _reference_is_wall(grid, cell)
+        assert grid.is_wall(cell) == wall
+        assert is_free(grid, cell) == (not wall and cell not in occupied)
+        if wall or cell in occupied:
+            with pytest.raises(ValueError, match="wall" if wall else "occupied"):
+                grid.place(len(bodies), cell)
+        else:
+            grid.place(len(bodies), cell)
+            grid.vacate(cell)
 
 
 def test_nearest_exit_example():
