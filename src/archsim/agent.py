@@ -1,14 +1,14 @@
 """The simulated individual and its per-step decision primitives.
 
-An agent carries a position and a heading (pointed at its current
-target exit coordinate); social comparison scores a pair of agents by
-how close they stand and how alike their headings are.  Movement
-decisions are pure functions of (agent, world snapshot, run config):
+An agent carries a position; the floor holds its heading toward the
+nearest exit.  Social comparison scores a pair of agents by how close
+they stand and how alike their headings are.  Movement decisions are
+pure functions of (agent, world snapshot, run config):
 
 * :func:`cone_offsets` lists the offsets inside the forward vision
   cone, a 100-degree wedge facing the heading.
 * :func:`scan_cone` walks the cone once and returns the free cells, in
-  cone order, and the live agents in view.
+  cone order, and the live agents in view with their distances.
 * :func:`most_similar_neighbor` picks the best social match among them.
 * :func:`steer` takes the closest free cell, unless the best match
   looks too dissimilar: then the agent is triggered to close the gap
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .world import FREE, Cell, WorldGrid
+from .world import FREE, TWO_PI, Cell, WorldGrid
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -30,21 +30,12 @@ if TYPE_CHECKING:
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
 _ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(slots=True)
 class Agent:
     id: int
     pos: Cell
-    heading: float = 0.0  # radians in [0, 2*pi)
     exited: bool = False
-
-
-def wrap_angle(a: float) -> float:
-    """Map an angle into [0, 2*pi)."""
-    a = math.fmod(a, TWO_PI)
-    return a + TWO_PI if a < 0 else a
 
 
 def signed_deviation(angle: float, heading: float) -> float:
@@ -57,36 +48,28 @@ def signed_deviation(angle: float, heading: float) -> float:
     return d
 
 
-def heading_toward(src: Cell, dst: Cell) -> float:
-    """Heading angle from ``src`` to ``dst`` in [0, 2*pi).
-
-    Falls back to 0 for coincident cells; callers treat that case
-    (distance 0) as already-exited before the heading matters.
-    """
-    return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
-
-
-def similarity(x: Agent, y: Agent, config: SimConfig) -> float:
+def similarity(dist: float, heading: float, other_heading: float, config: SimConfig) -> float:
     """Equal-weight sum of distance and heading similarity, in [0, 1].
 
     Distance similarity falls linearly from 1 to 0 at ``config.d_max``
     cells; heading similarity is 1 minus the angle between the headings
     over pi.
     """
-    dist = math.hypot(x.pos[0] - y.pos[0], x.pos[1] - y.pos[1])
     by_distance = max(0.0, 1.0 - dist / config.d_max)
-    by_heading = 1.0 - abs(signed_deviation(x.heading, y.heading)) / math.pi
+    by_heading = 1.0 - abs(signed_deviation(heading, other_heading)) / math.pi
     return by_distance * 0.5 + by_heading * 0.5
 
 
 def most_similar_neighbor(
-    agent: Agent, visible: list[Agent], config: SimConfig
+    agent: Agent, visible: list[tuple[Agent, float]], grid: WorldGrid, config: SimConfig
 ) -> tuple[Agent, float] | None:
     """The visible agent with the highest similarity score, ties to lowest id."""
+    headings = grid.heading
+    heading = headings[agent.pos]
     best = None
     best_score = -1.0
-    for other in visible:
-        score = similarity(agent, other, config)
+    for other, dist in visible:
+        score = similarity(dist, heading, headings[other.pos], config)
         if score > best_score or (score == best_score and other.id < best.id):
             best = other
             best_score = score
@@ -115,8 +98,8 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
 
     Ordered by (distance, absolute angular deviation, clockwise first):
     the natural scan order for "closest free space" with fixed tie
-    breaks.  Cached on the exact heading float; headings are atan2 of
-    integer deltas, so the same direction always hits the same entry.
+    breaks.  Cached on the exact heading float, a value of the floor's
+    heading field, so there is one entry per direction to an exit cell.
     """
     selected = []
     for ox, oy, dist in _disc_offsets(radius):
@@ -131,24 +114,25 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
 
 def scan_cone(
     agent: Agent, grid: WorldGrid, agents: list[Agent], radius: int
-) -> tuple[list[Cell], list[Agent]]:
+) -> tuple[list[Cell], list[tuple[Agent, float]]]:
     """One pass over the vision cone: (free cells, visible live agents).
 
-    Both lists follow the cone scan order, so ``free[0]`` is the closest
-    free cell, ties resolved toward the smallest angular deviation, then
-    the clockwise side.
+    The cone faces the floor's heading; each visible agent comes with its
+    cone-table distance.  Both lists follow the cone scan order, so
+    ``free[0]`` is the closest free cell, ties resolved toward the
+    smallest angular deviation, then the clockwise side.
     """
     x, y = agent.pos
     occupancy = grid.occupancy
     free = []
     visible = []
-    for ox, oy, _ in cone_offsets(radius, agent.heading):
+    for ox, oy, dist in cone_offsets(radius, grid.heading[agent.pos]):
         cell = (x + ox, y + oy)
         other_id = occupancy.get(cell)  # None off the floor
         if other_id == FREE:
             free.append(cell)
         elif other_id is not None and not agents[other_id].exited:
-            visible.append(agents[other_id])
+            visible.append((agents[other_id], dist))
     return free, visible
 
 

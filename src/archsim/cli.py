@@ -22,7 +22,9 @@ from pathlib import Path
 from . import analysis, config as configmod, render
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
 from .errors import ArchsimError
-from .sweep import measure, run_sweep, write_errors_csv, write_measurements_csv
+from .sweep import (
+    measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
+)
 from .world import build_world
 
 TABLE_HEADER = [
@@ -136,15 +138,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        from .sweep import read_measurements_csv
-
         rows = read_measurements_csv(args.measurements)
         if not rows:
             return _fail(f"{args.measurements}: no measurement rows")
+        stats = analysis.aggregate(rows)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-        stats = analysis.aggregate(rows)
         _write_table_csv(stats, out / "sweep_table.csv")
 
         fits = analysis.regression_by_c(rows, per_replicate=args.per_replicate)

@@ -1,14 +1,14 @@
 """Deterministic simulation loop.
 
 Each step visits every live agent once, in a fresh seeded random
-permutation.  An agent faces the nearest exit coordinate, scans its
-vision cone once for free cells and visible neighbours, aims at the
-closest free cell unless social comparison steers it elsewhere, then
-takes one pace (one 8-neighbor cell) toward that target if the pace
-cell is free.  Reaching an exit coordinate (distance < 1) marks the
-agent as exited; the body keeps occupying the doorway until the
-agent's next activation, when it moves off the world — so exit cells
-are briefly blocked and the door is a real bottleneck.
+permutation.  An agent faces the floor's heading toward the nearest
+exit coordinate, scans its vision cone once for free cells and visible
+neighbours, aims at the closest free cell unless social comparison
+steers it elsewhere, then takes one pace (one 8-neighbor cell) toward
+that target if the pace cell is free.  Reaching an exit coordinate
+(distance < 1) marks the agent as exited; the body keeps occupying the
+doorway until the agent's next activation, when it moves off the world
+— so exit cells are briefly blocked and the door is a real bottleneck.
 
 A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import Agent, heading_toward, most_similar_neighbor, scan_cone, steer
+from .agent import Agent, most_similar_neighbor, scan_cone, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import FREE, WorldGrid, build_world, is_free, nearest_exit_coordinate
+from .world import FREE, WorldGrid, build_world, is_free
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
+COORD_MAX = int(np.iinfo(np.int16).max)  # a StepRecord holds coordinates as int16
 
 
 @dataclass(kw_only=True)
@@ -115,8 +116,7 @@ def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Gen
     """Build the world and place the crowd.
 
     Agents land uniformly at random (seeded) on distinct free cells at
-    longitudinal coordinate >= spawn_margin, headings aimed at their
-    nearest exit coordinate.
+    longitudinal coordinate >= spawn_margin.
     """
     config.validate()
     grid = build_world(config.W, config.L, config.w)
@@ -130,9 +130,8 @@ def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Gen
     agents = []
     for agent_id, i in enumerate(picks):
         pos = spawn[int(i)]
-        heading = heading_toward(pos, nearest_exit_coordinate(grid, pos))
         grid.place(agent_id, pos)
-        agents.append(Agent(id=agent_id, pos=pos, heading=heading))
+        agents.append(Agent(id=agent_id, pos=pos))
     return grid, agents, rng
 
 
@@ -161,16 +160,15 @@ def step(
                 grid.vacate(agent.pos)
             continue
 
-        # spawned on an exit coordinate (possible with spawn_margin = 0)
-        if agent.pos == nearest_exit_coordinate(grid, agent.pos):
+        # spawned on an exit coordinate (possible with spawn_margin = 0);
+        # the floor's row 0 is the exit segment
+        if agent.pos[1] == 0:
             agent.exited = True
             exits_this_step += 1
             continue
 
-        # the heading set at spawn or at the end of the last activation
-        # still faces the nearest exit: only the agent moves its body
         free, visible = scan_cone(agent, grid, agents, radius)
-        comparison = most_similar_neighbor(agent, visible, config)
+        comparison = most_similar_neighbor(agent, visible, grid, config)
         target = steer(comparison, free, config)
 
         if target is not None:
@@ -183,12 +181,9 @@ def step(
                 agent.pos = pace
                 moved[agent.id] = True
 
-        new_exit = nearest_exit_coordinate(grid, agent.pos)
-        if agent.pos == new_exit:  # distance < 1 on integer cells means distance 0
+        if agent.pos[1] == 0:  # distance < 1 to an exit cell means standing on it
             agent.exited = True
             exits_this_step += 1
-        else:
-            agent.heading = heading_toward(agent.pos, new_exit)
 
     record = _snapshot(t, agents, moved, exits_this_step)
     live = record.agent_count - record.exited_count
@@ -255,7 +250,8 @@ def read_trace_csv(path) -> list[StepRecord]:
     """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
 
     Every step must list agent ids 0..n-1 exactly once, with the n of
-    the first step; a malformed row or step raises ConfigError.
+    the first step, each with an exited flag of 0 or 1 and coordinates
+    in 0..COORD_MAX; a malformed row or step raises ConfigError.
     """
     by_step: dict[int, list[tuple[int, int, int, int]]] = {}
     first_line: dict[int, int] = {}
@@ -272,6 +268,11 @@ def read_trace_csv(path) -> list[StepRecord]:
                     f"{path}: line {reader.line_num}: expected {len(TRACE_HEADER)} "
                     f"integers, got {row}"
                 ) from None
+            if exited not in (0, 1) or not (0 <= x <= COORD_MAX and 0 <= y <= COORD_MAX):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: exited must be 0 or 1 and coordinates "
+                    f"within 0..{COORD_MAX}, got {row}"
+                )
             by_step.setdefault(t, []).append((agent_id, x, y, exited))
             first_line.setdefault(t, reader.line_num)
     if not by_step:

@@ -38,6 +38,12 @@ class SweepConfig(RunSettings):
         super().validate()
         if not self.c_levels or not self.w_levels:
             raise ConfigError("c_levels and w_levels must be nonempty")
+        for name in ("c_levels", "w_levels"):
+            levels = getattr(self, name)
+            if len(set(levels)) != len(levels):
+                raise ConfigError(f"{name}={levels} repeats a level")
+        if min(self.c_levels) < 0:
+            raise ConfigError(f"c_levels={self.c_levels} holds a negative crowd size")
         if self.replicates < 1:
             raise ConfigError(f"replicates={self.replicates} must be >= 1")
         if self.persistence < 1:

@@ -9,13 +9,17 @@ coordinate rectangle counts as wall, as do the non-exit cells of row 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InvalidDimensionsError
 
 Cell = tuple[int, int]
 
 FREE = -1  # occupancy value of a floor cell nobody stands on
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -45,9 +49,13 @@ class WorldGrid:
     def exit_width(self) -> int:
         return len(self.exit_cells)
 
-    def is_wall(self, cell: Cell) -> bool:
-        """True for every cell off the floor: out of bounds or end wall."""
-        return cell not in self.occupancy
+    @cached_property
+    def heading(self) -> dict[Cell, float]:
+        """The static floor field: each floor cell's heading to its nearest exit."""
+        return {
+            cell: heading_toward(cell, nearest_exit_coordinate(self, cell))
+            for cell in self.occupancy
+        }
 
     def place(self, agent_id: int, cell: Cell) -> None:
         occupant = self.occupancy.get(cell)
@@ -90,6 +98,17 @@ def is_free(grid: WorldGrid, cell: Cell) -> bool:
     Exit cells count as free; walls and out-of-bounds queries do not.
     """
     return grid.occupancy.get(cell) == FREE
+
+
+def wrap_angle(a: float) -> float:
+    """Map an angle into [0, 2*pi)."""
+    a = math.fmod(a, TWO_PI)
+    return a + TWO_PI if a < 0 else a
+
+
+def heading_toward(src: Cell, dst: Cell) -> float:
+    """Heading angle from ``src`` to ``dst`` in [0, 2*pi); 0 for coincident cells."""
+    return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
 
 
 def nearest_exit_coordinate(grid: WorldGrid, pos: Cell) -> Cell:

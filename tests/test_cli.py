@@ -139,6 +139,18 @@ def test_render_rejects_ragged_trace(run_dir, tmp_path, capsys):
     assert err.startswith("error:") and "ragged.csv: line 7:" in err
 
 
+def test_render_rejects_out_of_range_coordinate(run_dir, tmp_path, capsys):
+    lines = (run_dir / "trace.csv").read_text().splitlines(keepends=True)
+    t, agent_id, _, y, exited = lines[3].split(",")
+    lines[3] = ",".join([t, agent_id, "40000", y, exited])  # beyond int16
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    assert main(["render", str(bad),
+                 "--config", str(run_dir / "effective_config.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.csv: line 4:" in err
+
+
 def _sweep(tmp_path, text, name="sweep.cfg", extra=()):
     cfg = tmp_path / name
     cfg.write_text(text)
@@ -199,6 +211,22 @@ def test_sweep_bad_shared_setting_fails_before_any_cell(tmp_path, capsys):
     assert status == 1
     captured = capsys.readouterr()
     assert "trigger_threshold" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "levels,problem",
+    [("20,20", "c_levels=(20, 20) repeats"), ("-5,20", "c_levels=(-5, 20) holds a negative")],
+)
+def test_sweep_bad_levels_fail_before_any_cell(tmp_path, capsys, levels, problem):
+    status, out = _sweep(
+        tmp_path,
+        f"c_levels = {levels}\nw_levels = 3\nreplicates = 1\n",
+        extra=["--verbose"],
+    )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert problem in captured.err and captured.out == ""
     assert not out.exists()
 
 
@@ -295,7 +323,7 @@ def test_analyze_rejects_mixed_corridor_widths(tmp_path, capsys):
     status, out = _analyze(MIXED_W_CSV, tmp_path)
     assert status == 1
     assert "W=[19, 35]" in capsys.readouterr().err
-    assert not (out / "sweep_table.csv").exists()
+    assert not out.exists()
 
 
 def test_analyze_rejects_detection_without_measurements(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_clog_cluster_matches_oracle_on_random_layouts():
     for trial in range(300):
         w = rnd.choice([1, 3, 5, 7, 11])
         grid = build_world(11, 12, w)
-        cells = [(x, y) for x in range(11) for y in range(11) if not grid.is_wall((x, y))]
+        cells = [(x, y) for x in range(11) for y in range(11) if (x, y) in grid.occupancy]
         n = rnd.randint(0, 30)
         layout = rnd.sample(cells, n)
         moved = [i for i in range(n) if rnd.random() < 0.35]
@@ -132,7 +132,7 @@ def _half_disk_cells(w=7):
         (9 + dx, dy)
         for dy in range(0, 5)
         for dx in range(-4, 5)
-        if dx * dx + dy * dy <= 16 and not grid.is_wall((9 + dx, dy))
+        if dx * dx + dy * dy <= 16 and (9 + dx, dy) in grid.occupancy
     }
 
 
@@ -351,6 +351,6 @@ def test_rectangle_less_ellipse_like_than_half_disk():
         (x, y)
         for x in range(5, 14)
         for y in range(0, 5)
-        if not grid.is_wall((x, y))
+        if (x, y) in grid.occupancy
     }
     assert residual(rect) > residual(half_disk)

@@ -150,6 +150,13 @@ def test_invalid_sweep_configs():
         SweepConfig(persistence=0).validate()
     with pytest.raises(ConfigError):
         SweepConfig(threshold_factor=0.0).validate()
+    # a repeated level runs the same cell twice; a negative crowd fails every cell
+    with pytest.raises(ConfigError, match="repeats"):
+        SweepConfig(c_levels=(20, 20)).validate()
+    with pytest.raises(ConfigError, match="repeats"):
+        SweepConfig(w_levels=(3, 5, 3)).validate()
+    with pytest.raises(ConfigError, match="negative"):
+        SweepConfig(c_levels=(-5, 20)).validate()
     # settings shared with every run fail once, before any cell starts
     with pytest.raises(ConfigError):
         SweepConfig(trigger_threshold=2.0).validate()

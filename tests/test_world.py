@@ -1,4 +1,5 @@
-"""World geometry: exit placement, walls, occupancy, nearest-exit selection."""
+"""World geometry: exit placement, walls, occupancy, nearest-exit selection,
+the heading field."""
 
 import math
 
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from archsim.errors import InvalidDimensionsError
-from archsim.world import FREE, WorldGrid, build_world, is_free, nearest_exit_coordinate
+from archsim.world import (
+    FREE,
+    WorldGrid,
+    build_world,
+    heading_toward,
+    is_free,
+    nearest_exit_coordinate,
+)
 
 
 def test_centered_exit_19_7():
@@ -19,7 +27,7 @@ def test_exit_spanning_whole_wall():
     grid = build_world(19, 60, 19)
     assert grid.exit_cells == tuple((x, 0) for x in range(0, 19))
     # no wall cell remains on the end wall
-    assert not any(grid.is_wall((x, 0)) for x in range(19))
+    assert all((x, 0) in grid.occupancy for x in range(19))
 
 
 def test_wide_corridor_offsets():
@@ -45,15 +53,15 @@ def test_invalid_dimensions(W, L, w):
 
 def test_wall_predicate():
     grid = build_world(19, 60, 7)
-    assert grid.is_wall((0, 0))          # end wall outside the exit
-    assert grid.is_wall((5, 0))
-    assert not grid.is_wall((6, 0))      # exit cells are not walls
-    assert not grid.is_wall((12, 0))
-    assert grid.is_wall((13, 0))
-    assert not grid.is_wall((0, 1))
-    assert grid.is_wall((-1, 5))         # out of bounds counts as wall
-    assert grid.is_wall((19, 5))
-    assert grid.is_wall((5, 60))
+    assert (0, 0) not in grid.occupancy   # end wall outside the exit
+    assert (5, 0) not in grid.occupancy
+    assert (6, 0) in grid.occupancy       # exit cells are not walls
+    assert (12, 0) in grid.occupancy
+    assert (13, 0) not in grid.occupancy
+    assert (0, 1) in grid.occupancy
+    assert (-1, 5) not in grid.occupancy  # out of bounds counts as wall
+    assert (19, 5) not in grid.occupancy
+    assert (5, 60) not in grid.occupancy
 
 
 def test_is_free_and_occupancy():
@@ -90,7 +98,7 @@ def _reference_is_wall(grid, cell):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_floor_map_matches_bounds_arithmetic(data):
-    """is_wall, is_free and place agree with the bounds-arithmetic walls on
+    """The floor map, is_free and place agree with the bounds-arithmetic walls on
     every cell of a box reaching 4 cells beyond the corridor."""
     W = data.draw(st.integers(1, 9))
     L = data.draw(st.integers(W + 1, 12))
@@ -103,7 +111,7 @@ def test_floor_map_matches_bounds_arithmetic(data):
     occupied = set(bodies)
     for cell in box:
         wall = _reference_is_wall(grid, cell)
-        assert grid.is_wall(cell) == wall
+        assert (cell not in grid.occupancy) == wall
         assert is_free(grid, cell) == (not wall and cell not in occupied)
         if wall or cell in occupied:
             with pytest.raises(ValueError, match="wall" if wall else "occupied"):
@@ -158,3 +166,12 @@ def test_nearest_exit_brute_force_full_neighborhood():
                 assert nearest_exit_coordinate(grid, (x, y)) == _oracle_nearest(
                     grid, (x, y)
                 ), (w, x, y)
+
+
+@pytest.mark.parametrize("W,L,w", [(19, 60, 7), (19, 60, 1), (4, 10, 1), (10, 14, 3), (11, 12, 11)])
+def test_heading_field_faces_nearest_exit(W, L, w):
+    """Every floor cell's heading points at the brute-force nearest exit."""
+    grid = build_world(W, L, w)
+    assert grid.heading.keys() == grid.occupancy.keys()
+    for cell in grid.occupancy:
+        assert grid.heading[cell] == heading_toward(cell, _oracle_nearest(grid, cell)), cell
