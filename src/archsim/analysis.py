@@ -10,7 +10,7 @@ c/w, and m against c*w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,8 @@ class RegressionFit:
     slope: float
     intercept: float
     r_squared: float
+    t_stat: float | None
     n: int
-    t_stat: float | None = None
 
 
 def ols_fit(points) -> RegressionFit:
@@ -59,7 +59,7 @@ def ols_fit(points) -> RegressionFit:
         slope_se = math.sqrt(sse / (n - 2) / sxx)
         if slope_se > 0.0:
             t_stat = slope / slope_se
-    return RegressionFit(slope, intercept, r_squared, n, t_stat)
+    return RegressionFit(slope, intercept, r_squared, t_stat, n)
 
 
 def trend_correlation(xs, ys) -> float:
@@ -94,6 +94,7 @@ class CellStats:
     W: int
     n_replicates: int
     n_detected: int
+    arch_rate: float = field(init=False)
     T_mean: float | None = None
     T_sd: float | None = None
     M_mean: float | None = None
@@ -101,9 +102,8 @@ class CellStats:
     m_mean: float | None = None
     m_sd: float | None = None
 
-    @property
-    def arch_rate(self) -> float:
-        return self.n_detected / self.n_replicates
+    def __post_init__(self):
+        self.arch_rate = self.n_detected / self.n_replicates
 
     @property
     def saturated(self) -> bool:
@@ -151,13 +151,14 @@ class TrendReport:
     n_saturated_excluded: int
 
 
-def compute_trends(rows) -> TrendReport:
+def compute_trends(stats) -> TrendReport:
     """Pearson correlations of cell means against the scaling predictors.
 
-    Cells where the arch spans the whole corridor (mean m >= W - 1) are
-    excluded: their width is set by the walls, not by c and w.
+    Takes the CellStats of ``aggregate``.  Cells where the arch spans
+    the whole corridor (mean m >= W - 1) are excluded: their width is
+    set by the walls, not by c and w.
     """
-    cells = [s for s in aggregate(rows) if s.n_detected > 0]
+    cells = [s for s in stats if s.n_detected > 0]
     usable = [s for s in cells if not s.saturated]
     n_saturated = len(cells) - len(usable)
     if len(usable) < 3:
@@ -174,24 +175,17 @@ def compute_trends(rows) -> TrendReport:
     )
 
 
-def regression_by_c(rows, per_replicate: bool = False) -> dict[int, RegressionFit]:
-    """Fit mean onset time T against exit width w, one line per crowd size.
+def regression_by_c(samples) -> dict[int, RegressionFit]:
+    """Fit onset time T against exit width w, one line per crowd size.
 
-    per_replicate=True fits the raw detected replicates instead of the
-    cell means.  Crowd sizes whose points are degenerate (fewer than two
-    distinct widths with detections) are skipped.
+    ``samples`` are (c, w, T) triples: the detected cells' mean T, or
+    the detected replicates' raw T.  Crowd sizes whose points are
+    degenerate (fewer than two distinct widths) are skipped.
     """
+    points: dict[int, list[tuple[int, float]]] = {}
+    for c, w, T in samples:
+        points.setdefault(c, []).append((w, T))
     fits: dict[int, RegressionFit] = {}
-    if per_replicate:
-        points: dict[int, list[tuple[int, float]]] = {}
-        for row in rows:
-            if row.arch_detected:
-                points.setdefault(row.c, []).append((row.w, float(row.T)))
-    else:
-        points = {}
-        for s in aggregate(rows):
-            if s.n_detected > 0:
-                points.setdefault(s.c, []).append((s.w, s.T_mean))
     for c in sorted(points):
         try:
             fits[c] = ols_fit(sorted(points[c]))

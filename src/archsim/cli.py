@@ -9,30 +9,23 @@
 Every command returns 0 on success and 1 with a message on stderr
 otherwise.  A run directory holds the trace, the per-step summary, the
 single-row measurement CSV, and an effective-config sidecar that can be
-fed back through --config to reproduce the run exactly.
+fed back through --config to reproduce the run exactly.  Every CSV goes
+through ``table``, in one dialect and one value format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from . import analysis, config as configmod, render
+from . import analysis, config as configmod, render, table
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
 from .errors import ArchsimError
 from .sweep import (
     measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
 )
 from .world import build_world
-
-TABLE_HEADER = [
-    "c", "w", "W", "n_replicates", "n_detected", "arch_rate",
-    "T_mean", "T_sd", "M_mean", "M_sd", "m_mean", "m_sd",
-]
-REGRESSION_HEADER = ["c", "slope", "intercept", "r_squared", "t_stat", "n"]
-TRENDS_HEADER = ["trend", "pearson_r", "n_cells", "n_saturated_excluded"]
 
 
 def _fail(message: str) -> int:
@@ -49,21 +42,6 @@ def _load_config(path):
     return configmod.load_config_file(p)
 
 
-def _write_table_csv(stats, path) -> None:
-    opt = lambda v: "" if v is None else round(v, 6)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_HEADER)
-        for s in stats:
-            writer.writerow(
-                [
-                    s.c, s.w, s.W, s.n_replicates, s.n_detected,
-                    round(s.arch_rate, 6), opt(s.T_mean), opt(s.T_sd),
-                    opt(s.M_mean), opt(s.M_sd), opt(s.m_mean), opt(s.m_sd),
-                ]
-            )
-
-
 def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
     """(step, text) of the frame at ``step`` (default: the last), as ascii or svg."""
     if step is None:
@@ -72,12 +50,17 @@ def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
     if frame is None:
         raise ArchsimError(f"step {step} outside trace 0..{records[-1].t}")
     grid = build_world(sim_config.W, sim_config.L, sim_config.w)
+    for agent_id, cell in enumerate(zip(frame.xs.tolist(), frame.ys.tolist())):
+        if not frame.exited[agent_id] and cell not in grid.occupancy:
+            raise ArchsimError(f"step {step}: agent {agent_id} stands off the floor at {cell}")
     if fmt == "ascii":
         return step, render.ascii_frame(frame, grid) + "\n"
     return step, render.svg_frame(frame, grid)
 
 
 def cmd_run(args) -> int:
+    if args.step is not None and args.format is None:
+        return _fail("--step needs --format")
     try:
         values = _load_config(args.config)
         sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
@@ -122,7 +105,8 @@ def cmd_sweep(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_measurements_csv(rows, out / "measurements.csv")
-        _write_table_csv(analysis.aggregate(rows) if rows else [], out / "sweep_table.csv")
+        table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
+                          map(table.row, analysis.aggregate(rows)))
         sidecar = configmod.dump_config(sweep_config)
         sidecar += "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')\n"
         (out / "effective_config.txt").write_text(sidecar)
@@ -145,43 +129,35 @@ def cmd_analyze(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-        _write_table_csv(stats, out / "sweep_table.csv")
+        table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
+                          map(table.row, stats))
 
-        fits = analysis.regression_by_c(rows, per_replicate=args.per_replicate)
-        with open(out / "regression.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REGRESSION_HEADER)
-            for c, fit in sorted(fits.items()):
-                t_stat = "" if fit.t_stat is None else round(fit.t_stat, 6)
-                writer.writerow(
-                    [c, round(fit.slope, 6), round(fit.intercept, 6),
-                     round(fit.r_squared, 6), t_stat, fit.n]
-                )
+        means = [(s.c, s.w, s.T_mean) for s in stats if s.n_detected]
+        fits = analysis.regression_by_c(
+            [(r.c, r.w, r.T) for r in rows if r.arch_detected] if args.per_replicate else means
+        )
+        table.write_table(
+            out / "regression.csv", ["c", *table.columns(analysis.RegressionFit)],
+            ([c, *table.row(fit)] for c, fit in sorted(fits.items())),
+        )
 
-        with open(out / "trends.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRENDS_HEADER)
-            try:
-                trends = analysis.compute_trends(rows)
-                for name, r in [
-                    ("T_vs_inverse_cw", trends.T_vs_inverse_cw),
-                    ("M_vs_c_over_w", trends.M_vs_c_over_w),
-                    ("m_vs_cw", trends.m_vs_cw),
-                ]:
-                    writer.writerow(
-                        [name, round(r, 6), trends.n_cells, trends.n_saturated_excluded]
-                    )
-            except ArchsimError:
-                pass  # too few usable cells: leave header-only trends file
+        try:
+            trends = analysis.compute_trends(stats)
+            trend_rows = [
+                [name, table.value(getattr(trends, name)), trends.n_cells,
+                 trends.n_saturated_excluded]
+                for name in ("T_vs_inverse_cw", "M_vs_c_over_w", "m_vs_cw")
+            ]
+        except ArchsimError:
+            trend_rows = []  # too few usable cells: leave header-only trends file
+        table.write_table(
+            out / "trends.csv", ["trend", "pearson_r", "n_cells", "n_saturated_excluded"],
+            trend_rows,
+        )
 
         for c, fit in sorted(fits.items()):
-            points = [
-                (s.w, s.T_mean)
-                for s in stats
-                if s.c == c and s.T_mean is not None
-            ]
             svg = render.svg_scatter(
-                points, fit=fit,
+                [(w, T) for cell_c, w, T in means if cell_c == c], fit=fit,
                 title=f"mean onset time vs exit width, c={c}",
                 xlabel="exit width w (cells)", ylabel="mean T (steps)",
             )
@@ -197,7 +173,10 @@ def cmd_render(args) -> int:
         records = read_trace_csv(args.trace)
         values = _load_config(args.config)
         sim_config = configmod.sim_config_from_mapping(values)
-        _, text = _draw_frame(records, sim_config, args.step, args.format)
+        try:
+            _, text = _draw_frame(records, sim_config, args.step, args.format)
+        except ArchsimError as exc:
+            raise ArchsimError(f"{args.trace}: {exc}") from None
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -14,16 +14,19 @@ A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
 StepRecord at a time, so a consumer such as the arch detector can stop
 the run as soon as it has read enough; ``run`` collects the whole trace.
+The trace and summary rows go to CSV through ``table``.
 """
 
 from __future__ import annotations
 
-import csv
+import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
+from . import table
 from .agent import Agent, most_similar_neighbor, scan_cone, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import FREE, WorldGrid, build_world, is_free
@@ -58,8 +61,8 @@ class RunSettings:
             raise ConfigError(f"spawn_margin={self.spawn_margin} outside corridor")
         if not 0.0 <= self.trigger_threshold <= 1.0:
             raise ConfigError(f"trigger_threshold={self.trigger_threshold} outside [0, 1]")
-        if self.d_max <= 0:
-            raise ConfigError(f"d_max={self.d_max} must be positive")
+        if not (math.isfinite(self.d_max) and self.d_max > 0):
+            raise ConfigError(f"d_max={self.d_max} must be positive and finite")
 
 
 @dataclass
@@ -222,28 +225,19 @@ def run(config: SimConfig) -> list[StepRecord]:
 
 def write_trace_csv(records: list[StepRecord], path) -> None:
     """One row per (step, agent): positions and exited flags over time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for rec in records:
-            for agent_id in range(rec.agent_count):
-                writer.writerow(
-                    [
-                        rec.t,
-                        agent_id,
-                        int(rec.xs[agent_id]),
-                        int(rec.ys[agent_id]),
-                        int(rec.exited[agent_id]),
-                    ]
-                )
+    steps = (
+        zip(repeat(rec.t), range(rec.agent_count), rec.xs.tolist(), rec.ys.tolist(),
+            rec.exited.view(np.int8).tolist())
+        for rec in records
+    )
+    table.write_table(path, TRACE_HEADER, chain.from_iterable(steps))
 
 
 def write_summary_csv(records: list[StepRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for rec in records:
-            writer.writerow([rec.t, rec.exits_this_step, rec.stationary_count])
+    table.write_table(
+        path, SUMMARY_HEADER,
+        ((rec.t, rec.exits_this_step, rec.stationary_count) for rec in records),
+    )
 
 
 def read_trace_csv(path) -> list[StepRecord]:
@@ -255,26 +249,20 @@ def read_trace_csv(path) -> list[StepRecord]:
     """
     by_step: dict[int, list[tuple[int, int, int, int]]] = {}
     first_line: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise ConfigError(f"{path}: unexpected trace header: {header}")
-        for row in reader:
-            try:
-                t, agent_id, x, y, exited = (int(v) for v in row)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: expected {len(TRACE_HEADER)} "
-                    f"integers, got {row}"
-                ) from None
-            if exited not in (0, 1) or not (0 <= x <= COORD_MAX and 0 <= y <= COORD_MAX):
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: exited must be 0 or 1 and coordinates "
-                    f"within 0..{COORD_MAX}, got {row}"
-                )
-            by_step.setdefault(t, []).append((agent_id, x, y, exited))
-            first_line.setdefault(t, reader.line_num)
+    for line, row in table.read_table(path, TRACE_HEADER, "trace"):
+        try:
+            t, agent_id, x, y, exited = (int(v) for v in row)
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {line}: expected {len(TRACE_HEADER)} integers, got {row}"
+            ) from None
+        if exited not in (0, 1) or not (0 <= x <= COORD_MAX and 0 <= y <= COORD_MAX):
+            raise ConfigError(
+                f"{path}: line {line}: exited must be 0 or 1 and coordinates "
+                f"within 0..{COORD_MAX}, got {row}"
+            )
+        by_step.setdefault(t, []).append((agent_id, x, y, exited))
+        first_line.setdefault(t, line)
     if not by_step:
         raise ConfigError(f"{path}: trace holds no rows")
     records = []
@@ -289,11 +277,9 @@ def read_trace_csv(path) -> list[StepRecord]:
         xs = np.array([r[1] for r in rows], dtype=np.int16)
         ys = np.array([r[2] for r in rows], dtype=np.int16)
         exited = np.array([bool(r[3]) for r in rows])
-        prev_exited = records[-1].exited if records else np.zeros(len(rows), dtype=bool)
-        if records:
-            moved = (xs != records[-1].xs) | (ys != records[-1].ys)
-        else:
-            moved = np.zeros(len(rows), dtype=bool)
-        exits = int((exited & ~prev_exited).sum())
+        # before the first step nobody has moved or exited
+        prev = records[-1] if records else StepRecord(t, xs, ys, np.zeros(n, bool), None, 0)
+        moved = (xs != prev.xs) | (ys != prev.ys)
+        exits = int((exited & ~prev.exited).sum())
         records.append(StepRecord(t, xs, ys, exited, moved, exits))
     return records

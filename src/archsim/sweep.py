@@ -8,18 +8,17 @@ order the cells finish.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import math
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
+from . import table
 from .engine import RunSettings, SimConfig, simulate
 from .errors import ArchsimError, ConfigError
 from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
 from .world import build_world
-
-ERROR_HEADER = ["c", "w", "replicate", "error"]
 
 DEFAULT_C_LEVELS = (200, 300, 350, 400, 450)
 DEFAULT_W_LEVELS = (1, 3, 5, 7, 9, 11, 13)
@@ -48,8 +47,10 @@ class SweepConfig(RunSettings):
             raise ConfigError(f"replicates={self.replicates} must be >= 1")
         if self.persistence < 1:
             raise ConfigError(f"persistence={self.persistence} must be >= 1")
-        if self.threshold_factor <= 0:
-            raise ConfigError(f"threshold_factor={self.threshold_factor} must be > 0")
+        if not (math.isfinite(self.threshold_factor) and self.threshold_factor > 0):
+            raise ConfigError(
+                f"threshold_factor={self.threshold_factor} must be positive and finite"
+            )
         for w in self.w_levels:
             build_world(self.W, self.L, w)  # geometry preconditions of every cell
 
@@ -79,10 +80,6 @@ class _RunKey:
 @dataclass
 class MeasurementRow(ArchMeasurement, _RunKey):
     """One CSV row: which run, then what the detector measured in it."""
-
-    def to_csv_row(self) -> list:
-        values = (getattr(self, f.name) for f in fields(self))
-        return ["" if v is None else int(v) if isinstance(v, bool) else v for v in values]
 
     @classmethod
     def from_csv_row(cls, row) -> "MeasurementRow":
@@ -122,7 +119,7 @@ class MeasurementRow(ArchMeasurement, _RunKey):
         return parsed
 
 
-MEASUREMENT_HEADER = [f.name for f in fields(MeasurementRow)]
+MEASUREMENT_HEADER = table.columns(MeasurementRow)
 
 
 @dataclass
@@ -227,31 +224,18 @@ def run_sweep(
 
 
 def write_measurements_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MEASUREMENT_HEADER)
-        for row in rows:
-            writer.writerow(row.to_csv_row())
+    table.write_table(path, MEASUREMENT_HEADER, map(table.row, rows))
 
 
 def read_measurements_csv(path) -> list[MeasurementRow]:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MEASUREMENT_HEADER:
-            raise ConfigError(f"{path}: unexpected measurement header: {header}")
-        for lineno, raw in enumerate(reader, start=2):
-            try:
-                rows.append(MeasurementRow.from_csv_row(raw))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: row {lineno}: {exc}") from None
+    for line, raw in table.read_table(path, MEASUREMENT_HEADER, "measurement"):
+        try:
+            rows.append(MeasurementRow.from_csv_row(raw))
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}: row {line}: {exc}") from None
     return rows
 
 
 def write_errors_csv(errors, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ERROR_HEADER)
-        for err in errors:
-            writer.writerow([err.c, err.w, err.replicate, err.error])
+    table.write_table(path, table.columns(SweepError), map(table.row, errors))

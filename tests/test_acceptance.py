@@ -83,7 +83,9 @@ def test_criterion_1_arching_emergence():
 # ------------------------------------------------------------- 2: T-w slopes
 
 def test_criterion_2_onset_slope_direction(default_sweep):
-    fits = regression_by_c(default_sweep.rows)
+    fits = regression_by_c(
+        (s.c, s.w, s.T_mean) for s in aggregate(default_sweep.rows) if s.n_detected
+    )
     missing = [c for c in (200, 400, 450) if c not in fits]
     if missing:
         _verdict(2, False, f"no usable mean-T regression for c={missing}")
@@ -123,7 +125,7 @@ def test_criterion_3_transverse_plateau(default_sweep):
 
 def test_criterion_4_trend_correlations(default_sweep):
     try:
-        trends = compute_trends(default_sweep.rows)
+        trends = compute_trends(aggregate(default_sweep.rows))
     except ArchsimError as exc:
         _verdict(4, False, f"trends not computable: {exc}")
     ok = (

@@ -164,6 +164,11 @@ def _row(c, w, rep, T=None, M=None, m=None, W=19):
     )
 
 
+def _cell_means(rows):
+    """regression_by_c samples: (c, w, mean T) of the cells with a detection."""
+    return [(s.c, s.w, s.T_mean) for s in aggregate(rows) if s.n_detected]
+
+
 def test_aggregate_mean_and_sd():
     rows = [_row(400, 7, i, T=t, M=5, m=9) for i, t in enumerate((30, 32, 34))]
     (cell,) = aggregate(rows)
@@ -187,7 +192,7 @@ def test_aggregate_undetected_cell_flagged_empty():
     assert cell.arch_rate == 0.0
     assert cell.T_mean is None and cell.M_mean is None and cell.m_mean is None
     # and such a cell contributes nothing to the per-c regression
-    assert regression_by_c(rows) == {}
+    assert regression_by_c(_cell_means(rows)) == {}
 
 
 def test_aggregate_mixed_detection():
@@ -210,7 +215,7 @@ def test_aggregate_sorted_and_order_invariant():
     assert [(s.c, s.w) for s in stats] == [(200, 1), (200, 3), (450, 1), (450, 3)]
     shuffled = list(reversed(rows))
     assert aggregate(shuffled) == stats
-    assert regression_by_c(shuffled) == regression_by_c(rows)
+    assert regression_by_c(_cell_means(shuffled)) == regression_by_c(_cell_means(rows))
 
 
 def test_aggregate_rejects_mixed_corridor_widths():
@@ -254,7 +259,7 @@ def _pearson(xs, ys):
 
 def test_compute_trends_against_direct_formula():
     rows, cells = _trend_rows()
-    trends = compute_trends(rows)
+    trends = compute_trends(aggregate(rows))
     assert trends.n_cells == 4
     assert trends.n_saturated_excluded == 0
     inv_cw = [1 / (c * w) for c, w, *_ in cells]
@@ -268,7 +273,7 @@ def test_compute_trends_against_direct_formula():
 def test_trends_exclude_saturated_cells_by_default():
     rows, _ = _trend_rows()
     rows.extend(_row(450, 13, rep, T=8, M=12, m=19) for rep in range(3))
-    trends = compute_trends(rows)
+    trends = compute_trends(aggregate(rows))
     assert trends.n_cells == 4
     assert trends.n_saturated_excluded == 1
 
@@ -276,7 +281,7 @@ def test_trends_exclude_saturated_cells_by_default():
 def test_trends_need_three_cells():
     rows = [_row(200, 3, 0, T=30, M=3, m=5), _row(300, 5, 0, T=22, M=5, m=8)]
     with pytest.raises(DegenerateInputError):
-        compute_trends(rows)
+        compute_trends(aggregate(rows))
 
 
 # ---------------------------------------------------------- regression_by_c
@@ -285,14 +290,14 @@ def test_regression_on_cell_means():
     rows = []
     for w, ts in [(1, (50, 52)), (3, (44, 46)), (5, (40, 40))]:
         rows.extend(_row(400, w, rep, T=t, M=3, m=2 * w) for rep, t in enumerate(ts))
-    fits = regression_by_c(rows)
+    fits = regression_by_c(_cell_means(rows))
     assert set(fits) == {400}
     means = [(1, 51.0), (3, 45.0), (5, 40.0)]
     expected = ols_fit(means)
     assert fits[400].slope == pytest.approx(expected.slope)
     assert fits[400].n == 3
 
-    raw = regression_by_c(rows, per_replicate=True)
+    raw = regression_by_c((r.c, r.w, r.T) for r in rows if r.arch_detected)
     assert raw[400].n == 6
     # same balanced-design slope, but within-cell scatter costs R^2
     assert raw[400].slope == pytest.approx(fits[400].slope)
@@ -301,7 +306,7 @@ def test_regression_on_cell_means():
 
 def test_regression_skips_single_width_groups():
     rows = [_row(200, 7, rep, T=20 + rep, M=3, m=9) for rep in range(3)]
-    assert regression_by_c(rows) == {}  # all x equal: no usable fit
+    assert regression_by_c(_cell_means(rows)) == {}  # all x equal: no usable fit
 
 
 def test_cellstats_is_plain_data():

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import archsim
+from archsim import analysis
 from archsim.cli import main
+from archsim.engine import read_trace_csv
 
 RUN_CFG = "c = 5\nw = 3\nseed = 4\nmax_steps = 500\n"
 
@@ -72,6 +74,18 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_step_without_format_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "o"
+    # the config does not exist: the flag check comes before anything is read
+    assert main(["run", "--config", str(tmp_path / "no.cfg"), "--out", str(out),
+                 "--step", "99999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "--step needs --format" in captured.err
+    assert not out.exists()
+
+
 def test_run_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)
@@ -127,6 +141,23 @@ def test_render_step_out_of_range(run_dir, capsys):
                  "--config", str(run_dir / "effective_config.txt"),
                  "--step", "999999"]) == 1
     assert "outside trace" in capsys.readouterr().err
+
+
+def test_render_rejects_agent_off_the_floor(run_dir, tmp_path, capsys):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("c = 5\nw = 3\nW = 9\nL = 20\n")
+    first = read_trace_csv(run_dir / "trace.csv")[0]
+    off = [(i, (int(x), int(y))) for i, (x, y) in enumerate(zip(first.xs, first.ys))
+           if x >= 9 or y >= 20]
+    assert off, "the W=19 run must have an agent outside the 9x20 corridor at t=0"
+    trace = run_dir / "trace.csv"
+    assert main(["render", str(trace), "--config", str(cfg), "--step", "0"]) == 1
+    captured = capsys.readouterr()
+    agent_id, cell = off[0]
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {trace}: step 0: agent {agent_id} stands off the floor at {cell}\n"
+    )
 
 
 def test_render_rejects_ragged_trace(run_dir, tmp_path, capsys):
@@ -284,6 +315,21 @@ def test_analyze_per_replicate_changes_sample_size(tmp_path):
     raw = (raw_out / "regression.csv").read_text().splitlines()
     assert means[1].split(",")[1] == raw[1].split(",")[1] == "-1.0"  # same slope
     assert means[1].split(",")[-1] == "3" and raw[1].split(",")[-1] == "6"
+
+
+@pytest.mark.parametrize("extra", [(), ("--per-replicate",)])
+def test_analyze_aggregates_once(tmp_path, monkeypatch, extra):
+    calls = []
+    aggregate = analysis.aggregate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return aggregate(rows)
+
+    monkeypatch.setattr(analysis, "aggregate", counted)
+    status, _ = _analyze(PERFECT_LINE_CSV, tmp_path, *extra)
+    assert status == 0
+    assert calls == [6]
 
 
 def test_analyze_few_cells_leaves_trends_empty(tmp_path):

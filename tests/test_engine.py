@@ -131,6 +131,8 @@ def test_spawn_region_exactly_filled():
         dict(c=10, w=7, trigger_threshold=1.5),
         dict(c=10, w=7, trigger_threshold=-0.1),
         dict(c=10, w=7, d_max=0.0),
+        dict(c=10, w=7, d_max=float("nan")),
+        dict(c=10, w=7, d_max=float("inf")),
     ],
 )
 def test_config_validation(kwargs):

@@ -150,6 +150,12 @@ def test_invalid_sweep_configs():
         SweepConfig(persistence=0).validate()
     with pytest.raises(ConfigError):
         SweepConfig(threshold_factor=0.0).validate()
+    # a non-finite factor would switch detection off without a word
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepConfig(threshold_factor=bad).validate()
+        with pytest.raises(ConfigError, match="finite"):
+            SweepConfig(d_max=bad).validate()
     # a repeated level runs the same cell twice; a negative crowd fails every cell
     with pytest.raises(ConfigError, match="repeats"):
         SweepConfig(c_levels=(20, 20)).validate()
