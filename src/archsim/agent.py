@@ -7,12 +7,13 @@ pure functions of (agent, world snapshot, run config):
 
 * :func:`cone_offsets` lists the offsets inside the forward vision
   cone, a 100-degree wedge facing the heading.
-* :func:`scan_cone` walks the cone once and returns the free cells, in
-  cone order, and the live agents in view with their distances.
-* :func:`most_similar_neighbor` picks the best social match among them.
-* :func:`steer` takes the closest free cell, unless the best match
-  looks too dissimilar: then the agent is triggered to close the gap
-  and takes the free cell nearest the match.
+* :func:`neighbourhood` tabulates, once per run, each floor cell's cone
+  cells with the pace toward each and the similarity score of a
+  neighbour standing there.
+* :func:`choose_pace` reads its cell's entries once: it takes the
+  closest free cell, unless the best match looks too dissimilar: then
+  the agent is triggered to close the gap and heads for the free cell
+  nearest the match.
 """
 
 from __future__ import annotations
@@ -60,24 +61,6 @@ def similarity(dist: float, heading: float, other_heading: float, config: SimCon
     return by_distance * 0.5 + by_heading * 0.5
 
 
-def most_similar_neighbor(
-    agent: Agent, visible: list[tuple[Agent, float]], grid: WorldGrid, config: SimConfig
-) -> tuple[Agent, float] | None:
-    """The visible agent with the highest similarity score, ties to lowest id."""
-    headings = grid.heading
-    heading = headings[agent.pos]
-    best = None
-    best_score = -1.0
-    for other, dist in visible:
-        score = similarity(dist, heading, headings[other.pos], config)
-        if score > best_score or (score == best_score and other.id < best.id):
-            best = other
-            best_score = score
-    if best is None:
-        return None
-    return best, best_score
-
-
 @lru_cache(maxsize=None)
 def _disc_offsets(radius: int) -> tuple[tuple[int, int, float], ...]:
     """All nonzero integer offsets within Euclidean ``radius``, with distances."""
@@ -112,43 +95,73 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
     return tuple((ox, oy, dist) for dist, _, _, ox, oy in selected)
 
 
-def scan_cone(
-    agent: Agent, grid: WorldGrid, agents: list[Agent], radius: int
-) -> tuple[list[Cell], list[tuple[Agent, float]]]:
-    """One pass over the vision cone: (free cells, visible live agents).
+Entry = tuple[Cell, Cell, float]  # (cone cell q, pace toward q, similarity score)
 
-    The cone faces the floor's heading; each visible agent comes with its
-    cone-table distance.  Both lists follow the cone scan order, so
-    ``free[0]`` is the closest free cell, ties resolved toward the
-    smallest angular deviation, then the clockwise side.
+
+def neighbourhood(grid: WorldGrid, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
+    """Each floor cell's cone entries ``(q, pace, score)``, in cone order.
+
+    ``q`` runs over the floor cells of the cone facing the cell's heading
+    (walls are dropped), ``pace`` is the one-cell step toward ``q`` and
+    ``score`` the similarity of an agent on the cell to one on ``q``.
+    Built on first use and kept on the grid, keyed on
+    ``(vision_radius, d_max)``: the heading field is static, so the table
+    holds for the whole run.
     """
-    x, y = agent.pos
-    occupancy = grid.occupancy
-    free = []
-    visible = []
-    for ox, oy, dist in cone_offsets(radius, grid.heading[agent.pos]):
-        cell = (x + ox, y + oy)
-        other_id = occupancy.get(cell)  # None off the floor
-        if other_id == FREE:
-            free.append(cell)
-        elif other_id is not None and not agents[other_id].exited:
-            visible.append((agents[other_id], dist))
-    return free, visible
+    key = (config.vision_radius, config.d_max)
+    table = grid.neighbourhoods.get(key)
+    if table is None:
+        table = grid.neighbourhoods[key] = _build_neighbourhood(grid, config)
+    return table
 
 
-def steer(
-    comparison: tuple[Agent, float] | None, free: list[Cell], config: SimConfig
+def _build_neighbourhood(grid: WorldGrid, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
+    headings = grid.heading
+    floor = {cell: cell for cell in grid.occupancy}  # entries share the map's key tuples
+    table = {}
+    for cell, heading in headings.items():
+        x, y = cell
+        entries = []
+        for ox, oy, dist in cone_offsets(config.vision_radius, heading):
+            q = floor.get((x + ox, y + oy))
+            if q is not None:
+                pace = (x + (ox > 0) - (ox < 0), y + (oy > 0) - (oy < 0))
+                score = similarity(dist, heading, headings[q], config)
+                entries.append((q, floor.get(pace, pace), score))
+        table[cell] = tuple(entries)
+    return table
+
+
+def choose_pace(
+    agent: Agent, grid: WorldGrid, agents: list[Agent], config: SimConfig
 ) -> Cell | None:
-    """The target cell: the closest free cell, unless comparison triggers.
+    """The cell of the agent's next pace; None when its cone holds no free cell.
 
-    If the best match scores below the trigger threshold, the agent
-    moves to reduce the difference: the target becomes the free cell
-    closest to the match's position, ties to the earlier cone cell.
-    None when the cone holds no free cell.
+    One pass over the agent's neighbourhood entries finds the closest
+    free cell (the first free entry) and the most similar live agent in
+    view (highest score, ties to the lowest id).  The pace heads for the
+    closest free cell, unless that match scores below the trigger
+    threshold: then the agent moves to reduce the difference and heads
+    for the free cell nearest the match, ties to the earlier cone cell.
+    The pace cell itself may be occupied or a wall.
     """
-    if not free:
-        return None
-    if comparison is None or comparison[1] >= config.trigger_threshold:
-        return free[0]
-    tx, ty = comparison[0].pos
-    return min(free, key=lambda cell: (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2)
+    entries = neighbourhood(grid, config)[agent.pos]
+    occupancy = grid.occupancy
+    pace = match = None
+    best_id = -1
+    best_score = -1.0
+    for cell, toward, score in entries:
+        other_id = occupancy[cell]
+        if other_id == FREE:
+            if pace is None:
+                pace = toward
+        elif (score > best_score or (score == best_score and other_id < best_id)) \
+                and not agents[other_id].exited:
+            match, best_id, best_score = cell, other_id, score
+    if pace is None or match is None or best_score >= config.trigger_threshold:
+        return pace
+    tx, ty = match
+    return min(
+        (entry for entry in entries if occupancy[entry[0]] == FREE),
+        key=lambda entry: (entry[0][0] - tx) ** 2 + (entry[0][1] - ty) ** 2,
+    )[1]

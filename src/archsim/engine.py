@@ -1,14 +1,16 @@
 """Deterministic simulation loop.
 
 Each step visits every live agent once, in a fresh seeded random
-permutation.  An agent faces the floor's heading toward the nearest
-exit coordinate, scans its vision cone once for free cells and visible
-neighbours, aims at the closest free cell unless social comparison
-steers it elsewhere, then takes one pace (one 8-neighbor cell) toward
-that target if the pace cell is free.  Reaching an exit coordinate
-(distance < 1) marks the agent as exited; the body keeps occupying the
-doorway until the agent's next activation, when it moves off the world
-— so exit cells are briefly blocked and the door is a real bottleneck.
+permutation.  An agent reads its cell's neighbourhood entries once: the
+cells of the vision cone facing the floor's heading toward the nearest
+exit coordinate, tabulated once per run with the pace toward each and
+the similarity score of a neighbour there.  It aims at the closest free
+cell unless social comparison steers it elsewhere, then takes one pace
+(one 8-neighbor cell) toward that target if the pace cell is free.
+Reaching an exit coordinate (distance < 1) marks the agent as exited;
+the body keeps occupying the doorway until the agent's next activation,
+when it moves off the world — so exit cells are briefly blocked and the
+door is a real bottleneck.
 
 A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
@@ -27,7 +29,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import table
-from .agent import Agent, most_similar_neighbor, scan_cone, steer
+from .agent import Agent, choose_pace
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import FREE, WorldGrid, build_world, is_free
 
@@ -138,10 +140,6 @@ def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Gen
     return grid, agents, rng
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def step(
     grid: WorldGrid,
     agents: list[Agent],
@@ -150,7 +148,6 @@ def step(
     t: int,
 ) -> StepRecord:
     """Advance the simulation by one step and record the result."""
-    radius = config.vision_radius
     exits_this_step = 0
     moved = np.zeros(len(agents), dtype=bool)
 
@@ -170,19 +167,11 @@ def step(
             exits_this_step += 1
             continue
 
-        free, visible = scan_cone(agent, grid, agents, radius)
-        comparison = most_similar_neighbor(agent, visible, grid, config)
-        target = steer(comparison, free, config)
-
-        if target is not None:
-            pace = (
-                agent.pos[0] + _sign(target[0] - agent.pos[0]),
-                agent.pos[1] + _sign(target[1] - agent.pos[1]),
-            )
-            if is_free(grid, pace):
-                grid.move(agent.pos, pace)
-                agent.pos = pace
-                moved[agent.id] = True
+        pace = choose_pace(agent, grid, agents, config)
+        if pace is not None and is_free(grid, pace):
+            grid.move(agent.pos, pace)
+            agent.pos = pace
+            moved[agent.id] = True
 
         if agent.pos[1] == 0:  # distance < 1 to an exit cell means standing on it
             agent.exited = True
@@ -243,12 +232,15 @@ def write_summary_csv(records: list[StepRecord], path) -> None:
 def read_trace_csv(path) -> list[StepRecord]:
     """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
 
-    Every step must list agent ids 0..n-1 exactly once, with the n of
-    the first step, each with an exited flag of 0 or 1 and coordinates
-    in 0..COORD_MAX; a malformed row or step raises ConfigError.
+    Steps must run 0, 1, 2, ... in file order.  Every step must list
+    agent ids 0..n-1 exactly once, with the n of the first step, each
+    with an exited flag of 0 or 1 that never returns from 1 to 0 and
+    coordinates in 0..COORD_MAX; a malformed row or step raises
+    ConfigError naming the line.
     """
-    by_step: dict[int, list[tuple[int, int, int, int]]] = {}
-    first_line: dict[int, int] = {}
+    steps: list[list[tuple[int, int, int, int]]] = []
+    first_line: list[int] = []
+    t_now = -1
     for line, row in table.read_table(path, TRACE_HEADER, "trace"):
         try:
             t, agent_id, x, y, exited = (int(v) for v in row)
@@ -261,13 +253,22 @@ def read_trace_csv(path) -> list[StepRecord]:
                 f"{path}: line {line}: exited must be 0 or 1 and coordinates "
                 f"within 0..{COORD_MAX}, got {row}"
             )
-        by_step.setdefault(t, []).append((agent_id, x, y, exited))
-        first_line.setdefault(t, line)
-    if not by_step:
+        if t != t_now:
+            if t != t_now + 1:
+                raise ConfigError(
+                    f"{path}: line {line}: step {t} follows step {t_now}; "
+                    f"steps must run 0, 1, 2, ... in order"
+                )
+            t_now = t
+            rows = []
+            steps.append(rows)
+            first_line.append(line)
+        rows.append((agent_id, x, y, exited))
+    if not steps:
         raise ConfigError(f"{path}: trace holds no rows")
     records = []
-    for t in sorted(by_step):
-        rows = sorted(by_step[t])
+    for t, rows in enumerate(steps):
+        rows.sort()
         n = records[0].agent_count if records else len(rows)
         if [r[0] for r in rows] != list(range(n)):
             raise ConfigError(
@@ -279,6 +280,12 @@ def read_trace_csv(path) -> list[StepRecord]:
         exited = np.array([bool(r[3]) for r in rows])
         # before the first step nobody has moved or exited
         prev = records[-1] if records else StepRecord(t, xs, ys, np.zeros(n, bool), None, 0)
+        returned = np.flatnonzero(prev.exited & ~exited)
+        if returned.size:
+            raise ConfigError(
+                f"{path}: line {first_line[t]}: step {t} marks exited agent "
+                f"{returned[0]} as not exited"
+            )
         moved = (xs != prev.xs) | (ys != prev.ys)
         exits = int((exited & ~prev.exited).sum())
         records.append(StepRecord(t, xs, ys, exited, moved, exits))

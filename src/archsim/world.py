@@ -30,13 +30,15 @@ class WorldGrid:
     then rows 1..L-1 in y-major order.  Each key maps to the id of the
     agent standing there, or to FREE.  A wall is a cell that is not a
     key.  The exit segment is contiguous along the end wall and ordered
-    by transverse index.
+    by transverse index.  ``neighbourhoods`` holds the agents' per-cell
+    cone tables (see ``agent.neighbourhood``), built on first use.
     """
 
     width: int
     length: int
     exit_cells: tuple[Cell, ...]
     occupancy: dict[Cell, int] = field(init=False)
+    neighbourhoods: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         # contiguous segment bounds, used for O(1) nearest-exit lookups

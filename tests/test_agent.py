@@ -1,4 +1,4 @@
-"""Vision cone geometry, similarity scoring, and target selection."""
+"""Vision cone geometry, similarity scoring, and the per-cell pace decision."""
 
 import math
 import random
@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from archsim.agent import (
     Agent,
+    choose_pace,
     cone_offsets,
-    most_similar_neighbor,
-    scan_cone,
+    neighbourhood,
     similarity,
     signed_deviation,
-    steer,
 )
 from archsim.engine import SimConfig
 from archsim.world import FREE, build_world, heading_toward, is_free, wrap_angle
@@ -40,39 +39,6 @@ def test_weighted_similarity_example():
     config = SimConfig(c=2, w=1, d_max=10.0)
     # 5 cells apart, headings 3*pi/4 apart: S_dist=0.5, S_head=0.25
     assert similarity(5.0, 0.0, 3 * math.pi / 4, config) == pytest.approx(0.375, abs=1e-12)
-
-
-def test_most_similar_neighbor_tie_to_lowest_id():
-    """Scores {0.6, 0.85, 0.85} for ids {5, 3, 9} -> (agent 3, 0.85)."""
-    config = SimConfig(c=4, w=1, d_max=10.0)
-    grid = build_world(19, 60, 19)  # every floor heading straight down: heading term 1
-    focal = Agent(id=0, pos=(0, 10))
-    far = (Agent(id=5, pos=(8, 10)), 8.0)    # 0.5 * (1 - 8/10) + 0.5 = 0.6
-    near1 = (Agent(id=3, pos=(3, 10)), 3.0)  # 0.5 * (1 - 3/10) + 0.5 = 0.85
-    near2 = (Agent(id=9, pos=(0, 13)), 3.0)  # same distance, same score
-    for order in ([far, near1, near2], [near2, far, near1], [near1, near2, far]):
-        best, score = most_similar_neighbor(focal, order, grid, config)
-        assert best.id == 3
-        assert score == pytest.approx(0.85)
-
-
-def test_most_similar_neighbor_reads_headings_from_the_floor():
-    """A near neighbour on a cell facing a quarter turn away loses to a
-    farther one facing the same way."""
-    config = SimConfig(c=3, w=1, d_max=10.0)
-    grid = build_world(19, 60, 19)
-    focal = Agent(id=0, pos=(5, 10))
-    near = (Agent(id=1, pos=(6, 10)), 1.0)  # 0.5 * (1 - 1/10) + 0.5 * 0.5 = 0.7
-    far = (Agent(id=2, pos=(5, 14)), 4.0)   # 0.5 * (1 - 4/10) + 0.5 * 1.0 = 0.8
-    grid.heading[near[0].pos] = math.pi     # facing along the wall, not down
-    best, score = most_similar_neighbor(focal, [near, far], grid, config)
-    assert best.id == 2
-    assert score == pytest.approx(0.8)
-
-
-def test_most_similar_neighbor_empty():
-    grid = build_world(19, 60, 7)
-    assert most_similar_neighbor(Agent(id=0, pos=(4, 4)), [], grid, CONFIG) is None
 
 
 @given(
@@ -176,15 +142,89 @@ def _crowd(grid, cells):
     return agents
 
 
+def _scores(grid, cell, config):
+    """The neighbourhood table's similarity score for each cone cell of ``cell``."""
+    return {q: score for q, _, score in neighbourhood(grid, config)[cell]}
+
+
+def _toward(src, dst):
+    """The one-cell pace from ``src`` toward ``dst``."""
+    return (src[0] + _sign(dst[0] - src[0]), src[1] + _sign(dst[1] - src[1]))
+
+
+def _free_cone_cells(agent, grid, radius):
+    x, y = agent.pos
+    return [(x + ox, y + oy) for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos])
+            if is_free(grid, (x + ox, y + oy))]
+
+
+# ------------------------------------------------------------- the best match
+
+def test_most_similar_neighbor_tie_to_lowest_id():
+    """Scores {0.58, 0.85, 0.85} for ids {5, 3, 9} -> agent 3, at 0.85.
+
+    The threshold 0.9 triggers on the best match, so the pace heads for
+    the free cell nearest it and shows which agent won."""
+    config = SimConfig(c=10, w=19, d_max=10.0, vision_radius=9, trigger_threshold=0.9)
+    focal, right, ahead, far = (5, 20), (8, 20), (5, 17), (11, 14)
+    paces = {right: (6, 20), ahead: (5, 19), far: (6, 19)}
+    for ids in ({right: 3, ahead: 9, far: 5}, {right: 9, ahead: 3, far: 5}):
+        grid = build_world(19, 60, 19)
+        agents = [Agent(id=i, pos=(i, 50)) for i in range(10)]  # parked out of view
+        for cell, agent_id in {focal: 0, **ids}.items():
+            agents[agent_id].pos = cell
+            grid.place(agent_id, cell)
+            grid.heading[cell] = 7 * math.pi / 4  # all face down-right: heading term 1
+        scores = _scores(grid, focal, config)
+        assert scores[right] == pytest.approx(0.85)  # 0.5 * (1 - 3/10) + 0.5
+        assert scores[ahead] == pytest.approx(0.85)
+        assert scores[far] == pytest.approx(0.5 * (1 - math.hypot(6, 6) / 10) + 0.5)
+        best = next(cell for cell, agent_id in ids.items() if agent_id == 3)
+        assert choose_pace(agents[0], grid, agents, config) == paces[best]
+
+
+def test_most_similar_neighbor_reads_headings_from_the_floor():
+    """A near neighbour on a cell facing a quarter turn away loses to a
+    farther one facing the same way."""
+    config = SimConfig(c=3, w=19, d_max=10.0, vision_radius=4, trigger_threshold=0.9)
+    grid = build_world(19, 60, 19)  # every floor heading straight down
+    agents = _crowd(grid, [(5, 10), (5, 9), (5, 6)])
+    grid.heading[(5, 9)] = math.pi  # facing along the wall, not down
+    scores = _scores(grid, (5, 10), config)
+    assert scores[(5, 9)] == pytest.approx(0.7)  # 0.5 * (1 - 1/10) + 0.5 * 0.5
+    assert scores[(5, 6)] == pytest.approx(0.8)  # 0.5 * (1 - 4/10) + 0.5 * 1.0
+    # triggered by the far match: toward (5, 7), the free cell nearest it;
+    # the near match would have drawn the agent to (4, 9)
+    assert choose_pace(agents[0], grid, agents, config) == (5, 9)
+
+
+def test_most_similar_neighbor_empty():
+    """Alone in view, the agent never triggers: the closest free cell wins."""
+    config = SimConfig(c=1, w=7, trigger_threshold=1.0)
+    grid = build_world(19, 60, 7)
+    agents = _crowd(grid, [(4, 4)])
+    assert choose_pace(agents[0], grid, agents, config) == (4, 3)
+    assert neighbourhood(grid, config)[(4, 4)][0][:2] == ((4, 3), (4, 3))
+
+
+# -------------------------------------------------------------- the free cell
+
+UNTRIGGERED = SimConfig(c=2, w=1, trigger_threshold=0.0)  # no score falls below 0
+
+
 def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     """Equal-distance candidates at ~10 and ~43 degrees: the 10-degree one."""
     grid = build_world(19, 60, 7)
     # the focal agent, then blockers on the nearer cells (1,0), (1,1), (2,0)
     agents = _crowd(grid, [(5, 30), (6, 30), (6, 31), (7, 30)])
-    grid.heading[agents[0].pos] = math.atan2(1, 2) - math.radians(10)
-    free, visible = scan_cone(agents[0], grid, agents, 3)
-    assert steer(None, free, CONFIG) == (7, 31)
-    assert visible == [(agents[1], 1.0), (agents[2], math.sqrt(2)), (agents[3], 2.0)]
+    heading = math.atan2(1, 2) - math.radians(10)
+    grid.heading[agents[0].pos] = heading
+    # toward (7, 31); the 43-degree cell (7, 29) would give (6, 29)
+    assert choose_pace(agents[0], grid, agents, UNTRIGGERED) == (6, 31)
+    entries = neighbourhood(grid, UNTRIGGERED)[agents[0].pos]
+    assert [q for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
+    for (q, _, score), dist in zip(entries, [1.0, math.sqrt(2), 2.0]):
+        assert score == similarity(dist, heading, grid.heading[q], UNTRIGGERED)
 
 
 def test_choose_target_none_when_cone_blocked():
@@ -192,11 +232,10 @@ def test_choose_target_none_when_cone_blocked():
     blockers = [(9 + ox, 30 + oy) for ox, oy in sorted(_oracle_cone(3, 3 * math.pi / 2))]
     agents = _crowd(grid, [(9, 30)] + blockers)
     grid.heading[agents[0].pos] = 3 * math.pi / 2
-    free, visible = scan_cone(agents[0], grid, agents, 3)
-    assert free == []
-    assert len(visible) == len(blockers)
-    assert steer(None, free, CONFIG) is None
-    assert steer((agents[1], 0.0), free, CONFIG) is None
+    assert len(neighbourhood(grid, CONFIG)[agents[0].pos]) == len(blockers)
+    assert choose_pace(agents[0], grid, agents, UNTRIGGERED) is None
+    triggered = SimConfig(c=2, w=1, trigger_threshold=1.0)
+    assert choose_pace(agents[0], grid, agents, triggered) is None
 
 
 @given(data=st.data())
@@ -209,31 +248,35 @@ def test_choose_target_returns_free_cell(data):
              if is_free(grid, (i, j)) and (i, j) != (x, y)]
     blocked = data.draw(st.lists(st.sampled_from(cells), max_size=20, unique=True))
     agents = _crowd(grid, [(x, y)] + blocked)
-    free, _ = scan_cone(agents[0], grid, agents, 3)
-    target = steer(None, free, CONFIG)
-    if target is not None:
-        assert is_free(grid, target)
-        assert math.hypot(target[0] - x, target[1] - y) <= 3.0
+    free = _free_cone_cells(agents[0], grid, 3)
+    pace = choose_pace(agents[0], grid, agents, UNTRIGGERED)
+    assert (pace is None) == (not free)
+    if pace is not None:
+        assert pace == _toward((x, y), free[0])
+        assert is_free(grid, free[0])
+        assert math.hypot(free[0][0] - x, free[0][1] - y) <= 3.0
 
 
 # ---------------------------------------------------------------- adjustment
 
 def test_sct_passthrough_above_threshold():
     grid = build_world(19, 60, 1)
-    focal, other = _crowd(grid, [(10, 10), (8, 10)])
-    free, _ = scan_cone(focal, grid, [focal, other], 3)
-    assert steer((other, 0.9), free, CONFIG) == (10, 9)
-    assert steer((other, 0.5), free, CONFIG) == (10, 9)  # at the threshold
-    assert steer(None, free, CONFIG) == (10, 9)
+    focal, other = _crowd(grid, [(10, 10), (8, 8)])
+    score = _scores(grid, focal.pos, CONFIG)[other.pos]
+    for threshold in (0.0, score):  # below and at the match's score
+        config = SimConfig(c=2, w=1, trigger_threshold=threshold)
+        assert choose_pace(focal, grid, [focal, other], config) == (10, 9)
+    grid.vacate(other.pos)  # no match in view
+    assert choose_pace(focal, grid, [focal, other], CONFIG) == (10, 9)
 
 
 def test_sct_veers_toward_dissimilar_comparison():
-    """A low-scoring match two cells to the left pulls the target leftward."""
+    """A low-scoring match two cells down-left pulls the pace leftward."""
     grid = build_world(19, 60, 1)
-    focal, other = _crowd(grid, [(10, 10), (8, 10)])
-    free, _ = scan_cone(focal, grid, [focal, other], 3)
-    # nearest free cone cell to (8,10): one step down-left of the focal agent
-    assert steer((other, 0.2), free, CONFIG) == (9, 9)
+    focal, other = _crowd(grid, [(10, 10), (8, 8)])
+    config = SimConfig(c=2, w=1, trigger_threshold=1.0)
+    # nearest free cone cell to (8,8) is (9,8): one step down-left of the focal agent
+    assert choose_pace(focal, grid, [focal, other], config) == (9, 9)
 
 
 @given(data=st.data())
@@ -246,14 +289,123 @@ def test_sct_adjust_result_is_free_or_goal(data):
     if other_pos == (x, y) or other_pos not in grid.occupancy:
         other_pos = (x, min(13, y + 1))
     agents = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
-    other = Agent(id=1, pos=other_pos)
-    score = data.draw(st.floats(0.0, 1.0, allow_nan=False))
-    free, _ = scan_cone(agents[0], grid, agents, 3)
-    adjusted = steer((other, score), free, CONFIG)
-    if score >= 0.5:
-        assert adjusted == steer(None, free, CONFIG)
-    elif adjusted is not None:
-        assert is_free(grid, adjusted)
+    threshold = data.draw(st.floats(0.0, 1.0, allow_nan=False))
+    config = SimConfig(c=2, w=3, W=9, L=14, trigger_threshold=threshold)
+    pace = choose_pace(agents[0], grid, agents, config)
+    score = _scores(grid, (x, y), config).get(other_pos)
+    if score is None or score >= threshold:
+        assert pace == choose_pace(agents[0], grid, agents, UNTRIGGERED)
+    elif pace is not None:
+        assert pace in {_toward((x, y), cell) for cell in _free_cone_cells(agents[0], grid, 3)}
+
+
+# ------------------------------- the scan-then-steer kernel the table replaced
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _scan_cone(agent, grid, agents, radius):
+    """One pass over the vision cone: (free cells, visible live agents)."""
+    x, y = agent.pos
+    occupancy = grid.occupancy
+    free = []
+    visible = []
+    for ox, oy, dist in cone_offsets(radius, grid.heading[agent.pos]):
+        cell = (x + ox, y + oy)
+        other_id = occupancy.get(cell)  # None off the floor
+        if other_id == FREE:
+            free.append(cell)
+        elif other_id is not None and not agents[other_id].exited:
+            visible.append((agents[other_id], dist))
+    return free, visible
+
+
+def _most_similar_neighbor(agent, visible, grid, config):
+    """The visible agent with the highest similarity score, ties to lowest id."""
+    headings = grid.heading
+    heading = headings[agent.pos]
+    best = None
+    best_score = -1.0
+    for other, dist in visible:
+        score = similarity(dist, heading, headings[other.pos], config)
+        if score > best_score or (score == best_score and other.id < best.id):
+            best = other
+            best_score = score
+    if best is None:
+        return None
+    return best, best_score
+
+
+def _steer(comparison, free, config):
+    """The closest free cell, unless the match triggers: then the free
+    cell nearest the match, ties to the earlier cone cell."""
+    if not free:
+        return None
+    if comparison is None or comparison[1] >= config.trigger_threshold:
+        return free[0]
+    tx, ty = comparison[0].pos
+    return min(free, key=lambda cell: (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2)
+
+
+def _reference_pace(agent, grid, agents, config):
+    free, visible = _scan_cone(agent, grid, agents, config.vision_radius)
+    comparison = _most_similar_neighbor(agent, visible, grid, config)
+    target = _steer(comparison, free, config)
+    return None if target is None else _toward(agent.pos, target)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_choose_pace_matches_scan_reference(data):
+    """The table-driven decision returns the reference's pace, or None: random
+    blockers, walls in view, exited bodies in the doorway, radius 1-4,
+    d_max 0.5-6, thresholds at and one ulp either side of the best score,
+    and equal-score pairs whose ids decide the match."""
+    W = data.draw(st.integers(3, 10))
+    L = data.draw(st.integers(W + 1, 14))
+    mirrored = data.draw(st.booleans())
+    # with the exit across the whole end wall, every floor cell faces straight
+    # down, so two cells mirrored across the focal's column score equal
+    grid = build_world(W, L, W if mirrored else data.draw(st.integers(1, W)))
+    radius = data.draw(st.integers(1, 4))
+    x = data.draw(st.integers(0, W - 1))
+    # often near the door, where exited bodies stand in view
+    y = data.draw(st.integers(1, min(radius + 1, L - 1)) | st.integers(1, L - 1))
+    if not data.draw(st.booleans()):  # else the floor's heading, facing the exit
+        grid.heading[x, y] = data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    # blockers mostly in view; cells off the floor put a wall in view
+    cone = cone_offsets(radius, grid.heading[x, y])
+    in_view = st.sampled_from([(ox, oy) for ox, oy, _ in cone])
+    anywhere = st.tuples(st.integers(-radius, radius), st.integers(-radius, radius))
+    offsets = data.draw(st.lists(in_view | anywhere, min_size=1, max_size=12))
+    if mirrored:
+        ox, oy = data.draw(st.integers(1, radius)), data.draw(st.integers(-radius, -1))
+        offsets += [(ox, oy), (-ox, oy)]
+    cells = [cell for cell in dict.fromkeys((x + ox, y + oy) for ox, oy in [(0, 0), *offsets])
+             if cell in grid.occupancy]
+    order = data.draw(st.permutations(range(len(cells))))  # ids in random order
+    agents = _crowd(grid, [cells[i] for i in order])
+    focal = agents[order.index(0)]
+    for agent in agents:
+        if agent.pos[1] == 0:  # an exited body still standing in the doorway
+            agent.exited = data.draw(st.booleans())
+    if not mirrored and data.draw(st.booleans()):
+        grid.heading[data.draw(st.sampled_from(cells))] = data.draw(
+            st.floats(0.0, 2 * math.pi, exclude_max=True))
+    config = SimConfig(c=len(agents), w=1, W=W, L=L, vision_radius=radius,
+                       d_max=data.draw(st.floats(0.5, 6.0)))
+    _, visible = _scan_cone(focal, grid, agents, radius)
+    comparison = _most_similar_neighbor(focal, visible, grid, config)
+    thresholds = st.floats(0.0, 1.0)
+    if comparison is not None:
+        best = comparison[1]
+        at_best = [best, math.nextafter(best, -1.0), math.nextafter(best, 2.0)]
+        thresholds = st.sampled_from(at_best) | thresholds
+    config.trigger_threshold = data.draw(thresholds)
+
+    expected = _reference_pace(focal, grid, agents, config)
+    assert choose_pace(focal, grid, agents, config) == expected
 
 
 # ------------------------------------------- the three scans the fused one replaced
@@ -301,11 +453,11 @@ def _sct_adjust(agent, comparison, goal_target, grid, radius, config):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_fused_scan_matches_three_scans(data):
-    """scan_cone + steer choose the target and the visible agents, with
-    their distances, exactly as the separate target, visibility and
-    veering scans did: random
-    blockers, the corridor walls in view, exited bodies still standing in
-    the doorway, and trigger scores on both sides of the threshold."""
+    """The reference's _scan_cone + _steer choose the target and the visible
+    agents, with their distances, exactly as the separate target,
+    visibility and veering scans did: random blockers, the corridor walls
+    in view, exited bodies still standing in the doorway, and trigger
+    scores on both sides of the threshold."""
     W = data.draw(st.integers(3, 10))
     L = data.draw(st.integers(W + 1, 14))
     grid = build_world(W, L, data.draw(st.integers(1, W)))
@@ -327,9 +479,9 @@ def test_fused_scan_matches_three_scans(data):
         comparison = (data.draw(st.sampled_from(agents)), score)
     radius = data.draw(st.integers(1, 4))
 
-    free, visible = scan_cone(focal, grid, agents, radius)
+    free, visible = _scan_cone(focal, grid, agents, radius)
     goal = _choose_target_cell(focal, grid, radius)
     assert visible == _visible_agents(focal, grid, agents, radius)
-    assert steer(comparison, free, config) == _sct_adjust(
+    assert _steer(comparison, free, config) == _sct_adjust(
         focal, comparison, goal, grid, radius, config
     )

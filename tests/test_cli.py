@@ -221,6 +221,19 @@ def test_sweep_parallelism_does_not_change_bytes(tmp_path):
         (wide / "measurements.csv").read_bytes()
 
 
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_sweep_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, parallelism):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("archsim.cli.run_sweep", no_cells)
+    status, out = _sweep(tmp_path, "c_levels = 10\nw_levels = 3\nreplicates = 1\n",
+                         extra=["--parallelism", parallelism])
+    assert status == 1
+    assert capsys.readouterr().err == "error: --parallelism must be >= 1\n"
+    assert not out.exists()
+
+
 def test_sweep_partial_failure(tmp_path, capsys):
     status, out = _sweep(
         tmp_path,

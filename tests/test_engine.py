@@ -1,5 +1,7 @@
 """Engine semantics: scheduling, movement, exits, traces, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,9 +274,14 @@ def test_trace_csv_header_checked(tmp_path):
         ("0,0,1,5,7\n", 2),
         ("0,0,1,5,0\n0,1,-3,5,0\n", 3),
         ("0,0,1,5,0\n0,1,2,40000,0\n", 3),
+        ("0,0,1,5,0\n1,0,1,4,0\n3,0,1,3,0\n", 4),
+        ("1,0,1,5,0\n2,0,1,4,0\n", 2),
+        ("0,0,1,5,0\n0,1,2,0,1\n1,0,1,4,0\n1,1,2,0,0\n", 4),
+        ("0,0,1,5,0\n1,0,1,4,0\n0,1,2,5,0\n", 4),
     ],
     ids=["missing-agent", "duplicate-agent", "skipped-id", "short-row", "non-integer",
-         "exited-not-flag", "negative-coordinate", "int16-overflow"],
+         "exited-not-flag", "negative-coordinate", "int16-overflow",
+         "step-gap", "first-step-not-zero", "un-exit", "step-revisited"],
 )
 def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
     path = tmp_path / "trace.csv"
@@ -282,6 +289,25 @@ def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
     with pytest.raises(ConfigError) as err:
         read_trace_csv(path)
     assert str(err.value).startswith(f"{path}: line {line}:")
+
+
+@pytest.mark.parametrize(
+    "config,sha256",
+    [
+        (SimConfig(c=120, w=5, seed=3),
+         "8cb824c94d30efd41a6c741867cad3f9063a3d5d0a25303e4acddc2240d28b68"),
+        (SimConfig(c=60, w=3, seed=7, vision_radius=2, d_max=4.5, trigger_threshold=0.7),
+         "a78e772406b7da29e7a480fe74cd2fc6e8ad3eac08ddab270b665c073cdcb3a4"),
+    ],
+    ids=["criterion-6-run", "radius-2"],
+)
+def test_trace_bytes_are_pinned(tmp_path, config, sha256):
+    """The step kernel's outputs are a contract: these traces were recorded
+    before the per-cell neighbourhood table replaced the cone scan, and any
+    change to the kernel must leave them byte-identical."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_trace_csv_without_rows_is_rejected(tmp_path):
