@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -229,64 +230,119 @@ def write_summary_csv(records: list[StepRecord], path) -> None:
     )
 
 
+def _malformed_row(path) -> ConfigError:
+    """The error naming the first trace line that is not five int32 fields.
+
+    Called only once the array parse has failed, to find where: a row
+    with a blank, quoted, non-decimal or overflowing field, or of the
+    wrong width.  A blank line, which the array parse skips, is a row of
+    width 0.  The fields _is_int32 accepts are those np.loadtxt reads,
+    so some row always fails here.
+    """
+    for line, row in table.read_table(path, TRACE_HEADER, "trace", unquote=False):
+        if len(row) != len(TRACE_HEADER) or not all(map(_is_int32, row)):
+            break
+    return ConfigError(f"{path}: line {line}: expected {len(TRACE_HEADER)} integers, got {row}")
+
+
+def _is_int32(field: str) -> bool:
+    """Whether np.loadtxt reads ``field`` as an int32: ASCII digits after at
+    most one sign, with blanks around them."""
+    digits = field.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    return digits.isascii() and digits.isdigit() and -(2**31) <= int(field) < 2**31
+
+
+def _count_lines(fh) -> int:
+    """The lines left in ``fh``, ended by \\n, \\r\\n or \\r as the csv reader
+    and np.loadtxt end them, counted a chunk at a time."""
+    lines, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        lines += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+        lines -= last + chunk[0] == "\r\n"  # a \r\n split between two chunks
+        last = chunk[-1]
+    return lines + (last not in "\r\n")
+
+
 def read_trace_csv(path) -> list[StepRecord]:
     """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
 
-    Steps must run 0, 1, 2, ... in file order.  Every step must list
-    agent ids 0..n-1 exactly once, with the n of the first step, each
-    with an exited flag of 0 or 1 that never returns from 1 to 0 and
-    coordinates in 0..COORD_MAX; a malformed row or step raises
-    ConfigError naming the line.
+    Every row holds five decimal integers.  Steps must run 0, 1, 2, ...
+    in file order.  Every step must list agent ids 0..n-1 exactly once,
+    in any order, with the n of the first step, each with an exited flag
+    of 0 or 1 that never returns from 1 to 0 and coordinates in
+    0..COORD_MAX; a malformed row or step raises ConfigError naming the
+    line.  The body is parsed as one integer array and checked there.
     """
-    steps: list[list[tuple[int, int, int, int]]] = []
-    first_line: list[int] = []
-    t_now = -1
-    for line, row in table.read_table(path, TRACE_HEADER, "trace"):
+    width = len(TRACE_HEADER)
+    with table.open_table(path, TRACE_HEADER, "trace") as fh:
+        body = fh.tell()
+        lines = _count_lines(fh)  # loadtxt skips blank lines; they are errors here
+        if not lines:
+            raise ConfigError(f"{path}: trace holds no rows")
+        fh.seek(body)
         try:
-            t, agent_id, x, y, exited = (int(v) for v in row)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body of blank lines only
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2, comments=None)
         except ValueError:
+            raise _malformed_row(path) from None
+    if rows.shape != (lines, width):
+        raise _malformed_row(path)
+
+    # row checks, in file order: a line is line 2 + its row index
+    t, flag = rows[:, 0], rows[:, 4]
+    coords = rows[:, 2:4]
+    bad_value = (flag < 0) | (flag > 1) | ((coords < 0) | (coords > COORD_MAX)).any(axis=1)
+    prev_t = np.concatenate(([-1], t[:-1]))
+    bad_order = (t != prev_t) & (t != prev_t + 1)
+    bad = np.flatnonzero(bad_value | bad_order)
+    if bad.size:
+        i = int(bad[0])
+        if bad_value[i]:
             raise ConfigError(
-                f"{path}: line {line}: expected {len(TRACE_HEADER)} integers, got {row}"
-            ) from None
-        if exited not in (0, 1) or not (0 <= x <= COORD_MAX and 0 <= y <= COORD_MAX):
-            raise ConfigError(
-                f"{path}: line {line}: exited must be 0 or 1 and coordinates "
-                f"within 0..{COORD_MAX}, got {row}"
+                f"{path}: line {i + 2}: exited must be 0 or 1 and coordinates "
+                f"within 0..{COORD_MAX}, got {rows[i].tolist()}"
             )
-        if t != t_now:
-            if t != t_now + 1:
-                raise ConfigError(
-                    f"{path}: line {line}: step {t} follows step {t_now}; "
-                    f"steps must run 0, 1, 2, ... in order"
-                )
-            t_now = t
-            rows = []
-            steps.append(rows)
-            first_line.append(line)
-        rows.append((agent_id, x, y, exited))
-    if not steps:
-        raise ConfigError(f"{path}: trace holds no rows")
-    records = []
-    for t, rows in enumerate(steps):
-        rows.sort()
-        n = records[0].agent_count if records else len(rows)
-        if [r[0] for r in rows] != list(range(n)):
+        raise ConfigError(
+            f"{path}: line {i + 2}: step {t[i]} follows step {prev_t[i]}; "
+            f"steps must run 0, 1, 2, ... in order"
+        )
+
+    # step checks, in step order: the steps that have the first step's size
+    # are columns of shape (steps, n), each row reordered by agent id
+    starts = np.flatnonzero(t != prev_t)
+    sizes = np.diff(starts, append=len(rows))
+    n = int(sizes[0])
+    whole = len(sizes) if (sizes == n).all() else int(np.argmax(sizes != n))
+    steps = rows[: whole * n].reshape(whole, n, width)
+    by_id = np.argsort(steps[:, :, 1], axis=1, kind="stable")
+
+    def column(j, dtype):
+        return np.take_along_axis(steps[:, :, j], by_id, axis=1).astype(dtype)
+
+    bad_ids = (column(1, np.int32) != np.arange(n)).any(axis=1)
+    exited = column(4, bool)
+    returned = exited[:-1] & ~exited[1:]
+    unexit = np.concatenate(([False], returned.any(axis=1)))
+    failing = np.flatnonzero(bad_ids | unexit)
+    s = int(failing[0]) if failing.size else whole
+    if s < len(sizes):
+        line = starts[s] + 2
+        if s == whole or bad_ids[s]:
             raise ConfigError(
-                f"{path}: line {first_line[t]}: step {t} does not list agent ids "
+                f"{path}: line {line}: step {s} does not list agent ids "
                 f"0..{n - 1} exactly once"
             )
-        xs = np.array([r[1] for r in rows], dtype=np.int16)
-        ys = np.array([r[2] for r in rows], dtype=np.int16)
-        exited = np.array([bool(r[3]) for r in rows])
-        # before the first step nobody has moved or exited
-        prev = records[-1] if records else StepRecord(t, xs, ys, np.zeros(n, bool), None, 0)
-        returned = np.flatnonzero(prev.exited & ~exited)
-        if returned.size:
-            raise ConfigError(
-                f"{path}: line {first_line[t]}: step {t} marks exited agent "
-                f"{returned[0]} as not exited"
-            )
-        moved = (xs != prev.xs) | (ys != prev.ys)
-        exits = int((exited & ~prev.exited).sum())
-        records.append(StepRecord(t, xs, ys, exited, moved, exits))
-    return records
+        raise ConfigError(
+            f"{path}: line {line}: step {s} marks exited agent "
+            f"{np.flatnonzero(returned[s - 1])[0]} as not exited"
+        )
+
+    xs, ys = column(2, np.int16), column(3, np.int16)
+    moved = np.zeros_like(exited)  # before the first step nobody has moved or exited
+    moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    new_exits = exited.copy()
+    new_exits[1:] &= ~exited[:-1]
+    exits = new_exits.sum(axis=1).tolist()
+    return [StepRecord(s, xs[s], ys[s], exited[s], moved[s], exits[s]) for s in range(whole)]

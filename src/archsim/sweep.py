@@ -171,6 +171,8 @@ def run_sweep(
     aborts the sweep with one ArchsimError.
     """
     config.validate()
+    if parallelism < 1:
+        raise ConfigError(f"parallelism={parallelism} must be >= 1")
     tasks = [
         (c, w, rep)
         for c in config.c_levels
@@ -191,7 +193,7 @@ def run_sweep(
         if progress is not None:
             progress(done, len(tasks), task)
 
-    if parallelism <= 1:
+    if parallelism == 1:
         for task in tasks:
             try:
                 row = run_cell(config, *task)

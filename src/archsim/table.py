@@ -9,6 +9,7 @@ A table backed by a dataclass takes its header from the field names.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import fields
 
 from .errors import ConfigError
@@ -42,12 +43,24 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, header, what):
-    """Yield (line number, row) for each row below a header equal to ``header``."""
+@contextmanager
+def open_table(path, header, what):
+    """The open file of a table whose header equals ``header``, at its first row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
+        first = fh.readline()
+        found = next(csv.reader([first])) if first else None
         if found != header:
             raise ConfigError(f"{path}: unexpected {what} header: {found}")
+        yield fh
+
+
+def read_table(path, header, what, *, unquote=True):
+    """Yield (line number, row) for each row below a header equal to ``header``.
+
+    With ``unquote=False`` a quote is an ordinary character: in a table
+    of numbers, a quoted field then reads as text that is not a number.
+    """
+    with open_table(path, header, what) as fh:
+        reader = csv.reader(fh, quoting=csv.QUOTE_MINIMAL if unquote else csv.QUOTE_NONE)
         for values in reader:
-            yield reader.line_num, values
+            yield reader.line_num + 1, values

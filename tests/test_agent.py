@@ -299,26 +299,29 @@ def test_sct_adjust_result_is_free_or_goal(data):
         assert pace in {_toward((x, y), cell) for cell in _free_cone_cells(agents[0], grid, 3)}
 
 
-# ------------------------------- the scan-then-steer kernel the table replaced
+# ------------------------------------ the three scans the table replaced
 
 def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _scan_cone(agent, grid, agents, radius):
-    """One pass over the vision cone: (free cells, visible live agents)."""
+def _choose_target_cell(agent, grid, radius):
     x, y = agent.pos
-    occupancy = grid.occupancy
-    free = []
-    visible = []
-    for ox, oy, dist in cone_offsets(radius, grid.heading[agent.pos]):
+    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
         cell = (x + ox, y + oy)
-        other_id = occupancy.get(cell)  # None off the floor
-        if other_id == FREE:
-            free.append(cell)
-        elif other_id is not None and not agents[other_id].exited:
-            visible.append((agents[other_id], dist))
-    return free, visible
+        if is_free(grid, cell):
+            return cell
+    return None
+
+
+def _visible_agents(agent, grid, agents, radius):
+    x, y = agent.pos
+    out = []
+    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
+        other_id = grid.occupancy.get((x + ox, y + oy))
+        if other_id not in (None, FREE) and not agents[other_id].exited:
+            out.append((agents[other_id], math.hypot(ox, oy)))
+    return out
 
 
 def _most_similar_neighbor(agent, visible, grid, config):
@@ -337,21 +340,34 @@ def _most_similar_neighbor(agent, visible, grid, config):
     return best, best_score
 
 
-def _steer(comparison, free, config):
-    """The closest free cell, unless the match triggers: then the free
-    cell nearest the match, ties to the earlier cone cell."""
-    if not free:
-        return None
-    if comparison is None or comparison[1] >= config.trigger_threshold:
-        return free[0]
-    tx, ty = comparison[0].pos
-    return min(free, key=lambda cell: (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2)
+def _sct_adjust(agent, comparison, goal_target, grid, radius, config):
+    if comparison is None:
+        return goal_target
+    other, score = comparison
+    if score >= config.trigger_threshold:
+        return goal_target
+    x, y = agent.pos
+    tx, ty = other.pos
+    best = None
+    best_d2 = None
+    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
+        cell = (x + ox, y + oy)
+        if not is_free(grid, cell):
+            continue
+        d2 = (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2
+        if best_d2 is None or d2 < best_d2:
+            best = cell
+            best_d2 = d2
+    return best
 
 
 def _reference_pace(agent, grid, agents, config):
-    free, visible = _scan_cone(agent, grid, agents, config.vision_radius)
+    """The pace of the separate target, visibility and veering scans."""
+    radius = config.vision_radius
+    visible = _visible_agents(agent, grid, agents, radius)
     comparison = _most_similar_neighbor(agent, visible, grid, config)
-    target = _steer(comparison, free, config)
+    goal = _choose_target_cell(agent, grid, radius)
+    target = _sct_adjust(agent, comparison, goal, grid, radius, config)
     return None if target is None else _toward(agent.pos, target)
 
 
@@ -395,7 +411,7 @@ def test_choose_pace_matches_scan_reference(data):
             st.floats(0.0, 2 * math.pi, exclude_max=True))
     config = SimConfig(c=len(agents), w=1, W=W, L=L, vision_radius=radius,
                        d_max=data.draw(st.floats(0.5, 6.0)))
-    _, visible = _scan_cone(focal, grid, agents, radius)
+    visible = _visible_agents(focal, grid, agents, radius)
     comparison = _most_similar_neighbor(focal, visible, grid, config)
     thresholds = st.floats(0.0, 1.0)
     if comparison is not None:
@@ -406,82 +422,3 @@ def test_choose_pace_matches_scan_reference(data):
 
     expected = _reference_pace(focal, grid, agents, config)
     assert choose_pace(focal, grid, agents, config) == expected
-
-
-# ------------------------------------------- the three scans the fused one replaced
-
-def _choose_target_cell(agent, grid, radius):
-    x, y = agent.pos
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
-        cell = (x + ox, y + oy)
-        if is_free(grid, cell):
-            return cell
-    return None
-
-
-def _visible_agents(agent, grid, agents, radius):
-    x, y = agent.pos
-    out = []
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
-        other_id = grid.occupancy.get((x + ox, y + oy))
-        if other_id not in (None, FREE) and not agents[other_id].exited:
-            out.append((agents[other_id], math.hypot(ox, oy)))
-    return out
-
-
-def _sct_adjust(agent, comparison, goal_target, grid, radius, config):
-    if comparison is None:
-        return goal_target
-    other, score = comparison
-    if score >= config.trigger_threshold:
-        return goal_target
-    x, y = agent.pos
-    tx, ty = other.pos
-    best = None
-    best_d2 = None
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
-        cell = (x + ox, y + oy)
-        if not is_free(grid, cell):
-            continue
-        d2 = (cell[0] - tx) ** 2 + (cell[1] - ty) ** 2
-        if best_d2 is None or d2 < best_d2:
-            best = cell
-            best_d2 = d2
-    return best
-
-
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_fused_scan_matches_three_scans(data):
-    """The reference's _scan_cone + _steer choose the target and the visible
-    agents, with their distances, exactly as the separate target,
-    visibility and veering scans did: random blockers, the corridor walls
-    in view, exited bodies still standing in the doorway, and trigger
-    scores on both sides of the threshold."""
-    W = data.draw(st.integers(3, 10))
-    L = data.draw(st.integers(W + 1, 14))
-    grid = build_world(W, L, data.draw(st.integers(1, W)))
-    open_cells = list(grid.occupancy)
-    cells = data.draw(st.lists(st.sampled_from(open_cells), min_size=1, unique=True))
-    agents = _crowd(grid, cells)
-    focal = agents[data.draw(st.integers(0, len(agents) - 1))]
-    for agent in agents:
-        if agent is not focal and agent.pos[1] == 0:
-            agent.exited = data.draw(st.booleans())
-    if not data.draw(st.booleans()):  # else the floor's heading, facing the exit
-        grid.heading[focal.pos] = data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
-    threshold = data.draw(st.floats(0.0, 1.0))
-    config = SimConfig(c=len(agents), w=1, W=W, L=L, trigger_threshold=threshold)
-    comparison = None
-    if data.draw(st.booleans()):
-        score = data.draw(st.sampled_from([threshold, math.nextafter(threshold, -1.0)])
-                          | st.floats(0.0, 1.0))
-        comparison = (data.draw(st.sampled_from(agents)), score)
-    radius = data.draw(st.integers(1, 4))
-
-    free, visible = _scan_cone(focal, grid, agents, radius)
-    goal = _choose_target_cell(focal, grid, radius)
-    assert visible == _visible_agents(focal, grid, agents, radius)
-    assert _steer(comparison, free, config) == _sct_adjust(
-        focal, comparison, goal, grid, radius, config
-    )

@@ -253,7 +253,60 @@ def test_trace_csv_round_trip(tmp_path):
         assert np.array_equal(a.ys, b.ys)
         assert np.array_equal(a.exited, b.exited)
         assert np.array_equal(a.moved, b.moved)
+        assert a.exits_this_step == b.exits_this_step
+        assert (b.xs.dtype, b.ys.dtype, b.exited.dtype, b.moved.dtype) == (
+            np.int16, np.int16, bool, bool,
+        )
+    assert sum(b.exits_this_step for b in back) == 25
     assert path.read_text().splitlines()[0] == "t,agent_id,transverse,longitudinal,exited"
+
+
+def _assert_same_records(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.t, x.exits_this_step) == (y.t, y.exits_this_step)
+        for name in ("xs", "ys", "exited", "moved"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+
+
+def test_trace_csv_ids_may_come_in_any_order_within_a_step(tmp_path):
+    records = run(SimConfig(c=12, w=3, seed=2))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    n = records[0].agent_count
+    rng = np.random.default_rng(0)
+    shuffled = [rows[i] for s in range(0, len(rows), n) for i in s + rng.permutation(n)]
+    assert shuffled != rows
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text(header + "".join(shuffled))
+    _assert_same_records(read_trace_csv(permuted), read_trace_csv(path))
+
+
+def test_trace_csv_reads_crlf_and_a_missing_final_newline(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(SimConfig(c=8, w=3, seed=1)), path)
+    text = path.read_text()
+    expected = read_trace_csv(path)
+    for variant in (text.replace("\n", "\r\n"), text.rstrip("\n"),
+                    text.replace("\n", "\r\n").rstrip("\r\n"), text.replace("\n", "\r")):
+        path.write_bytes(variant.encode())
+        _assert_same_records(read_trace_csv(path), expected)
+
+
+def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path):
+    """Lines are counted 64 KiB at a time; one of these paddings puts a
+    \\r\\n across the first chunk boundary, which still ends one line."""
+    header = "t,agent_id,transverse,longitudinal,exited\r\n"
+    rows = "".join(f"0,{i},1,5,0\r\n" for i in range(6000))
+    path = tmp_path / "trace.csv"
+    split = False
+    for pad in range(16):
+        body = " " * pad + rows
+        split |= body[(1 << 16) - 1:(1 << 16) + 1] == "\r\n"
+        path.write_bytes((header + body).encode())
+        assert read_trace_csv(path)[0].agent_count == 6000
+    assert split
 
 
 def test_trace_csv_header_checked(tmp_path):
@@ -289,6 +342,46 @@ def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
     with pytest.raises(ConfigError) as err:
         read_trace_csv(path)
     assert str(err.value).startswith(f"{path}: line {line}:")
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    [
+        ("0,0,1,5,0\n\n0,1,2,5,0\n", 3),
+        ("0,0,1,5,0\n0,1,2,5,0\n\n", 4),
+        ("0,0,1,5,0\n0,1,\"0\",5,0\n1,0,1,4,0\n", 3),
+        ("0,0,1,5,0\n0,1_0,2,5,0\n1,0,1,4,0\n", 3),
+        ("0,0,1,5,0\n0,1,2,99999999999,0\n1,0,1,4,0\n", 3),
+        ("0,0,1,5,0\n0,1,2,5,99999999999\n1,0,1,4,0\n", 3),
+    ],
+    ids=["blank-line", "trailing-blank-line", "quoted-field", "underscore-field",
+         "int32-overflow", "int32-overflow-in-flag"],
+)
+def test_trace_csv_rejects_fields_the_array_parse_cannot_read(tmp_path, body, line):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,agent_id,transverse,longitudinal,exited\n" + body)
+    with pytest.raises(ConfigError) as err:
+        read_trace_csv(path)
+    assert str(err.value).startswith(f"{path}: line {line}:")
+
+
+@given(field=st.text(st.sampled_from("0123456789+-_ \t\"'.e\x0c\x00\u0665\xa0"), max_size=12)
+       | st.integers(-(2**40), 2**40).map(str))
+@settings(max_examples=200, deadline=None)
+def test_trace_csv_field_reads_or_names_its_line(tmp_path_factory, field):
+    """Any text in one coordinate field either reads as that integer or
+    fails naming its line, never another one."""
+    path = tmp_path_factory.mktemp("field") / "trace.csv"
+    path.write_text(
+        "t,agent_id,transverse,longitudinal,exited\n"
+        f"0,0,1,5,0\n0,1,{field},5,0\n1,0,1,4,0\n1,1,2,5,0\n"
+    )
+    try:
+        records = read_trace_csv(path)
+    except ConfigError as err:
+        assert str(err).startswith(f"{path}: line 3:")
+    else:
+        assert records[0].xs[1] == int(field)
 
 
 @pytest.mark.parametrize(

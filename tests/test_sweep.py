@@ -107,6 +107,17 @@ def test_single_cell_single_replicate():
     assert len(rows) == 1 and not errors
 
 
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_run_sweep_rejects_parallelism_below_one(monkeypatch, parallelism):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(sweep, "run_cell", no_cells)
+    cfg = SweepConfig(c_levels=(10,), w_levels=(3,), replicates=1)
+    with pytest.raises(ConfigError, match=f"parallelism={parallelism} must be >= 1"):
+        run_sweep(cfg, parallelism=parallelism)
+
+
 def test_failing_cells_become_error_rows(tmp_path):
     cfg = SweepConfig(c_levels=(10, 1100), w_levels=(3,), replicates=1, max_steps=200)
     rows, errors = run_sweep(cfg)
