@@ -20,7 +20,7 @@ from .errors import (
 from .metrics import ArchMeasurement, clog_cluster, detect_arch_onset, measure_axes
 from .analysis import RegressionFit, aggregate, ols_fit, trend_correlation
 from .sweep import SweepConfig, derive_seed, run_sweep
-from .world import WorldGrid, build_world, is_free, nearest_exit_coordinate
+from .world import Floor, WorldGrid, build_floor, is_free, nearest_exit_coordinate
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,7 @@ __all__ = [
     "CrowdTooLargeError",
     "DegenerateInputError",
     "EmptyClusterError",
+    "Floor",
     "InvalidDimensionsError",
     "RegressionFit",
     "SimConfig",
@@ -39,7 +40,7 @@ __all__ = [
     "SweepConfig",
     "WorldGrid",
     "aggregate",
-    "build_world",
+    "build_floor",
     "clog_cluster",
     "derive_seed",
     "detect_arch_onset",

@@ -7,8 +7,8 @@ pure functions of (agent, world snapshot, run config):
 
 * :func:`cone_offsets` lists the offsets inside the forward vision
   cone, a 100-degree wedge facing the heading.
-* :func:`neighbourhood` tabulates, once per run, each floor cell's cone
-  cells with the pace toward each and the similarity score of a
+* :func:`neighbourhood` tabulates, once per floor, each floor cell's
+  cone cells with the pace toward each and the similarity score of a
   neighbour standing there.
 * :func:`choose_pace` reads its cell's entries once: it takes the
   closest free cell, unless the best match looks too dissimilar: then
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .world import FREE, TWO_PI, Cell, WorldGrid
+from .world import FREE, TWO_PI, Cell, Floor
 
 if TYPE_CHECKING:
     from .engine import SimConfig
@@ -75,14 +75,12 @@ def _disc_offsets(radius: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], ...]:
     """Offsets inside the vision cone, in deterministic preference order.
 
     Ordered by (distance, absolute angular deviation, clockwise first):
     the natural scan order for "closest free space" with fixed tie
-    breaks.  Cached on the exact heading float, a value of the floor's
-    heading field, so there is one entry per direction to an exit cell.
+    breaks.
     """
     selected = []
     for ox, oy, dist in _disc_offsets(radius):
@@ -98,55 +96,56 @@ def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], .
 Entry = tuple[Cell, Cell, float]  # (cone cell q, pace toward q, similarity score)
 
 
-def neighbourhood(grid: WorldGrid, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
+def neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
     """Each floor cell's cone entries ``(q, pace, score)``, in cone order.
 
     ``q`` runs over the floor cells of the cone facing the cell's heading
     (walls are dropped), ``pace`` is the one-cell step toward ``q`` and
     ``score`` the similarity of an agent on the cell to one on ``q``.
-    Built on first use and kept on the grid, keyed on
+    Built on first use and kept on the floor, keyed on
     ``(vision_radius, d_max)``: the heading field is static, so the table
-    holds for the whole run.
+    holds for every run on the floor.
     """
     key = (config.vision_radius, config.d_max)
-    table = grid.neighbourhoods.get(key)
+    table = floor.tables.get(key)
     if table is None:
-        table = grid.neighbourhoods[key] = _build_neighbourhood(grid, config)
+        table = floor.tables[key] = _build_neighbourhood(floor, config)
     return table
 
 
-def _build_neighbourhood(grid: WorldGrid, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
-    headings = grid.heading
-    floor = {cell: cell for cell in grid.occupancy}  # entries share the map's key tuples
+def _build_neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
+    headings = floor.heading
+    cells = {cell: cell for cell in headings}  # entries share the floor's key tuples
+    cones = {}  # heading -> its cone offsets, for this build only
     table = {}
     for cell, heading in headings.items():
         x, y = cell
+        if heading not in cones:
+            cones[heading] = cone_offsets(config.vision_radius, heading)
         entries = []
-        for ox, oy, dist in cone_offsets(config.vision_radius, heading):
-            q = floor.get((x + ox, y + oy))
+        for ox, oy, dist in cones[heading]:
+            q = cells.get((x + ox, y + oy))
             if q is not None:
                 pace = (x + (ox > 0) - (ox < 0), y + (oy > 0) - (oy < 0))
                 score = similarity(dist, heading, headings[q], config)
-                entries.append((q, floor.get(pace, pace), score))
+                entries.append((q, cells.get(pace, pace), score))
         table[cell] = tuple(entries)
     return table
 
 
 def choose_pace(
-    agent: Agent, grid: WorldGrid, agents: list[Agent], config: SimConfig
+    entries: tuple[Entry, ...], occupancy: dict[Cell, int], agents: list[Agent], threshold: float
 ) -> Cell | None:
-    """The cell of the agent's next pace; None when its cone holds no free cell.
+    """The next pace from a cell with these entries; None when no cone cell is free.
 
-    One pass over the agent's neighbourhood entries finds the closest
-    free cell (the first free entry) and the most similar live agent in
-    view (highest score, ties to the lowest id).  The pace heads for the
-    closest free cell, unless that match scores below the trigger
-    threshold: then the agent moves to reduce the difference and heads
-    for the free cell nearest the match, ties to the earlier cone cell.
-    The pace cell itself may be occupied or a wall.
+    One pass over the entries finds the closest free cell (the first free
+    entry) and the most similar live agent in view (highest score, ties
+    to the lowest id).  The pace heads for the closest free cell, unless
+    that match scores below ``threshold``: then the agent moves to reduce
+    the difference and heads for the free cell nearest the match, ties
+    to the earlier cone cell.  The pace cell itself may be occupied or a
+    wall.
     """
-    entries = neighbourhood(grid, config)[agent.pos]
-    occupancy = grid.occupancy
     pace = match = None
     best_id = -1
     best_score = -1.0
@@ -158,7 +157,7 @@ def choose_pace(
         elif (score > best_score or (score == best_score and other_id < best_id)) \
                 and not agents[other_id].exited:
             match, best_id, best_score = cell, other_id, score
-    if pace is None or match is None or best_score >= config.trigger_threshold:
+    if pace is None or match is None or best_score >= threshold:
         return pace
     tx, ty = match
     return min(

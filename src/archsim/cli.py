@@ -25,7 +25,7 @@ from .errors import ArchsimError
 from .sweep import (
     measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
 )
-from .world import build_world
+from .world import build_floor
 
 
 def _fail(message: str) -> int:
@@ -49,13 +49,13 @@ def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
     frame = next((r for r in records if r.t == step), None)
     if frame is None:
         raise ArchsimError(f"step {step} outside trace 0..{records[-1].t}")
-    grid = build_world(sim_config.W, sim_config.L, sim_config.w)
+    floor = build_floor(sim_config.W, sim_config.L, sim_config.w)
     for agent_id, cell in enumerate(zip(frame.xs.tolist(), frame.ys.tolist())):
-        if not frame.exited[agent_id] and cell not in grid.occupancy:
+        if not frame.exited[agent_id] and cell not in floor.heading:
             raise ArchsimError(f"step {step}: agent {agent_id} stands off the floor at {cell}")
     if fmt == "ascii":
-        return step, render.ascii_frame(frame, grid) + "\n"
-    return step, render.svg_frame(frame, grid)
+        return step, render.ascii_frame(frame, floor) + "\n"
+    return step, render.svg_frame(frame, floor)
 
 
 def cmd_run(args) -> int:

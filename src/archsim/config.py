@@ -55,10 +55,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config_file(path) -> dict:
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return parse_config_text(text)
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

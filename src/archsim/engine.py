@@ -3,7 +3,7 @@
 Each step visits every live agent once, in a fresh seeded random
 permutation.  An agent reads its cell's neighbourhood entries once: the
 cells of the vision cone facing the floor's heading toward the nearest
-exit coordinate, tabulated once per run with the pace toward each and
+exit coordinate, tabulated once per floor with the pace toward each and
 the similarity score of a neighbour there.  It aims at the closest free
 cell unless social comparison steers it elsewhere, then takes one pace
 (one 8-neighbor cell) toward that target if the pace cell is free.
@@ -30,9 +30,9 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import table
-from .agent import Agent, choose_pace
+from .agent import Agent, choose_pace, neighbourhood
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import FREE, WorldGrid, build_world, is_free
+from .world import FREE, WorldGrid, build_floor, is_free
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
@@ -82,7 +82,7 @@ class SimConfig(RunSettings):
             raise ConfigError(f"crowd size c={self.c} must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be nonnegative")
-        build_world(self.W, self.L, self.w)  # geometry preconditions
+        build_floor(self.W, self.L, self.w)  # geometry preconditions
 
 
 @dataclass
@@ -119,13 +119,13 @@ def _snapshot(t: int, agents: list[Agent], moved: np.ndarray, exits: int) -> Ste
 
 
 def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Generator]:
-    """Build the world and place the crowd.
+    """Lay the run's occupancy map over its floor and place the crowd.
 
     Agents land uniformly at random (seeded) on distinct free cells at
     longitudinal coordinate >= spawn_margin.
     """
     config.validate()
-    grid = build_world(config.W, config.L, config.w)
+    grid = WorldGrid(build_floor(config.W, config.L, config.w))
     rng = np.random.default_rng(config.seed)
     spawn = [cell for cell in grid.occupancy if cell[1] >= config.spawn_margin]
     if config.c > len(spawn):
@@ -151,13 +151,14 @@ def step(
     """Advance the simulation by one step and record the result."""
     exits_this_step = 0
     moved = np.zeros(len(agents), dtype=bool)
+    table, occupancy = neighbourhood(grid.floor, config), grid.occupancy
 
     for idx in rng.permutation(len(agents)):
         agent = agents[int(idx)]
         if agent.exited:
             # a freshly exited body clears the doorway at its next
             # activation ("moves to the edge of the world")
-            if grid.occupancy.get(agent.pos) == agent.id:
+            if occupancy.get(agent.pos) == agent.id:
                 grid.vacate(agent.pos)
             continue
 
@@ -168,7 +169,7 @@ def step(
             exits_this_step += 1
             continue
 
-        pace = choose_pace(agent, grid, agents, config)
+        pace = choose_pace(table[agent.pos], occupancy, agents, config.trigger_threshold)
         if pace is not None and is_free(grid, pace):
             grid.move(agent.pos, pace)
             agent.pos = pace

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import dist, sqrt
 
 from .errors import ArchsimError, EmptyClusterError
-from .world import Cell, WorldGrid, nearest_exit_coordinate
+from .world import Cell, Floor, nearest_exit_coordinate
 
 _NEIGHBORS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
 _UPSTREAM = [(-1, 1), (0, 1), (1, 1)]
@@ -58,12 +58,12 @@ def _components(cells: set[Cell]) -> list[set[Cell]]:
     return components
 
 
-def _touches_exit(comp: set[Cell], grid: WorldGrid) -> bool:
+def _touches_exit(comp: set[Cell], floor: Floor) -> bool:
     """Some member lies within distance 1 of its nearest (clamped) exit cell."""
-    return any(dist(cell, nearest_exit_coordinate(grid, cell)) <= 1 for cell in comp)
+    return any(dist(cell, nearest_exit_coordinate(floor, cell)) <= 1 for cell in comp)
 
 
-def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
+def clog_cluster(record, floor: Floor) -> set[Cell]:
     """Largest exit-anchored component of stationary live agents.
 
     Returns an empty set when nothing qualifies.  Among equally large
@@ -73,7 +73,7 @@ def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
     candidates = [
         comp
         for comp in _components(_stationary_cells(record))
-        if _touches_exit(comp, grid)
+        if _touches_exit(comp, floor)
     ]
     if not candidates:
         return set()
@@ -83,7 +83,7 @@ def clog_cluster(record, grid: WorldGrid) -> set[Cell]:
 
 def detect_arch_onset(
     records,
-    grid: WorldGrid,
+    floor: Floor,
     threshold_factor: float = THRESHOLD_FACTOR,
     persistence: int = PERSISTENCE,
 ) -> ArchMeasurement:
@@ -101,11 +101,11 @@ def detect_arch_onset(
     either later than a confirmed candidate or its own window holds the
     empty cluster that rejects the pending one.
     """
-    threshold = threshold_factor * grid.exit_width
+    threshold = threshold_factor * len(floor.exit_cells)
     pending = None  # (record, cluster) of the candidate onset
     confirmed = 0  # nonempty clusters seen since the candidate
     for record in records:
-        cluster = clog_cluster(record, grid)
+        cluster = clog_cluster(record, floor)
         if pending is not None and cluster:
             confirmed += 1
         elif len(cluster) >= threshold:  # an empty cluster ends any pending window
@@ -116,7 +116,7 @@ def detect_arch_onset(
         if confirmed >= persistence:
             onset, cluster = pending
             M, m = measure_axes(cluster)
-            if m > grid.width:
+            if m > floor.width:
                 raise ArchsimError(
                     f"step {onset.t}: arch spans {m} cells, wider than the corridor"
                 )
@@ -150,9 +150,9 @@ def cluster_frontier(cluster: set[Cell]) -> set[Cell]:
     }
 
 
-def exit_centered(cells, grid: WorldGrid) -> list[tuple[float, float]]:
+def exit_centered(cells, floor: Floor) -> list[tuple[float, float]]:
     """Shift positions so x is measured from the exit segment's center."""
-    cx = sum(x for x, _ in grid.exit_cells) / len(grid.exit_cells)
+    cx = sum(x for x, _ in floor.exit_cells) / len(floor.exit_cells)
     return [(x - cx, float(y)) for x, y in cells]
 
 

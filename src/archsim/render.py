@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .world import WorldGrid
+from .world import Floor
 
 _SVG_COLORS = {
     "wall": "#555555",
@@ -30,26 +30,26 @@ def _live_agents(record) -> dict:
     return out
 
 
-def ascii_frame(record, grid: WorldGrid) -> str:
+def ascii_frame(record, floor: Floor) -> str:
     agents = _live_agents(record)
-    exit_xs = {x for x, _ in grid.exit_cells}
+    exit_xs = {x for x, _ in floor.exit_cells}
     lines = []
-    top = "".join("=" if x in exit_xs else "#" for x in range(grid.width))
+    top = "".join("=" if x in exit_xs else "#" for x in range(floor.width))
     lines.append("#" + top + "#")
-    for y in range(1, grid.length):
+    for y in range(1, floor.length):
         row = []
-        for x in range(grid.width):
+        for x in range(floor.width):
             if (x, y) in agents:
                 row.append("o" if agents[(x, y)] else "x")
             else:
                 row.append(".")
         lines.append("#" + "".join(row) + "#")
-    lines.append("#" * (grid.width + 2))
+    lines.append("#" * (floor.width + 2))
     return "\n".join(lines)
 
 
-def svg_frame(record, grid: WorldGrid, cell_px: int = 10) -> str:
-    W, L = grid.width, grid.length
+def svg_frame(record, floor: Floor, cell_px: int = 10) -> str:
+    W, L = floor.width, floor.length
     width_px = (W + 2) * cell_px
     height_px = (L + 1) * cell_px
     c = _SVG_COLORS
@@ -68,7 +68,7 @@ def svg_frame(record, grid: WorldGrid, cell_px: int = 10) -> str:
         rect(W + 1, 0, 1, L + 1, c["wall"]),      # right wall
         rect(1, 0, W, 1, c["wall"]),              # exit wall
     ]
-    for ex, _ in grid.exit_cells:
+    for ex, _ in floor.exit_cells:
         parts.append(rect(ex + 1, 0, 1, 1, c["exit"]))
     for (x, y), moved in sorted(_live_agents(record).items()):
         parts.append(rect(x + 1, y, 1, 1, c["moving"] if moved else c["stationary"]))

@@ -18,7 +18,7 @@ from . import table
 from .engine import RunSettings, SimConfig, simulate
 from .errors import ArchsimError, ConfigError
 from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
-from .world import build_world
+from .world import build_floor
 
 DEFAULT_C_LEVELS = (200, 300, 350, 400, 450)
 DEFAULT_W_LEVELS = (1, 3, 5, 7, 9, 11, 13)
@@ -52,7 +52,7 @@ class SweepConfig(RunSettings):
                 f"threshold_factor={self.threshold_factor} must be positive and finite"
             )
         for w in self.w_levels:
-            build_world(self.W, self.L, w)  # geometry preconditions of every cell
+            build_floor(self.W, self.L, w)  # geometry preconditions of every cell
 
     def sim_config(self, c: int, w: int, replicate: int) -> SimConfig:
         seed = derive_seed(self.base_seed, c, w, replicate)
@@ -139,8 +139,8 @@ def measure(
 ) -> MeasurementRow:
     """Detect the arch in one run's records (a list or a live simulation)
     and label it with the run."""
-    grid = build_world(sim_config.W, sim_config.L, sim_config.w)
-    measurement = detect_arch_onset(records, grid, threshold_factor, persistence)
+    floor = build_floor(sim_config.W, sim_config.L, sim_config.w)
+    measurement = detect_arch_onset(records, floor, threshold_factor, persistence)
     return MeasurementRow(
         c=sim_config.c, w=sim_config.w, W=sim_config.W, seed=sim_config.seed,
         replicate=replicate, **asdict(measurement),
@@ -163,7 +163,7 @@ def run_cell(config: SweepConfig, c: int, w: int, replicate: int) -> Measurement
 def run_sweep(
     config: SweepConfig, parallelism: int = 1, progress=None
 ) -> tuple[list[MeasurementRow], list[SweepError]]:
-    """Run every (c, w, replicate) cell.
+    """Run every (c, w, replicate) cell, w-major: consecutive cells share a floor.
 
     Failed cells are collected rather than aborting the sweep.  Both
     returned lists are sorted by (c, w, replicate), so the output is
@@ -175,8 +175,8 @@ def run_sweep(
         raise ConfigError(f"parallelism={parallelism} must be >= 1")
     tasks = [
         (c, w, rep)
-        for c in config.c_levels
         for w in config.w_levels
+        for c in config.c_levels
         for rep in range(config.replicates)
     ]
     rows: list[MeasurementRow] = []

@@ -1,7 +1,7 @@
 """The one CSV path: every table archsim writes or reads goes through here.
 
-A table is a header row, then one row per record, with ``\\n`` line
-endings.  Values have one format: None is an empty field, a bool is 0
+A table is UTF-8: a header row, then one row per record, with ``\\n``
+line endings.  Values have one format: None is an empty field, a bool is 0
 or 1, a float is rounded to 6 decimals, anything else is written as is.
 A table backed by a dataclass takes its header from the field names.
 """
@@ -46,12 +46,15 @@ def write_table(path, header, rows) -> None:
 @contextmanager
 def open_table(path, header, what):
     """The open file of a table whose header equals ``header``, at its first row."""
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        found = next(csv.reader([first])) if first else None
-        if found != header:
-            raise ConfigError(f"{path}: unexpected {what} header: {found}")
-        yield fh
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            first = fh.readline()
+            found = next(csv.reader([first])) if first else None
+            if found != header:
+                raise ConfigError(f"{path}: unexpected {what} header: {found}")
+            yield fh
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def read_table(path, header, what, *, unquote=True):

@@ -1,17 +1,21 @@
-"""Corridor geometry: a discrete W-by-L grid with one exit segment.
+"""Corridor geometry: a discrete W-by-L floor with one exit segment.
 
 Coordinates are integer cells ``(x, y)`` with ``x`` transverse (0..W-1,
 across the corridor) and ``y`` longitudinal (0..L-1, along it).  The end
 wall holding the exit is the row ``y == 0``; the crowd approaches from
 larger ``y``.  One cell holds one person.  Everything outside the
 coordinate rectangle counts as wall, as do the non-exit cells of row 0.
+Every run of one geometry walks the same frozen ``Floor``; a run owns
+only its ``WorldGrid``, the occupancy map over that floor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InvalidDimensionsError
 
@@ -22,42 +26,56 @@ FREE = -1  # occupancy value of a floor cell nobody stands on
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass
-class WorldGrid:
-    """Corridor state: dimensions, exit segment, and the floor map.
+@dataclass(frozen=True, eq=False)
+class Floor:
+    """The static floor: dimensions, exit segment, heading field, cone tables.
 
-    ``occupancy`` holds one key per floor cell: the exit segment first,
-    then rows 1..L-1 in y-major order.  Each key maps to the id of the
-    agent standing there, or to FREE.  A wall is a cell that is not a
-    key.  The exit segment is contiguous along the end wall and ordered
-    by transverse index.  ``neighbourhoods`` holds the agents' per-cell
-    cone tables (see ``agent.neighbourhood``), built on first use.
+    ``heading`` (read-only) maps each floor cell, the exit segment first
+    and then rows 1..L-1 y-major, to its heading toward the nearest exit;
+    a wall is a cell that is not a key.  The exit segment is contiguous
+    and ordered by transverse index.  ``tables`` holds the agents' cone
+    tables (``agent.neighbourhood``), keyed on ``(vision_radius, d_max)``.
     """
 
     width: int
     length: int
     exit_cells: tuple[Cell, ...]
-    occupancy: dict[Cell, int] = field(init=False)
-    neighbourhoods: dict = field(init=False, default_factory=dict)
+    heading: Mapping[Cell, float]
+    tables: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # contiguous segment bounds, used for O(1) nearest-exit lookups
-        self._exit_x0 = self.exit_cells[0][0]
-        self._exit_x1 = self.exit_cells[-1][0]
-        rows = ((x, y) for y in range(1, self.length) for x in range(self.width))
-        self.occupancy = dict.fromkeys((*self.exit_cells, *rows), FREE)
+        object.__setattr__(self, "heading", MappingProxyType(dict(self.heading)))
 
-    @property
-    def exit_width(self) -> int:
-        return len(self.exit_cells)
 
-    @cached_property
-    def heading(self) -> dict[Cell, float]:
-        """The static floor field: each floor cell's heading to its nearest exit."""
-        return {
-            cell: heading_toward(cell, nearest_exit_coordinate(self, cell))
-            for cell in self.occupancy
-        }
+@lru_cache(maxsize=1)  # consecutive runs of one geometry share it; one floor alive
+def build_floor(W: int, L: int, w: int) -> Floor:
+    """The floor of a W-by-L corridor with a centered w-wide exit on the end wall.
+
+    When ``W - w`` is odd the segment sits one cell closer to the low-index
+    side.  Raises InvalidDimensionsError unless ``1 <= w <= W < L``.
+    """
+    if w < 1 or w > W:
+        raise InvalidDimensionsError(f"exit width w={w} must satisfy 1 <= w <= W={W}")
+    if L <= W:
+        raise InvalidDimensionsError(f"corridor length L={L} must exceed width W={W}")
+    x0, x1 = (W - w) // 2, (W - w) // 2 + w - 1
+    exits = tuple((x, 0) for x in range(x0, x1 + 1))
+    rows = ((x, y) for y in range(1, L) for x in range(W))
+    heading = {cell: heading_toward(cell, (min(max(cell[0], x0), x1), 0))
+               for cell in (*exits, *rows)}
+    return Floor(width=W, length=L, exit_cells=exits, heading=heading)
+
+
+@dataclass
+class WorldGrid:
+    """One run's occupancy map: each floor cell, in the heading field's
+    order, maps to the id of the agent standing there or to FREE."""
+
+    floor: Floor
+    occupancy: dict[Cell, int] = field(init=False)
+
+    def __post_init__(self):
+        self.occupancy = dict.fromkeys(self.floor.heading, FREE)
 
     def place(self, agent_id: int, cell: Cell) -> None:
         occupant = self.occupancy.get(cell)
@@ -73,25 +91,6 @@ class WorldGrid:
     def move(self, old: Cell, new: Cell) -> None:
         self.place(self.occupancy[old], new)
         self.vacate(old)
-
-
-def build_world(W: int, L: int, w: int) -> WorldGrid:
-    """Build a corridor of width ``W`` and length ``L`` with a centered
-    ``w``-wide exit on the end wall.
-
-    When ``W - w`` is odd the segment sits one cell closer to the
-    low-index side, keeping placement deterministic.
-
-    Raises:
-        InvalidDimensionsError: unless ``1 <= w <= W < L``.
-    """
-    if w < 1 or w > W:
-        raise InvalidDimensionsError(f"exit width w={w} must satisfy 1 <= w <= W={W}")
-    if L <= W:
-        raise InvalidDimensionsError(f"corridor length L={L} must exceed width W={W}")
-    x0 = (W - w) // 2
-    exits = tuple((x, 0) for x in range(x0, x0 + w))
-    return WorldGrid(width=W, length=L, exit_cells=exits)
 
 
 def is_free(grid: WorldGrid, cell: Cell) -> bool:
@@ -113,16 +112,12 @@ def heading_toward(src: Cell, dst: Cell) -> float:
     return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
 
 
-def nearest_exit_coordinate(grid: WorldGrid, pos: Cell) -> Cell:
+def nearest_exit_coordinate(floor: Floor, pos: Cell) -> Cell:
     """Exit cell with minimal Euclidean distance to ``pos``.
 
     Ties resolve to the lowest transverse index.  For the contiguous
-    segments build_world produces, clamping the transverse coordinate
+    segments build_floor produces, clamping the transverse coordinate
     into the segment is exact (and tie-free for integer positions).
     """
-    x = pos[0]
-    if x < grid._exit_x0:
-        return (grid._exit_x0, 0)
-    if x > grid._exit_x1:
-        return (grid._exit_x1, 0)
-    return (x, 0)
+    (x0, _), (x1, _) = floor.exit_cells[0], floor.exit_cells[-1]
+    return (min(max(pos[0], x0), x1), 0)

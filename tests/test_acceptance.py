@@ -34,7 +34,7 @@ from archsim.engine import SimConfig, run, write_trace_csv
 from archsim.errors import ArchsimError
 from archsim.metrics import clog_cluster, detect_arch_onset
 from archsim.sweep import SweepConfig, run_sweep
-from archsim.world import build_world, nearest_exit_coordinate
+from archsim.world import build_floor, nearest_exit_coordinate
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -51,14 +51,14 @@ def _fmt(v, spec=".2f"):
 
 def test_criterion_1_arching_emergence():
     sweep = SweepConfig()
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     qualifying, runtimes, notes = 0, [], []
     for rep in range(3):
         cfg = sweep.sim_config(400, 7, rep)
         t0 = time.perf_counter()
         records = run(cfg)
         runtimes.append(time.perf_counter() - t0)
-        meas = detect_arch_onset(records, grid)
+        meas = detect_arch_onset(records, floor)
         if not meas.arch_detected:
             notes.append(f"rep{rep}: no arch")
             continue
@@ -301,23 +301,23 @@ def test_criterion_7_oracle_suites():
     cluster_bad = 0
     window = [(x, y) for x in range(11) for y in range(1, 12)]
     for _ in range(200):
-        grid = build_world(11, 12, int(rng.integers(1, 12)))
+        floor = build_floor(11, 12, int(rng.integers(1, 12)))
         picks = rng.choice(len(window), size=int(rng.integers(0, 31)), replace=False)
         cells = [window[i] for i in picks]
         record = make_record(0, cells)
-        if clog_cluster(record, grid) != _cluster_oracle(set(cells), grid.exit_cells):
+        if clog_cluster(record, floor) != _cluster_oracle(set(cells), floor.exit_cells):
             cluster_bad += 1
 
     exit_bad = 0
     for w in range(1, 12):
-        grid = build_world(11, 12, w)
+        floor = build_floor(11, 12, w)
         for x in range(11):
             for y in range(11):
                 best = min(
-                    sorted(grid.exit_cells),
+                    sorted(floor.exit_cells),
                     key=lambda e: math.hypot(x - e[0], y - e[1]),
                 )
-                if nearest_exit_coordinate(grid, (x, y)) != best:
+                if nearest_exit_coordinate(floor, (x, y)) != best:
                     exit_bad += 1
 
     ok = cone_bad == cluster_bad == exit_bad == 0

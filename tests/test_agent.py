@@ -15,7 +15,9 @@ from archsim.agent import (
     signed_deviation,
 )
 from archsim.engine import SimConfig
-from archsim.world import FREE, build_world, heading_toward, is_free, wrap_angle
+from archsim.world import (
+    FREE, Floor, WorldGrid, build_floor, heading_toward, is_free, wrap_angle
+)
 
 HALF_CONE_DEG = 50.0
 CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
@@ -142,9 +144,20 @@ def _crowd(grid, cells):
     return agents
 
 
+def _floor_with(base, headings):
+    """A floor like ``base`` whose heading field has ``headings`` written over it."""
+    return Floor(base.width, base.length, base.exit_cells, {**base.heading, **headings})
+
+
+def _pace(agent, grid, agents, config):
+    """choose_pace on the agent's entries of the grid's floor table."""
+    entries = neighbourhood(grid.floor, config)[agent.pos]
+    return choose_pace(entries, grid.occupancy, agents, config.trigger_threshold)
+
+
 def _scores(grid, cell, config):
     """The neighbourhood table's similarity score for each cone cell of ``cell``."""
-    return {q: score for q, _, score in neighbourhood(grid, config)[cell]}
+    return {q: score for q, _, score in neighbourhood(grid.floor, config)[cell]}
 
 
 def _toward(src, dst):
@@ -154,7 +167,7 @@ def _toward(src, dst):
 
 def _free_cone_cells(agent, grid, radius):
     x, y = agent.pos
-    return [(x + ox, y + oy) for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos])
+    return [(x + ox, y + oy) for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos])
             if is_free(grid, (x + ox, y + oy))]
 
 
@@ -169,42 +182,43 @@ def test_most_similar_neighbor_tie_to_lowest_id():
     focal, right, ahead, far = (5, 20), (8, 20), (5, 17), (11, 14)
     paces = {right: (6, 20), ahead: (5, 19), far: (6, 19)}
     for ids in ({right: 3, ahead: 9, far: 5}, {right: 9, ahead: 3, far: 5}):
-        grid = build_world(19, 60, 19)
+        crowd = {focal: 0, **ids}
+        down_right = dict.fromkeys(crowd, 7 * math.pi / 4)  # heading term 1
+        grid = WorldGrid(_floor_with(build_floor(19, 60, 19), down_right))
         agents = [Agent(id=i, pos=(i, 50)) for i in range(10)]  # parked out of view
-        for cell, agent_id in {focal: 0, **ids}.items():
+        for cell, agent_id in crowd.items():
             agents[agent_id].pos = cell
             grid.place(agent_id, cell)
-            grid.heading[cell] = 7 * math.pi / 4  # all face down-right: heading term 1
         scores = _scores(grid, focal, config)
         assert scores[right] == pytest.approx(0.85)  # 0.5 * (1 - 3/10) + 0.5
         assert scores[ahead] == pytest.approx(0.85)
         assert scores[far] == pytest.approx(0.5 * (1 - math.hypot(6, 6) / 10) + 0.5)
         best = next(cell for cell, agent_id in ids.items() if agent_id == 3)
-        assert choose_pace(agents[0], grid, agents, config) == paces[best]
+        assert _pace(agents[0], grid, agents, config) == paces[best]
 
 
 def test_most_similar_neighbor_reads_headings_from_the_floor():
     """A near neighbour on a cell facing a quarter turn away loses to a
     farther one facing the same way."""
     config = SimConfig(c=3, w=19, d_max=10.0, vision_radius=4, trigger_threshold=0.9)
-    grid = build_world(19, 60, 19)  # every floor heading straight down
+    # every floor heading straight down but (5, 9)'s, facing along the wall
+    grid = WorldGrid(_floor_with(build_floor(19, 60, 19), {(5, 9): math.pi}))
     agents = _crowd(grid, [(5, 10), (5, 9), (5, 6)])
-    grid.heading[(5, 9)] = math.pi  # facing along the wall, not down
     scores = _scores(grid, (5, 10), config)
     assert scores[(5, 9)] == pytest.approx(0.7)  # 0.5 * (1 - 1/10) + 0.5 * 0.5
     assert scores[(5, 6)] == pytest.approx(0.8)  # 0.5 * (1 - 4/10) + 0.5 * 1.0
     # triggered by the far match: toward (5, 7), the free cell nearest it;
     # the near match would have drawn the agent to (4, 9)
-    assert choose_pace(agents[0], grid, agents, config) == (5, 9)
+    assert _pace(agents[0], grid, agents, config) == (5, 9)
 
 
 def test_most_similar_neighbor_empty():
     """Alone in view, the agent never triggers: the closest free cell wins."""
     config = SimConfig(c=1, w=7, trigger_threshold=1.0)
-    grid = build_world(19, 60, 7)
+    grid = WorldGrid(build_floor(19, 60, 7))
     agents = _crowd(grid, [(4, 4)])
-    assert choose_pace(agents[0], grid, agents, config) == (4, 3)
-    assert neighbourhood(grid, config)[(4, 4)][0][:2] == ((4, 3), (4, 3))
+    assert _pace(agents[0], grid, agents, config) == (4, 3)
+    assert neighbourhood(grid.floor, config)[(4, 4)][0][:2] == ((4, 3), (4, 3))
 
 
 # -------------------------------------------------------------- the free cell
@@ -214,34 +228,32 @@ UNTRIGGERED = SimConfig(c=2, w=1, trigger_threshold=0.0)  # no score falls below
 
 def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     """Equal-distance candidates at ~10 and ~43 degrees: the 10-degree one."""
-    grid = build_world(19, 60, 7)
+    heading = math.atan2(1, 2) - math.radians(10)
+    grid = WorldGrid(_floor_with(build_floor(19, 60, 7), {(5, 30): heading}))
     # the focal agent, then blockers on the nearer cells (1,0), (1,1), (2,0)
     agents = _crowd(grid, [(5, 30), (6, 30), (6, 31), (7, 30)])
-    heading = math.atan2(1, 2) - math.radians(10)
-    grid.heading[agents[0].pos] = heading
     # toward (7, 31); the 43-degree cell (7, 29) would give (6, 29)
-    assert choose_pace(agents[0], grid, agents, UNTRIGGERED) == (6, 31)
-    entries = neighbourhood(grid, UNTRIGGERED)[agents[0].pos]
+    assert _pace(agents[0], grid, agents, UNTRIGGERED) == (6, 31)
+    entries = neighbourhood(grid.floor, UNTRIGGERED)[agents[0].pos]
     assert [q for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
     for (q, _, score), dist in zip(entries, [1.0, math.sqrt(2), 2.0]):
-        assert score == similarity(dist, heading, grid.heading[q], UNTRIGGERED)
+        assert score == similarity(dist, heading, grid.floor.heading[q], UNTRIGGERED)
 
 
 def test_choose_target_none_when_cone_blocked():
-    grid = build_world(19, 60, 7)
+    grid = WorldGrid(_floor_with(build_floor(19, 60, 7), {(9, 30): 3 * math.pi / 2}))
     blockers = [(9 + ox, 30 + oy) for ox, oy in sorted(_oracle_cone(3, 3 * math.pi / 2))]
     agents = _crowd(grid, [(9, 30)] + blockers)
-    grid.heading[agents[0].pos] = 3 * math.pi / 2
-    assert len(neighbourhood(grid, CONFIG)[agents[0].pos]) == len(blockers)
-    assert choose_pace(agents[0], grid, agents, UNTRIGGERED) is None
+    assert len(neighbourhood(grid.floor, CONFIG)[agents[0].pos]) == len(blockers)
+    assert _pace(agents[0], grid, agents, UNTRIGGERED) is None
     triggered = SimConfig(c=2, w=1, trigger_threshold=1.0)
-    assert choose_pace(agents[0], grid, agents, triggered) is None
+    assert _pace(agents[0], grid, agents, triggered) is None
 
 
 @given(data=st.data())
 @settings(max_examples=60)
 def test_choose_target_returns_free_cell(data):
-    grid = build_world(9, 14, 3)
+    grid = WorldGrid(build_floor(9, 14, 3))
     x = data.draw(st.integers(0, 8))
     y = data.draw(st.integers(1, 13))
     cells = [(i, j) for i in range(9) for j in range(14)
@@ -249,7 +261,7 @@ def test_choose_target_returns_free_cell(data):
     blocked = data.draw(st.lists(st.sampled_from(cells), max_size=20, unique=True))
     agents = _crowd(grid, [(x, y)] + blocked)
     free = _free_cone_cells(agents[0], grid, 3)
-    pace = choose_pace(agents[0], grid, agents, UNTRIGGERED)
+    pace = _pace(agents[0], grid, agents, UNTRIGGERED)
     assert (pace is None) == (not free)
     if pace is not None:
         assert pace == _toward((x, y), free[0])
@@ -260,29 +272,29 @@ def test_choose_target_returns_free_cell(data):
 # ---------------------------------------------------------------- adjustment
 
 def test_sct_passthrough_above_threshold():
-    grid = build_world(19, 60, 1)
+    grid = WorldGrid(build_floor(19, 60, 1))
     focal, other = _crowd(grid, [(10, 10), (8, 8)])
     score = _scores(grid, focal.pos, CONFIG)[other.pos]
     for threshold in (0.0, score):  # below and at the match's score
         config = SimConfig(c=2, w=1, trigger_threshold=threshold)
-        assert choose_pace(focal, grid, [focal, other], config) == (10, 9)
+        assert _pace(focal, grid, [focal, other], config) == (10, 9)
     grid.vacate(other.pos)  # no match in view
-    assert choose_pace(focal, grid, [focal, other], CONFIG) == (10, 9)
+    assert _pace(focal, grid, [focal, other], CONFIG) == (10, 9)
 
 
 def test_sct_veers_toward_dissimilar_comparison():
     """A low-scoring match two cells down-left pulls the pace leftward."""
-    grid = build_world(19, 60, 1)
+    grid = WorldGrid(build_floor(19, 60, 1))
     focal, other = _crowd(grid, [(10, 10), (8, 8)])
     config = SimConfig(c=2, w=1, trigger_threshold=1.0)
     # nearest free cone cell to (8,8) is (9,8): one step down-left of the focal agent
-    assert choose_pace(focal, grid, [focal, other], config) == (9, 9)
+    assert _pace(focal, grid, [focal, other], config) == (9, 9)
 
 
 @given(data=st.data())
 @settings(max_examples=60)
 def test_sct_adjust_result_is_free_or_goal(data):
-    grid = build_world(9, 14, 3)
+    grid = WorldGrid(build_floor(9, 14, 3))
     x, y = data.draw(st.integers(0, 8)), data.draw(st.integers(2, 13))
     ox, oy = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
     other_pos = (x + ox, y + oy)
@@ -291,10 +303,10 @@ def test_sct_adjust_result_is_free_or_goal(data):
     agents = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
     threshold = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     config = SimConfig(c=2, w=3, W=9, L=14, trigger_threshold=threshold)
-    pace = choose_pace(agents[0], grid, agents, config)
+    pace = _pace(agents[0], grid, agents, config)
     score = _scores(grid, (x, y), config).get(other_pos)
     if score is None or score >= threshold:
-        assert pace == choose_pace(agents[0], grid, agents, UNTRIGGERED)
+        assert pace == _pace(agents[0], grid, agents, UNTRIGGERED)
     elif pace is not None:
         assert pace in {_toward((x, y), cell) for cell in _free_cone_cells(agents[0], grid, 3)}
 
@@ -307,7 +319,7 @@ def _sign(v):
 
 def _choose_target_cell(agent, grid, radius):
     x, y = agent.pos
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
+    for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos]):
         cell = (x + ox, y + oy)
         if is_free(grid, cell):
             return cell
@@ -317,7 +329,7 @@ def _choose_target_cell(agent, grid, radius):
 def _visible_agents(agent, grid, agents, radius):
     x, y = agent.pos
     out = []
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
+    for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos]):
         other_id = grid.occupancy.get((x + ox, y + oy))
         if other_id not in (None, FREE) and not agents[other_id].exited:
             out.append((agents[other_id], math.hypot(ox, oy)))
@@ -326,7 +338,7 @@ def _visible_agents(agent, grid, agents, radius):
 
 def _most_similar_neighbor(agent, visible, grid, config):
     """The visible agent with the highest similarity score, ties to lowest id."""
-    headings = grid.heading
+    headings = grid.floor.heading
     heading = headings[agent.pos]
     best = None
     best_score = -1.0
@@ -350,7 +362,7 @@ def _sct_adjust(agent, comparison, goal_target, grid, radius, config):
     tx, ty = other.pos
     best = None
     best_d2 = None
-    for ox, oy, _ in cone_offsets(radius, grid.heading[agent.pos]):
+    for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos]):
         cell = (x + ox, y + oy)
         if not is_free(grid, cell):
             continue
@@ -383,15 +395,16 @@ def test_choose_pace_matches_scan_reference(data):
     mirrored = data.draw(st.booleans())
     # with the exit across the whole end wall, every floor cell faces straight
     # down, so two cells mirrored across the focal's column score equal
-    grid = build_world(W, L, W if mirrored else data.draw(st.integers(1, W)))
+    base = build_floor(W, L, W if mirrored else data.draw(st.integers(1, W)))
     radius = data.draw(st.integers(1, 4))
     x = data.draw(st.integers(0, W - 1))
     # often near the door, where exited bodies stand in view
     y = data.draw(st.integers(1, min(radius + 1, L - 1)) | st.integers(1, L - 1))
-    if not data.draw(st.booleans()):  # else the floor's heading, facing the exit
-        grid.heading[x, y] = data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    headings = {}  # written over the floor's field, which faces the exit
+    if not data.draw(st.booleans()):
+        headings[x, y] = data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
     # blockers mostly in view; cells off the floor put a wall in view
-    cone = cone_offsets(radius, grid.heading[x, y])
+    cone = cone_offsets(radius, headings.get((x, y), base.heading[x, y]))
     in_view = st.sampled_from([(ox, oy) for ox, oy, _ in cone])
     anywhere = st.tuples(st.integers(-radius, radius), st.integers(-radius, radius))
     offsets = data.draw(st.lists(in_view | anywhere, min_size=1, max_size=12))
@@ -399,16 +412,19 @@ def test_choose_pace_matches_scan_reference(data):
         ox, oy = data.draw(st.integers(1, radius)), data.draw(st.integers(-radius, -1))
         offsets += [(ox, oy), (-ox, oy)]
     cells = [cell for cell in dict.fromkeys((x + ox, y + oy) for ox, oy in [(0, 0), *offsets])
-             if cell in grid.occupancy]
+             if cell in base.heading]
     order = data.draw(st.permutations(range(len(cells))))  # ids in random order
-    agents = _crowd(grid, [cells[i] for i in order])
+    agents = [Agent(id=i, pos=cells[j]) for i, j in enumerate(order)]
     focal = agents[order.index(0)]
     for agent in agents:
         if agent.pos[1] == 0:  # an exited body still standing in the doorway
             agent.exited = data.draw(st.booleans())
     if not mirrored and data.draw(st.booleans()):
-        grid.heading[data.draw(st.sampled_from(cells))] = data.draw(
+        headings[data.draw(st.sampled_from(cells))] = data.draw(
             st.floats(0.0, 2 * math.pi, exclude_max=True))
+    grid = WorldGrid(_floor_with(base, headings))
+    for agent in agents:
+        grid.place(agent.id, agent.pos)
     config = SimConfig(c=len(agents), w=1, W=W, L=L, vision_radius=radius,
                        d_max=data.draw(st.floats(0.5, 6.0)))
     visible = _visible_agents(focal, grid, agents, radius)
@@ -421,4 +437,4 @@ def test_choose_pace_matches_scan_reference(data):
     config.trigger_threshold = data.draw(thresholds)
 
     expected = _reference_pace(focal, grid, agents, config)
-    assert choose_pace(focal, grid, agents, config) == expected
+    assert _pace(focal, grid, agents, config) == expected

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: artifacts, headers, reproducibility, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -71,6 +72,15 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--step", "999999",
                  "--format", "ascii"]) == 1
     assert "outside trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(RUN_CFG.encode() + b"# caf\xff\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
     assert not out.exists()
 
 
@@ -168,6 +178,17 @@ def test_render_rejects_ragged_trace(run_dir, tmp_path, capsys):
                  "--config", str(run_dir / "effective_config.txt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "ragged.csv: line 7:" in err
+
+
+def test_render_rejects_trace_that_is_not_utf8(run_dir, tmp_path, capsys):
+    lines = (run_dir / "trace.csv").read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines[:8] + [b"1,\xff" + lines[8][2:]] + lines[9:]))
+    out = tmp_path / "frame.txt"
+    assert main(["render", str(bad), "--config", str(run_dir / "effective_config.txt"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text\n")
+    assert not out.exists()
 
 
 def test_render_rejects_out_of_range_coordinate(run_dir, tmp_path, capsys):
@@ -393,6 +414,15 @@ def test_analyze_rejects_detection_without_measurements(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_rejects_measurements_that_are_not_utf8(tmp_path, capsys):
+    src = tmp_path / "measurements.csv"
+    src.write_bytes(PERFECT_LINE_CSV.encode() + b"200,5,19,5,0,1,25,7,9,15\xff\n")
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src}: not UTF-8 text\n"
+    assert not out.exists()
+
+
 def test_analyze_rejects_zero_exit_width(tmp_path, capsys):
     status, out = _analyze(PERFECT_LINE_CSV + "400,0,19,11,0,1,21,6,11,30\n"
                            "200,0,19,14,0,1,22,6,11,30\n", tmp_path)
@@ -431,6 +461,18 @@ def test_analyze_default_sweep(default_sweep, tmp_path):
     assert len(table) == 36  # header + one row per factorial cell
     fits = (out / "regression.csv").read_text().splitlines()[1:]
     assert len(list(out.glob("T_vs_w_c*.svg"))) == len(fits)
+
+
+def test_default_sweep_bytes_are_pinned(default_sweep):
+    """The default sweep's files are a contract: bench/golden.json records the
+    same hashes, and no refactor of the step, the floor or the sweep order may
+    change them."""
+    pinned = {
+        "measurements.csv": "e620dc3202b44e9572b2f395ec1f58b2891ca048f83ea5355d17ed7ab33bd42b",
+        "sweep_table.csv": "437c8325a1ceba67ba1d6c2413bbbda282f43f495c725b31f5ca5d0e35aaec04",
+    }
+    for name, sha256 in pinned.items():
+        assert hashlib.sha256((default_sweep.out / name).read_bytes()).hexdigest() == sha256, name
 
 
 def test_default_sweep_shape(default_sweep):

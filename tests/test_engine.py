@@ -19,13 +19,13 @@ from archsim.engine import (
 )
 from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError, InvalidDimensionsError
 from archsim.metrics import detect_arch_onset
-from archsim.world import FREE, build_world, nearest_exit_coordinate
+from archsim.world import FREE, WorldGrid, build_floor, nearest_exit_coordinate
 
 from conftest import reading
 
 
 def _lone_agent_world(pos, w=1):
-    grid = build_world(19, 60, w)
+    grid = WorldGrid(build_floor(19, 60, w))
     agent = Agent(id=0, pos=pos)
     grid.place(0, pos)
     return grid, [agent]
@@ -57,7 +57,7 @@ def test_agent_standing_on_exit_cell_exits():
 
 
 def test_enclosed_agent_stays_put():
-    grid = build_world(19, 60, 7)
+    grid = WorldGrid(build_floor(19, 60, 7))
     focal = Agent(id=0, pos=(9, 30))
     grid.place(0, focal.pos)
     agents = [focal]
@@ -90,7 +90,7 @@ def test_lone_agent_trace_length_is_taxicab_distance():
     for seed in range(5):
         cfg = SimConfig(c=1, w=7, seed=seed)
         grid, (agent,), _ = initialize(cfg)
-        ex = nearest_exit_coordinate(grid, agent.pos)
+        ex = nearest_exit_coordinate(grid.floor, agent.pos)
         d = abs(agent.pos[0] - ex[0]) + abs(agent.pos[1] - ex[1])
         records = run(cfg)
         assert records[-1].exited_count == 1
@@ -220,11 +220,11 @@ def test_step_invariants_hold_on_random_configs(cfg):
 def test_detector_on_live_simulation_matches_full_trace(cfg, threshold_factor, persistence):
     """Streaming the run gives the stored trace's measurement, and an
     arch stops the simulation right after its persistence window."""
-    grid = build_world(cfg.W, cfg.L, cfg.w)
+    floor = build_floor(cfg.W, cfg.L, cfg.w)
     records = run(cfg)
     read = []
-    live = detect_arch_onset(reading(simulate(cfg), read), grid, threshold_factor, persistence)
-    assert live == detect_arch_onset(records, grid, threshold_factor, persistence)
+    live = detect_arch_onset(reading(simulate(cfg), read), floor, threshold_factor, persistence)
+    assert live == detect_arch_onset(records, floor, threshold_factor, persistence)
     if live.arch_detected:
         assert read == list(range(live.T + persistence + 1))
     else:

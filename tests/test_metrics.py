@@ -15,12 +15,12 @@ from archsim.metrics import (
     exit_centered,
     measure_axes,
 )
-from archsim.world import build_world
+from archsim.world import build_floor
 
 from conftest import make_record, reading
 
 
-def _oracle_clog(record, grid):
+def _oracle_clog(record, floor):
     """Independent BFS oracle for the largest exit-touching stationary blob."""
     cells = {
         (int(x), int(y))
@@ -49,7 +49,7 @@ def _oracle_clog(record, grid):
         if any(
             (cx - ex) ** 2 + (cy - ey) ** 2 <= 1
             for cx, cy in comp
-            for ex, ey in grid.exit_cells
+            for ex, ey in floor.exit_cells
         )
     ]
     if not touching:
@@ -60,53 +60,53 @@ def _oracle_clog(record, grid):
 # -------------------------------------------------------------- clog_cluster
 
 def test_free_flowing_step_has_no_cluster():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     rec = make_record(3, [(9, 1), (10, 2), (8, 3)], moved=(0, 1, 2))
-    assert clog_cluster(rec, grid) == set()
+    assert clog_cluster(rec, floor) == set()
 
 
 def test_isolated_stationary_agent_at_exit_is_singleton():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     rec = make_record(3, [(6, 1), (10, 30)], moved=(1,))
-    assert clog_cluster(rec, grid) == {(6, 1)}
+    assert clog_cluster(rec, floor) == {(6, 1)}
 
 
 def test_exit_adjacency_is_euclidean_not_diagonal():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     # (5,1) is sqrt(2) from the nearest exit cell (6,0): not adjacent
-    assert clog_cluster(make_record(0, [(5, 1)]), grid) == set()
-    assert clog_cluster(make_record(0, [(6, 1)]), grid) == {(6, 1)}
-    assert clog_cluster(make_record(0, [(6, 0)]), grid) == {(6, 0)}
+    assert clog_cluster(make_record(0, [(5, 1)]), floor) == set()
+    assert clog_cluster(make_record(0, [(6, 1)]), floor) == {(6, 1)}
+    assert clog_cluster(make_record(0, [(6, 0)]), floor) == {(6, 0)}
 
 
 def test_blob_plus_distant_stragglers():
     """12-agent blob touching the exit wins over 3 distant stationary agents."""
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     blob = [(x, y) for x in (8, 9, 10, 11) for y in (1, 2, 3)]
     distant = [(2, 40), (3, 41), (16, 50)]
     rec = make_record(9, blob + distant)
-    cluster = clog_cluster(rec, grid)
+    cluster = clog_cluster(rec, floor)
     assert cluster == set(blob)
     assert len(cluster) == 12
-    assert cluster == _oracle_clog(rec, grid)
+    assert cluster == _oracle_clog(rec, floor)
 
 
 def test_equal_size_tie_prefers_smaller_min_cell():
-    grid = build_world(19, 60, 19)  # whole wall is exit: both blobs touch
+    floor = build_floor(19, 60, 19)  # whole wall is exit: both blobs touch
     left = [(0, 1), (1, 1), (2, 1)]
     right = [(10, 1), (11, 1), (12, 1)]
     rec = make_record(0, left + right)
-    assert clog_cluster(rec, grid) == set(left)
+    assert clog_cluster(rec, floor) == set(left)
 
 
 def test_exited_agents_never_cluster():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     rec = make_record(4, [(9, 1), (9, 2)], exited=(1,))
-    assert clog_cluster(rec, grid) == {(9, 1)}
+    assert clog_cluster(rec, floor) == {(9, 1)}
     # nor can an exited body anchor its neighbors to the exit: alone,
     # (9, 2) is two cells from the exit row and does not qualify
     rec2 = make_record(4, [(9, 1), (9, 2)], exited=(0,))
-    assert clog_cluster(rec2, grid) == set()
+    assert clog_cluster(rec2, floor) == set()
 
 
 def test_clog_cluster_matches_oracle_on_random_layouts():
@@ -114,43 +114,43 @@ def test_clog_cluster_matches_oracle_on_random_layouts():
     rnd = random.Random(4021)
     for trial in range(300):
         w = rnd.choice([1, 3, 5, 7, 11])
-        grid = build_world(11, 12, w)
-        cells = [(x, y) for x in range(11) for y in range(11) if (x, y) in grid.occupancy]
+        floor = build_floor(11, 12, w)
+        cells = [(x, y) for x in range(11) for y in range(11) if (x, y) in floor.heading]
         n = rnd.randint(0, 30)
         layout = rnd.sample(cells, n)
         moved = [i for i in range(n) if rnd.random() < 0.35]
         rec = make_record(trial, layout, moved=moved)
-        assert clog_cluster(rec, grid) == _oracle_clog(rec, grid), (trial, w, layout)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor), (trial, w, layout)
 
 
 # ------------------------------------------------------------------- onset
 
 def _half_disk_cells(w=7):
     """Discrete half-disk of radius 4 on the exit midpoint, walls clipped."""
-    grid = build_world(19, 60, w)
+    floor = build_floor(19, 60, w)
     return {
         (9 + dx, dy)
         for dy in range(0, 5)
         for dx in range(-4, 5)
-        if dx * dx + dy * dy <= 16 and (9 + dx, dy) in grid.occupancy
+        if dx * dx + dy * dy <= 16 and (9 + dx, dy) in floor.heading
     }
 
 
 def test_unclogged_single_agent_has_no_arch():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     records = run(SimConfig(c=1, w=7, seed=3))
-    result = detect_arch_onset(records, grid)
+    result = detect_arch_onset(records, floor)
     assert not result.arch_detected
     assert result.T is None and result.M is None and result.m is None
 
 
 def test_half_disk_onset_at_t17():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     cells = sorted(_half_disk_cells())
     assert len(cells) == 27  # above the 3*w = 21 threshold
     moving = [make_record(t, cells, moved=range(len(cells))) for t in range(17)]
     still = [make_record(t, cells) for t in range(17, 22)]
-    result = detect_arch_onset(moving + still, grid)
+    result = detect_arch_onset(moving + still, floor)
     assert result.arch_detected
     assert result.T == 17
     assert result.cluster_size == 27
@@ -159,7 +159,7 @@ def test_half_disk_onset_at_t17():
 
 def test_transient_cluster_is_not_onset():
     """A qualifying cluster must stay nonempty for the next 3 steps."""
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     cells = sorted(_half_disk_cells())
     ids = range(len(cells))
     frames = []
@@ -168,7 +168,7 @@ def test_transient_cluster_is_not_onset():
             frames.append(make_record(t, cells))            # stationary
         else:
             frames.append(make_record(t, cells, moved=ids))  # dissolved
-    result = detect_arch_onset(frames, grid)
+    result = detect_arch_onset(frames, floor)
     # t=5 qualifies on size but its cluster dissolves at t=7; the run of
     # stationary frames from t=9 leaves a full persistence window
     assert result.T == 9
@@ -185,13 +185,13 @@ def _column_frames(sizes):
     ]
 
 
-def _reference_onset(frames, grid, threshold_factor, persistence):
+def _reference_onset(frames, floor, threshold_factor, persistence):
     """The detector's definition spelled out on the stored trace: the first
     qualifying step whose next `persistence` clusters are all nonempty."""
-    clusters = [clog_cluster(rec, grid) for rec in frames]
+    clusters = [clog_cluster(rec, floor) for rec in frames]
     for i, cluster in enumerate(clusters):
         window = clusters[i + 1 : i + 1 + persistence]
-        if len(cluster) >= threshold_factor * grid.exit_width and (
+        if len(cluster) >= threshold_factor * len(floor.exit_cells) and (
             len(window) == persistence and all(window)
         ):
             return frames[i].t, len(cluster)
@@ -199,26 +199,26 @@ def _reference_onset(frames, grid, threshold_factor, persistence):
 
 
 def test_empty_cluster_in_window_resumes_scan_after_it():
-    grid = build_world(19, 60, 1)  # threshold 3
+    floor = build_floor(19, 60, 1)  # threshold 3
     # t=0 and t=1 qualify, but t=2 is empty; t=3 qualifies and holds
     frames = _column_frames([3, 4, 0, 3, 1, 1, 2, 5, 5])
     read = []
-    result = detect_arch_onset(reading(frames, read), grid)
+    result = detect_arch_onset(reading(frames, read), floor)
     assert (result.T, result.cluster_size) == (3, 3)
     assert read == [0, 1, 2, 3, 4, 5, 6]  # stopped at T + persistence
 
 
 def test_trace_ending_inside_the_window_has_no_arch():
-    grid = build_world(19, 60, 1)
+    floor = build_floor(19, 60, 1)
     frames = _column_frames([1, 0, 4, 2, 1])  # t=2 qualifies, trace ends at t=4
     read = []
-    assert not detect_arch_onset(reading(frames, read), grid).arch_detected
+    assert not detect_arch_onset(reading(frames, read), floor).arch_detected
     assert read == [0, 1, 2, 3, 4]
-    assert detect_arch_onset(frames, grid, persistence=2).T == 2
+    assert detect_arch_onset(frames, floor, persistence=2).T == 2
 
 
 def test_streaming_detector_matches_reference_on_random_traces():
-    grid = build_world(19, 60, 1)
+    floor = build_floor(19, 60, 1)
     rnd = random.Random(77)
     for trial in range(400):
         sizes = [rnd.choice([0, 0, 1, 2, 3, 4]) for _ in range(rnd.randint(1, 12))]
@@ -226,30 +226,30 @@ def test_streaming_detector_matches_reference_on_random_traces():
         frames = _column_frames(sizes)
         threshold_factor = rnd.choice([1.0, 3.0, 4.0])
         persistence = rnd.randint(0, 4)
-        result = detect_arch_onset(frames, grid, threshold_factor, persistence)
-        expected = _reference_onset(frames, grid, threshold_factor, persistence)
+        result = detect_arch_onset(frames, floor, threshold_factor, persistence)
+        expected = _reference_onset(frames, floor, threshold_factor, persistence)
         got = (result.T, result.cluster_size) if result.arch_detected else None
         assert got == expected, (trial, sizes, threshold_factor, persistence)
 
 
 def test_onset_threshold_scales_with_exit_width():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     small = [(x, 1) for x in range(6, 13)]  # 7 cells: below the 3*7 threshold
     frames = [make_record(t, small) for t in range(10)]
-    assert not detect_arch_onset(frames, grid).arch_detected
-    assert detect_arch_onset(frames, grid, threshold_factor=1.0).arch_detected
+    assert not detect_arch_onset(frames, floor).arch_detected
+    assert detect_arch_onset(frames, floor, threshold_factor=1.0).arch_detected
 
 
 def test_detector_is_deterministic_on_stored_trace(tmp_path):
     from archsim.sweep import derive_seed
 
     cfg = SimConfig(c=200, w=3, seed=derive_seed(0, 200, 3, 0))
-    grid = build_world(cfg.W, cfg.L, cfg.w)
+    floor = build_floor(cfg.W, cfg.L, cfg.w)
     records = run(cfg)
-    first = detect_arch_onset(records, grid)
+    first = detect_arch_onset(records, floor)
     assert first.arch_detected
     write_trace_csv(records, tmp_path / "trace.csv")
-    second = detect_arch_onset(read_trace_csv(tmp_path / "trace.csv"), grid)
+    second = detect_arch_onset(read_trace_csv(tmp_path / "trace.csv"), floor)
     assert (first.T, first.M, first.m, first.cluster_size) == (
         second.T, second.M, second.m, second.cluster_size,
     )
@@ -257,11 +257,11 @@ def test_detector_is_deterministic_on_stored_trace(tmp_path):
 
 def test_width_overflow_is_a_hard_assertion():
     # corrupt trace: contiguous stationary row wider than the corridor
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
     row = [(x, 1) for x in range(-2, 21)]
     frames = [make_record(t, row) for t in range(6)]
     with pytest.raises(ArchsimError):
-        detect_arch_onset(frames, grid)
+        detect_arch_onset(frames, floor)
 
 
 # ------------------------------------------------------------- measure_axes
@@ -320,10 +320,10 @@ def test_frontier_of_singleton():
 
 
 def test_exit_centered_coordinates():
-    grid = build_world(19, 60, 7)  # exit center x = 9.0
-    assert exit_centered([(9, 1), (6, 0)], grid) == [(0.0, 1.0), (-3.0, 0.0)]
-    grid2 = build_world(19, 60, 2)  # exit cells x = 8, 9: center 8.5
-    assert exit_centered([(8, 1)], grid2) == [(-0.5, 1.0)]
+    floor = build_floor(19, 60, 7)  # exit center x = 9.0
+    assert exit_centered([(9, 1), (6, 0)], floor) == [(0.0, 1.0), (-3.0, 0.0)]
+    floor2 = build_floor(19, 60, 2)  # exit cells x = 8, 9: center 8.5
+    assert exit_centered([(8, 1)], floor2) == [(-0.5, 1.0)]
 
 
 def test_residual_zero_on_exact_ellipse():
@@ -340,17 +340,17 @@ def test_residual_of_flat_line_at_depth():
 
 
 def test_rectangle_less_ellipse_like_than_half_disk():
-    grid = build_world(19, 60, 7)
+    floor = build_floor(19, 60, 7)
 
     def residual(cluster):
         M, m = measure_axes(cluster)
-        return ellipse_fit_residual(exit_centered(cluster_frontier(cluster), grid), M, m)
+        return ellipse_fit_residual(exit_centered(cluster_frontier(cluster), floor), M, m)
 
     half_disk = _half_disk_cells()
     rect = {
         (x, y)
         for x in range(5, 14)
         for y in range(0, 5)
-        if (x, y) in grid.occupancy
+        if (x, y) in floor.heading
     }
     assert residual(rect) > residual(half_disk)

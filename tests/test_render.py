@@ -5,22 +5,22 @@ from types import SimpleNamespace
 from conftest import make_record
 
 from archsim.render import _nice_ticks, ascii_frame, svg_frame, svg_scatter
-from archsim.world import build_world
+from archsim.world import build_floor
 
 
 def _tiny_scene():
     # 3x4 corridor, one exit cell at x=1; agent 0 just moved, agent 1 is
     # stuck, agent 2 already left (must not be drawn)
-    grid = build_world(3, 4, 1)
+    floor = build_floor(3, 4, 1)
     record = make_record(
         5, [(1, 2), (0, 1), (2, 2)], moved=(0,), exited=(2,)
     )
-    return grid, record
+    return floor, record
 
 
 def test_ascii_frame_exact():
-    grid, record = _tiny_scene()
-    assert ascii_frame(record, grid) == (
+    floor, record = _tiny_scene()
+    assert ascii_frame(record, floor) == (
         "##=##\n"
         "#x..#\n"
         "#.o.#\n"
@@ -30,16 +30,16 @@ def test_ascii_frame_exact():
 
 
 def test_ascii_frame_empty_world():
-    grid = build_world(3, 4, 1)
+    floor = build_floor(3, 4, 1)
     record = make_record(0, [])
-    frame = ascii_frame(record, grid)
+    frame = ascii_frame(record, floor)
     assert "o" not in frame and "x" not in frame
     assert frame.count("=") == 1
 
 
 def test_svg_frame_glyphs():
-    grid, record = _tiny_scene()
-    svg = svg_frame(record, grid)
+    floor, record = _tiny_scene()
+    svg = svg_frame(record, floor)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert 'width="50"' in svg and 'height="50"' in svg  # (W+2, L+1) cells at 10px
     assert svg.count('fill="#58b368"') == 1  # exit cell

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from archsim import config as configmod, engine, sweep
+from archsim import agent, config as configmod, engine, sweep, world
 from archsim.cli import main
 from archsim.engine import run
 from archsim.errors import ArchsimError, ConfigError, InvalidDimensionsError
@@ -91,13 +91,40 @@ def test_sweep_independent_of_parallelism():
 
 
 def test_sweep_progress_callback():
+    """A serial sweep visits the cells w-major, so consecutive cells share a floor."""
     seen = []
     run_sweep(
-        SweepConfig(c_levels=(15,), w_levels=(3,), replicates=2, max_steps=300),
+        SweepConfig(c_levels=(15, 10), w_levels=(3, 1), replicates=2, max_steps=300),
         progress=lambda done, total, task: seen.append((done, total, task)),
     )
-    assert [(d, t) for d, t, _ in seen] == [(1, 2), (2, 2)]
-    assert {task for _, _, task in seen} == {(15, 3, 0), (15, 3, 1)}
+    assert [(d, t) for d, t, _ in seen] == [(d, 8) for d in range(1, 9)]
+    assert [task for _, _, task in seen] == [
+        (c, w, rep) for w in (3, 1) for c in (15, 10) for rep in (0, 1)
+    ]
+
+
+def test_run_cell_independent_of_the_floors_before_it():
+    """A cell's row does not depend on which geometries ran before it in the process."""
+    first = run_cell(TINY, 20, 3, 1)
+    run_cell(TINY, 40, 5, 0)
+    assert run_cell(TINY, 20, 3, 1) == first
+
+
+def test_serial_sweep_builds_one_table_per_width(monkeypatch):
+    builds = []
+    real_build = agent._build_neighbourhood
+
+    def counting_build(floor, config):
+        builds.append((len(floor.exit_cells), config.vision_radius))
+        return real_build(floor, config)
+
+    monkeypatch.setattr(agent, "_build_neighbourhood", counting_build)
+    world.build_floor.cache_clear()  # no floor left over from earlier tests
+    rows, errors = run_sweep(
+        SweepConfig(c_levels=(10, 20), w_levels=(1, 3, 5), replicates=2, max_steps=300)
+    )
+    assert len(rows) == 12 and not errors
+    assert builds == [(1, 3), (3, 3), (5, 3)]
 
 
 def test_single_cell_single_replicate():

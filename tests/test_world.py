@@ -1,5 +1,5 @@
 """World geometry: exit placement, walls, occupancy, nearest-exit selection,
-the heading field."""
+the heading field and the shared floor."""
 
 import math
 
@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from archsim.errors import InvalidDimensionsError
 from archsim.world import (
     FREE,
+    Floor,
     WorldGrid,
-    build_world,
+    build_floor,
     heading_toward,
     is_free,
     nearest_exit_coordinate,
@@ -18,28 +19,27 @@ from archsim.world import (
 
 
 def test_centered_exit_19_7():
-    grid = build_world(19, 60, 7)
-    assert grid.exit_cells == tuple((x, 0) for x in range(6, 13))
-    assert grid.exit_width == 7
+    floor = build_floor(19, 60, 7)
+    assert floor.exit_cells == tuple((x, 0) for x in range(6, 13))
 
 
 def test_exit_spanning_whole_wall():
-    grid = build_world(19, 60, 19)
-    assert grid.exit_cells == tuple((x, 0) for x in range(0, 19))
+    floor = build_floor(19, 60, 19)
+    assert floor.exit_cells == tuple((x, 0) for x in range(0, 19))
     # no wall cell remains on the end wall
-    assert all((x, 0) in grid.occupancy for x in range(19))
+    assert all((x, 0) in floor.heading for x in range(19))
 
 
 def test_wide_corridor_offsets():
-    grid = build_world(35, 60, 13)
-    assert grid.exit_cells[0] == (11, 0)
-    assert grid.exit_cells[-1] == (23, 0)
+    floor = build_floor(35, 60, 13)
+    assert floor.exit_cells[0] == (11, 0)
+    assert floor.exit_cells[-1] == (23, 0)
 
 
 def test_odd_leftover_biases_low_index():
     # W - w = 4 - 1 = 3 is odd: segment sits one cell toward index 0
-    grid = build_world(4, 10, 1)
-    assert grid.exit_cells == ((1, 0),)
+    floor = build_floor(4, 10, 1)
+    assert floor.exit_cells == ((1, 0),)
 
 
 @pytest.mark.parametrize(
@@ -48,11 +48,11 @@ def test_odd_leftover_biases_low_index():
 )
 def test_invalid_dimensions(W, L, w):
     with pytest.raises(InvalidDimensionsError):
-        build_world(W, L, w)
+        build_floor(W, L, w)
 
 
 def test_wall_predicate():
-    grid = build_world(19, 60, 7)
+    grid = WorldGrid(build_floor(19, 60, 7))
     assert (0, 0) not in grid.occupancy   # end wall outside the exit
     assert (5, 0) not in grid.occupancy
     assert (6, 0) in grid.occupancy       # exit cells are not walls
@@ -65,7 +65,7 @@ def test_wall_predicate():
 
 
 def test_is_free_and_occupancy():
-    grid = build_world(19, 60, 7)
+    grid = WorldGrid(build_floor(19, 60, 7))
     assert is_free(grid, (9, 5))
     grid.place(0, (9, 5))
     assert not is_free(grid, (9, 5))
@@ -86,12 +86,12 @@ def test_is_free_and_occupancy():
     assert set(grid.occupancy.values()) == {FREE}
 
 
-def _reference_is_wall(grid, cell):
+def _reference_is_wall(floor, cell):
     """The bounds arithmetic the floor map replaced."""
     x, y = cell
-    if not (0 <= x < grid.width and 0 <= y < grid.length):
+    if not (0 <= x < floor.width and 0 <= y < floor.length):
         return True
-    x0, x1 = grid.exit_cells[0][0], grid.exit_cells[-1][0]
+    x0, x1 = floor.exit_cells[0][0], floor.exit_cells[-1][0]
     return y == 0 and not (x0 <= x <= x1)
 
 
@@ -102,15 +102,15 @@ def test_floor_map_matches_bounds_arithmetic(data):
     every cell of a box reaching 4 cells beyond the corridor."""
     W = data.draw(st.integers(1, 9))
     L = data.draw(st.integers(W + 1, 12))
-    grid = build_world(W, L, data.draw(st.integers(1, W)))
+    grid = WorldGrid(build_floor(W, L, data.draw(st.integers(1, W))))
     box = [(x, y) for y in range(-4, L + 4) for x in range(-4, W + 4)]
-    floor = [cell for cell in box if not _reference_is_wall(grid, cell)]
-    bodies = data.draw(st.lists(st.sampled_from(floor), unique=True))
+    cells = [cell for cell in box if not _reference_is_wall(grid.floor, cell)]
+    bodies = data.draw(st.lists(st.sampled_from(cells), unique=True))
     for agent_id, cell in enumerate(bodies):
         grid.place(agent_id, cell)
     occupied = set(bodies)
     for cell in box:
-        wall = _reference_is_wall(grid, cell)
+        wall = _reference_is_wall(grid.floor, cell)
         assert (cell not in grid.occupancy) == wall
         assert is_free(grid, cell) == (not wall and cell not in occupied)
         if wall or cell in occupied:
@@ -123,21 +123,21 @@ def test_floor_map_matches_bounds_arithmetic(data):
 
 def test_nearest_exit_example():
     # agent left of the segment: clamps to the low end
-    grid = WorldGrid(width=19, length=60, exit_cells=tuple((x, 0) for x in range(8, 11)))
-    assert nearest_exit_coordinate(grid, (2, 10)) == (8, 0)
+    floor = Floor(19, 60, exit_cells=tuple((x, 0) for x in range(8, 11)), heading={})
+    assert nearest_exit_coordinate(floor, (2, 10)) == (8, 0)
 
 
 def test_nearest_exit_inside_span_is_directly_below():
-    grid = build_world(19, 60, 7)
-    assert nearest_exit_coordinate(grid, (9, 30)) == (9, 0)
-    assert nearest_exit_coordinate(grid, (6, 1)) == (6, 0)
-    assert nearest_exit_coordinate(grid, (18, 44)) == (12, 0)
+    floor = build_floor(19, 60, 7)
+    assert nearest_exit_coordinate(floor, (9, 30)) == (9, 0)
+    assert nearest_exit_coordinate(floor, (6, 1)) == (6, 0)
+    assert nearest_exit_coordinate(floor, (18, 44)) == (12, 0)
 
 
-def _oracle_nearest(grid, pos):
+def _oracle_nearest(floor, pos):
     """Exhaustive argmin over exit cells; ties to the lowest transverse index."""
     best, best_d = None, math.inf
-    for ex, ey in sorted(grid.exit_cells):
+    for ex, ey in sorted(floor.exit_cells):
         d = math.hypot(pos[0] - ex, pos[1] - ey)
         if d < best_d:
             best, best_d = (ex, ey), d
@@ -152,26 +152,43 @@ def _oracle_nearest(grid, pos):
 )
 def test_nearest_exit_matches_brute_force(W, w_frac, x, y):
     w = min(w_frac, W)
-    grid = build_world(W, 12, w)
+    floor = build_floor(W, 12, w)
     pos = (min(x, W - 1), y)
-    assert nearest_exit_coordinate(grid, pos) == _oracle_nearest(grid, pos)
+    assert nearest_exit_coordinate(floor, pos) == _oracle_nearest(floor, pos)
 
 
 def test_nearest_exit_brute_force_full_neighborhood():
     """Every position in an 11x11 window, every exit width, vs the oracle."""
     for w in range(1, 12):
-        grid = build_world(11, 12, w)
+        floor = build_floor(11, 12, w)
         for x in range(11):
             for y in range(11):
-                assert nearest_exit_coordinate(grid, (x, y)) == _oracle_nearest(
-                    grid, (x, y)
+                assert nearest_exit_coordinate(floor, (x, y)) == _oracle_nearest(
+                    floor, (x, y)
                 ), (w, x, y)
 
 
 @pytest.mark.parametrize("W,L,w", [(19, 60, 7), (19, 60, 1), (4, 10, 1), (10, 14, 3), (11, 12, 11)])
 def test_heading_field_faces_nearest_exit(W, L, w):
     """Every floor cell's heading points at the brute-force nearest exit."""
-    grid = build_world(W, L, w)
-    assert grid.heading.keys() == grid.occupancy.keys()
-    for cell in grid.occupancy:
-        assert grid.heading[cell] == heading_toward(cell, _oracle_nearest(grid, cell)), cell
+    floor = build_floor(W, L, w)
+    assert list(floor.heading) == list(WorldGrid(floor).occupancy)
+    for cell in floor.heading:
+        assert floor.heading[cell] == heading_toward(cell, _oracle_nearest(floor, cell)), cell
+
+
+def test_floor_heading_field_is_read_only():
+    floor = build_floor(19, 60, 7)
+    with pytest.raises(TypeError):
+        floor.heading[(9, 5)] = 0.0
+    with pytest.raises(AttributeError):
+        floor.heading = {}
+    assert floor.heading[(9, 5)] == heading_toward((9, 5), (9, 0))
+
+
+def test_build_floor_keeps_the_last_geometry_only():
+    """Runs of one geometry share its floor; another geometry replaces it."""
+    first = build_floor(19, 60, 7)
+    assert build_floor(19, 60, 7) is first
+    assert build_floor(19, 60, 9) is not first
+    assert build_floor(19, 60, 7) is not first
