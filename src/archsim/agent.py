@@ -5,10 +5,9 @@ nearest exit.  Social comparison scores a pair of agents by how close
 they stand and how alike their headings are.  Movement decisions are
 pure functions of (agent, world snapshot, run config):
 
-* :func:`cone_offsets` lists the offsets inside the forward vision
-  cone, a 100-degree wedge facing the heading.
 * :func:`neighbourhood` tabulates, once per floor, each floor cell's
-  cone cells with the pace toward each and the similarity score of a
+  cone cells (the forward vision cone is a 100-degree wedge facing the
+  heading) with the pace toward each and the similarity score of a
   neighbour standing there.
 * :func:`choose_pace` reads its cell's entries once: it takes the
   closest free cell, unless the best match looks too dissimilar: then
@@ -21,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .world import FREE, TWO_PI, Cell, Floor
 
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
 
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
 _ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
+_BLOCK = 128  # floor cells per block of the table build: keeps its arrays small
 
 
 @dataclass(slots=True)
@@ -39,31 +42,9 @@ class Agent:
     exited: bool = False
 
 
-def signed_deviation(angle: float, heading: float) -> float:
-    """Smallest signed rotation from ``heading`` to ``angle``, in (-pi, pi]."""
-    d = math.fmod(angle - heading, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d <= -math.pi:
-        d += TWO_PI
-    return d
-
-
-def similarity(dist: float, heading: float, other_heading: float, config: SimConfig) -> float:
-    """Equal-weight sum of distance and heading similarity, in [0, 1].
-
-    Distance similarity falls linearly from 1 to 0 at ``config.d_max``
-    cells; heading similarity is 1 minus the angle between the headings
-    over pi.
-    """
-    by_distance = max(0.0, 1.0 - dist / config.d_max)
-    by_heading = 1.0 - abs(signed_deviation(heading, other_heading)) / math.pi
-    return by_distance * 0.5 + by_heading * 0.5
-
-
 @lru_cache(maxsize=None)
-def _disc_offsets(radius: int) -> tuple[tuple[int, int, float], ...]:
-    """All nonzero integer offsets within Euclidean ``radius``, with distances."""
+def _disc_offsets(radius: int) -> tuple[tuple[int, int, float, float], ...]:
+    """All nonzero integer offsets within Euclidean ``radius``: ``(ox, oy, dist, angle)``."""
     out = []
     for oy in range(-radius, radius + 1):
         for ox in range(-radius, radius + 1):
@@ -71,26 +52,8 @@ def _disc_offsets(radius: int) -> tuple[tuple[int, int, float], ...]:
                 continue
             d2 = ox * ox + oy * oy
             if d2 <= radius * radius:
-                out.append((ox, oy, math.sqrt(d2)))
+                out.append((ox, oy, math.sqrt(d2), math.atan2(oy, ox)))
     return tuple(out)
-
-
-def cone_offsets(radius: int, heading: float) -> tuple[tuple[int, int, float], ...]:
-    """Offsets inside the vision cone, in deterministic preference order.
-
-    Ordered by (distance, absolute angular deviation, clockwise first):
-    the natural scan order for "closest free space" with fixed tie
-    breaks.
-    """
-    selected = []
-    for ox, oy, dist in _disc_offsets(radius):
-        dev = signed_deviation(math.atan2(oy, ox), heading)
-        adev = abs(dev)
-        if adev <= HALF_CONE + _ANGLE_EPS:
-            # clockwise (negative rotation) wins ties on |deviation|
-            selected.append((dist, adev, 0 if dev < 0 else 1, ox, oy))
-    selected.sort()
-    return tuple((ox, oy, dist) for dist, _, _, ox, oy in selected)
 
 
 Entry = tuple[Cell, Cell, float]  # (cone cell q, pace toward q, similarity score)
@@ -105,6 +68,14 @@ def neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ..
     Built on first use and kept on the floor, keyed on
     ``(vision_radius, d_max)``: the heading field is static, so the table
     holds for every run on the floor.
+
+    The cone of heading ``h`` holds the disc offsets whose direction
+    deviates from ``h`` by at most 50 degrees, ordered by (distance,
+    absolute deviation, clockwise first, ox, oy): the natural scan order
+    for "closest free space" with fixed tie breaks.  The score is the
+    equal-weight sum of distance similarity, falling linearly from 1 to 0
+    at ``d_max`` cells, and heading similarity, 1 minus the angle between
+    the two cells' headings over pi.
     """
     key = (config.vision_radius, config.d_max)
     table = floor.tables.get(key)
@@ -113,23 +84,53 @@ def neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ..
     return table
 
 
+def _deviation(d: np.ndarray) -> np.ndarray:
+    """Smallest signed rotation for angle differences ``d``, in (-pi, pi]."""
+    d = np.fmod(d, TWO_PI)
+    return np.where(d > math.pi, d - TWO_PI, np.where(d <= -math.pi, d + TWO_PI, d))
+
+
 def _build_neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
-    headings = floor.heading
-    cells = {cell: cell for cell in headings}  # entries share the floor's key tuples
-    cones = {}  # heading -> its cone offsets, for this build only
+    """The table, computed with numpy a block of ``_BLOCK`` cells at a time.
+
+    The angles come from ``math.atan2`` (the heading field's and
+    ``_disc_offsets``'); the rest is fmod, abs, +, -, *, /, max and
+    comparisons, which IEEE arithmetic rounds correctly, so every score
+    has the bits the formula gives one Python float at a time.
+    """
+    radius = config.vision_radius
+    cells = list(floor.heading)  # entries reuse the floor's key tuples
+    n = len(cells)
+    xs, ys = np.array(cells).T
+    headings = np.fromiter(floor.heading.values(), float, n)
+    # each floor cell's row on a grid padded by the radius; walls are -1
+    rows = np.full((floor.length + 2 * radius, floor.width + 2 * radius), -1)
+    rows[ys + radius, xs + radius] = np.arange(n)
+    ox, oy, dist, angle = map(np.array, zip(*_disc_offsets(radius)))
+    by_distance = np.maximum(0.0, 1.0 - dist / config.d_max)
     table = {}
-    for cell, heading in headings.items():
-        x, y = cell
-        if heading not in cones:
-            cones[heading] = cone_offsets(config.vision_radius, heading)
-        entries = []
-        for ox, oy, dist in cones[heading]:
-            q = cells.get((x + ox, y + oy))
-            if q is not None:
-                pace = (x + (ox > 0) - (ox < 0), y + (oy > 0) - (oy < 0))
-                score = similarity(dist, heading, headings[q], config)
-                entries.append((q, cells.get(pace, pace), score))
-        table[cell] = tuple(entries)
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        x, y, h = xs[block, None], ys[block, None], headings[block, None]
+        dev = _deviation(angle - h)
+        adev = np.abs(dev)
+        # clockwise (negative rotation) wins ties on |deviation|
+        order = np.lexsort(np.broadcast_arrays(oy, ox, dev >= 0, adev, dist))
+        cx, cy = ox[order], oy[order]
+        q = rows[y + cy + radius, x + cx + radius]
+        keep = np.take_along_axis(adev <= HALF_CONE + _ANGLE_EPS, order, 1) & (q >= 0)
+        q = q[keep]
+        px, py = (x + np.sign(cx))[keep], (y + np.sign(cy))[keep]
+        pace = rows[py + radius, px + radius]
+        apart = _deviation(np.broadcast_to(h, keep.shape)[keep] - headings[q])
+        score = by_distance[order][keep] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
+        paces = [cells[i] if i >= 0 else cell  # a pace onto a wall: a tuple of its own
+                 for i, cell in zip(pace.tolist(), zip(px.tolist(), py.tolist()))]
+        entries = list(zip(map(cells.__getitem__, q.tolist()), paces, score.tolist()))
+        start = 0
+        for cell, end in zip(cells[block], accumulate(keep.sum(1).tolist())):
+            table[cell] = tuple(entries[start:end])
+            start = end
     return table
 
 

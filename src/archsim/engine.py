@@ -32,7 +32,7 @@ import numpy as np
 from . import table
 from .agent import Agent, choose_pace, neighbourhood
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import FREE, WorldGrid, build_floor, is_free
+from .world import FREE, WorldGrid, build_floor, check_geometry, is_free
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
@@ -82,7 +82,7 @@ class SimConfig(RunSettings):
             raise ConfigError(f"crowd size c={self.c} must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be nonnegative")
-        build_floor(self.W, self.L, self.w)  # geometry preconditions
+        check_geometry(self.W, self.L, self.w)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from . import table
 from .engine import RunSettings, SimConfig, simulate
 from .errors import ArchsimError, ConfigError
 from .metrics import PERSISTENCE, THRESHOLD_FACTOR, ArchMeasurement, detect_arch_onset
-from .world import build_floor
+from .world import build_floor, check_geometry
 
 DEFAULT_C_LEVELS = (200, 300, 350, 400, 450)
 DEFAULT_W_LEVELS = (1, 3, 5, 7, 9, 11, 13)
@@ -52,7 +52,7 @@ class SweepConfig(RunSettings):
                 f"threshold_factor={self.threshold_factor} must be positive and finite"
             )
         for w in self.w_levels:
-            build_floor(self.W, self.L, w)  # geometry preconditions of every cell
+            check_geometry(self.W, self.L, w)
 
     def sim_config(self, c: int, w: int, replicate: int) -> SimConfig:
         seed = derive_seed(self.base_seed, c, w, replicate)

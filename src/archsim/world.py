@@ -47,6 +47,14 @@ class Floor:
         object.__setattr__(self, "heading", MappingProxyType(dict(self.heading)))
 
 
+def check_geometry(W: int, L: int, w: int) -> None:
+    """Raise InvalidDimensionsError unless ``1 <= w <= W < L``."""
+    if w < 1 or w > W:
+        raise InvalidDimensionsError(f"exit width w={w} must satisfy 1 <= w <= W={W}")
+    if L <= W:
+        raise InvalidDimensionsError(f"corridor length L={L} must exceed width W={W}")
+
+
 @lru_cache(maxsize=1)  # consecutive runs of one geometry share it; one floor alive
 def build_floor(W: int, L: int, w: int) -> Floor:
     """The floor of a W-by-L corridor with a centered w-wide exit on the end wall.
@@ -54,10 +62,7 @@ def build_floor(W: int, L: int, w: int) -> Floor:
     When ``W - w`` is odd the segment sits one cell closer to the low-index
     side.  Raises InvalidDimensionsError unless ``1 <= w <= W < L``.
     """
-    if w < 1 or w > W:
-        raise InvalidDimensionsError(f"exit width w={w} must satisfy 1 <= w <= W={W}")
-    if L <= W:
-        raise InvalidDimensionsError(f"corridor length L={L} must exceed width W={W}")
+    check_geometry(W, L, w)
     x0, x1 = (W - w) // 2, (W - w) // 2 + w - 1
     exits = tuple((x, 0) for x in range(x0, x1 + 1))
     rows = ((x, y) for y in range(1, L) for x in range(W))

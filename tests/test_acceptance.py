@@ -20,8 +20,8 @@ import time
 import numpy as np
 
 from conftest import make_record
+from scalar_reference import cone_offsets
 
-from archsim.agent import cone_offsets
 from archsim.analysis import (
     aggregate,
     compute_trends,

@@ -1,4 +1,5 @@
-"""Vision cone geometry, similarity scoring, and the per-cell pace decision."""
+"""Vision cone geometry, similarity scoring, the neighbourhood table and the
+per-cell pace decision."""
 
 import math
 import random
@@ -6,14 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from archsim.agent import (
-    Agent,
-    choose_pace,
-    cone_offsets,
-    neighbourhood,
-    similarity,
-    signed_deviation,
-)
+from scalar_reference import build_neighbourhood, cone_offsets, similarity, signed_deviation
+
+from archsim.agent import Agent, _build_neighbourhood, choose_pace, neighbourhood
 from archsim.engine import SimConfig
 from archsim.world import (
     FREE, Floor, WorldGrid, build_floor, heading_toward, is_free, wrap_angle
@@ -169,6 +165,61 @@ def _free_cone_cells(agent, grid, radius):
     x, y = agent.pos
     return [(x + ox, y + oy) for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos])
             if is_free(grid, (x + ox, y + oy))]
+
+
+# ---------------------------------------------------------------- the table
+
+def _boundary_headings():
+    """Headings that put a lattice direction on the cone boundary, and one
+    and two ulps outside it, where the boundary tolerance decides."""
+    out = []
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            for side in (-1.0, 1.0) if (a, b) != (0, 0) else ():
+                heading = wrap_angle(math.atan2(b, a) + side * math.radians(HALF_CONE_DEG))
+                for _ in range(3):
+                    out.append(heading)
+                    heading = math.nextafter(heading, side * 10.0)
+    return out
+
+
+_BOUNDARY_HEADINGS = _boundary_headings()
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_table_matches_scalar_reference_bit_for_bit(data):
+    """The numpy build equals the scalar cone and similarity definitions:
+    key and entry order, the floor's own key tuples, float bits and Python
+    types (no numpy scalar reaches choose_pace's dict lookups).  Some cells
+    face arbitrary headings, at times exactly onto a cone boundary."""
+    W = data.draw(st.integers(1, 14))
+    L = data.draw(st.integers(W + 1, 30))
+    radius = data.draw(st.integers(1, 5))
+    base = build_floor(W, L, data.draw(st.integers(1, W)))
+    headings = data.draw(st.dictionaries(
+        st.sampled_from(list(base.heading)),
+        st.floats(0.0, 2 * math.pi, exclude_max=True) | st.sampled_from(_BOUNDARY_HEADINGS),
+        max_size=6,
+    ))
+    floor = _floor_with(base, headings)
+    d_max = data.draw(st.floats(0.25, radius, exclude_max=True)
+                      | st.floats(radius, 4.0 * radius))
+    config = SimConfig(c=1, w=1, W=W, L=L, vision_radius=radius, d_max=d_max)
+
+    table = _build_neighbourhood(floor, config)
+    expected = build_neighbourhood(floor, config)
+    assert list(table) == list(expected) == list(floor.heading)
+    keys = {cell: cell for cell in floor.heading}
+    for cell, (table_cell, entries) in zip(floor.heading, table.items()):
+        assert table_cell is cell
+        assert type(entries) is tuple and len(entries) == len(expected[cell])
+        for (q, pace, score), (ref_q, ref_pace, ref_score) in zip(entries, expected[cell]):
+            assert (q, pace) == (ref_q, ref_pace)
+            assert q is keys[q]
+            assert pace is keys[pace] if pace in keys else type(pace) is tuple
+            assert all(type(v) is int for v in (*q, *pace))
+            assert type(score) is float and score.hex() == ref_score.hex()
 
 
 # ------------------------------------------------------------- the best match

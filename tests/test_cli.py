@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import archsim
-from archsim import analysis
+from archsim import analysis, world
 from archsim.cli import main
 from archsim.engine import read_trace_csv
+from archsim.sweep import DEFAULT_W_LEVELS
 
 RUN_CFG = "c = 5\nw = 3\nseed = 4\nmax_steps = 500\n"
 
@@ -231,6 +232,14 @@ def test_sweep_artifacts_and_sidecar(tmp_path):
     assert sidecar.splitlines()[-1] == (
         "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')"
     )
+
+
+def test_sweep_builds_one_floor_per_width(tmp_path):
+    """Validation checks each width's geometry without building its floor."""
+    world.build_floor.cache_clear()
+    status, _ = _sweep(tmp_path, "c_levels = 10\nreplicates = 1\nmax_steps = 20\n")
+    assert status == 0
+    assert world.build_floor.cache_info().misses == len(DEFAULT_W_LEVELS) == 7
 
 
 def test_sweep_parallelism_does_not_change_bytes(tmp_path):

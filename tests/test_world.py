@@ -12,6 +12,7 @@ from archsim.world import (
     Floor,
     WorldGrid,
     build_floor,
+    check_geometry,
     heading_toward,
     is_free,
     nearest_exit_coordinate,
@@ -47,6 +48,8 @@ def test_odd_leftover_biases_low_index():
     [(19, 60, 0), (19, 60, 20), (19, 19, 7), (19, 10, 7), (0, 60, 0)],
 )
 def test_invalid_dimensions(W, L, w):
+    with pytest.raises(InvalidDimensionsError):
+        check_geometry(W, L, w)
     with pytest.raises(InvalidDimensionsError):
         build_floor(W, L, w)
 
