@@ -7,7 +7,7 @@ their onset time and axes, and sweeps crowd size against exit width to
 quantify how those quantities scale.
 """
 
-from .agent import Agent
+from .agent import Crowd
 from .engine import SimConfig, StepRecord, initialize, run, step
 from .errors import (
     ArchsimError,
@@ -20,15 +20,15 @@ from .errors import (
 from .metrics import ArchMeasurement, clog_cluster, detect_arch_onset, measure_axes
 from .analysis import RegressionFit, aggregate, ols_fit, trend_correlation
 from .sweep import SweepConfig, derive_seed, run_sweep
-from .world import Floor, WorldGrid, build_floor, is_free, nearest_exit_coordinate
+from .world import Floor, WorldGrid, build_floor, nearest_exit_coordinate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent",
     "ArchMeasurement",
     "ArchsimError",
     "ConfigError",
+    "Crowd",
     "CrowdTooLargeError",
     "DegenerateInputError",
     "EmptyClusterError",
@@ -45,7 +45,6 @@ __all__ = [
     "derive_seed",
     "detect_arch_onset",
     "initialize",
-    "is_free",
     "measure_axes",
     "nearest_exit_coordinate",
     "ols_fit",

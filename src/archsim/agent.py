@@ -1,9 +1,10 @@
-"""The simulated individual and its per-step decision primitives.
+"""The simulated crowd and its per-step decision primitives.
 
-An agent carries a position; the floor holds its heading toward the
-nearest exit.  Social comparison scores a pair of agents by how close
+The crowd is columns indexed by agent id: each agent's floor-cell index
+and exited flag; the floor holds each cell's heading toward the nearest
+exit.  Social comparison scores a pair of agents by how close
 they stand and how alike their headings are.  Movement decisions are
-pure functions of (agent, world snapshot, run config):
+pure functions of (cell, occupancy, run config):
 
 * :func:`neighbourhood` tabulates, once per floor, each floor cell's
   cone cells (the forward vision cone is a 100-degree wedge facing the
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, count
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,32 @@ _ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
 _BLOCK = 128  # floor cells per block of the table build: keeps its arrays small
 
 
-@dataclass(slots=True)
-class Agent:
+class AgentView(NamedTuple):
+    """One agent of a Crowd, read-only."""
+
     id: int
     pos: Cell
-    exited: bool = False
+    exited: bool
+
+
+@dataclass(eq=False)
+class Crowd:
+    """The crowd as columns indexed by agent id: the index of the floor
+    cell each agent stands on, and its exited flag (0 or 1).
+
+    ``len()`` is the crowd size; iterating yields an AgentView per agent.
+    """
+
+    floor: Floor
+    cell: list[int]
+    exited: bytearray
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def __iter__(self):
+        cells = self.floor.cells
+        return map(AgentView, count(), map(cells.__getitem__, self.cell), map(bool, self.exited))
 
 
 @lru_cache(maxsize=None)
@@ -56,15 +78,17 @@ def _disc_offsets(radius: int) -> tuple[tuple[int, int, float, float], ...]:
     return tuple(out)
 
 
-Entry = tuple[Cell, Cell, float]  # (cone cell q, pace toward q, similarity score)
+Entry = tuple[int, int, float]  # (cone cell q, pace toward q, similarity score)
 
 
-def neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
-    """Each floor cell's cone entries ``(q, pace, score)``, in cone order.
+def neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, ...]]:
+    """Each floor cell's cone entries ``(q, pace, score)``, in cone order,
+    indexed by cell index.
 
     ``q`` runs over the floor cells of the cone facing the cell's heading
     (walls are dropped), ``pace`` is the one-cell step toward ``q`` and
     ``score`` the similarity of an agent on the cell to one on ``q``.
+    ``q`` and ``pace`` are cell indices; a pace onto a wall is -1.
     Built on first use and kept on the floor, keyed on
     ``(vision_radius, d_max)``: the heading field is static, so the table
     holds for every run on the floor.
@@ -90,7 +114,7 @@ def _deviation(d: np.ndarray) -> np.ndarray:
     return np.where(d > math.pi, d - TWO_PI, np.where(d <= -math.pi, d + TWO_PI, d))
 
 
-def _build_neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[Entry, ...]]:
+def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, ...]]:
     """The table, computed with numpy a block of ``_BLOCK`` cells at a time.
 
     The angles come from ``math.atan2`` (the heading field's and
@@ -99,16 +123,16 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[En
     has the bits the formula gives one Python float at a time.
     """
     radius = config.vision_radius
-    cells = list(floor.heading)  # entries reuse the floor's key tuples
-    n = len(cells)
-    xs, ys = np.array(cells).T
+    n = len(floor.cells)
+    ints = list(range(n)) + [-1]  # entries share one int object per index
+    xs, ys = floor.xs.astype(int), floor.ys.astype(int)
     headings = np.fromiter(floor.heading.values(), float, n)
     # each floor cell's row on a grid padded by the radius; walls are -1
     rows = np.full((floor.length + 2 * radius, floor.width + 2 * radius), -1)
     rows[ys + radius, xs + radius] = np.arange(n)
     ox, oy, dist, angle = map(np.array, zip(*_disc_offsets(radius)))
     by_distance = np.maximum(0.0, 1.0 - dist / config.d_max)
-    table = {}
+    table = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         x, y, h = xs[block, None], ys[block, None], headings[block, None]
@@ -124,19 +148,19 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> dict[Cell, tuple[En
         pace = rows[py + radius, px + radius]
         apart = _deviation(np.broadcast_to(h, keep.shape)[keep] - headings[q])
         score = by_distance[order][keep] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
-        paces = [cells[i] if i >= 0 else cell  # a pace onto a wall: a tuple of its own
-                 for i, cell in zip(pace.tolist(), zip(px.tolist(), py.tolist()))]
-        entries = list(zip(map(cells.__getitem__, q.tolist()), paces, score.tolist()))
+        entries = list(zip(map(ints.__getitem__, q.tolist()),
+                           map(ints.__getitem__, pace.tolist()), score.tolist()))
         start = 0
-        for cell, end in zip(cells[block], accumulate(keep.sum(1).tolist())):
-            table[cell] = tuple(entries[start:end])
+        for end in accumulate(keep.sum(1).tolist()):
+            table.append(tuple(entries[start:end]))
             start = end
     return table
 
 
 def choose_pace(
-    entries: tuple[Entry, ...], occupancy: dict[Cell, int], agents: list[Agent], threshold: float
-) -> Cell | None:
+    entries: tuple[Entry, ...], occupancy: list[int], exited: bytearray,
+    cells: tuple[Cell, ...], threshold: float,
+) -> int | None:
     """The next pace from a cell with these entries; None when no cone cell is free.
 
     One pass over the entries finds the closest free cell (the first free
@@ -144,24 +168,24 @@ def choose_pace(
     to the lowest id).  The pace heads for the closest free cell, unless
     that match scores below ``threshold``: then the agent moves to reduce
     the difference and heads for the free cell nearest the match, ties
-    to the earlier cone cell.  The pace cell itself may be occupied or a
-    wall.
+    to the earlier cone cell.  ``cells`` gives a cell index's
+    coordinates.  The pace cell itself may be occupied or a wall (-1).
     """
     pace = match = None
     best_id = -1
     best_score = -1.0
-    for cell, toward, score in entries:
-        other_id = occupancy[cell]
+    for q, toward, score in entries:
+        other_id = occupancy[q]
         if other_id == FREE:
             if pace is None:
                 pace = toward
         elif (score > best_score or (score == best_score and other_id < best_id)) \
-                and not agents[other_id].exited:
-            match, best_id, best_score = cell, other_id, score
+                and not exited[other_id]:
+            match, best_id, best_score = q, other_id, score
     if pace is None or match is None or best_score >= threshold:
         return pace
-    tx, ty = match
+    tx, ty = cells[match]
     return min(
         (entry for entry in entries if occupancy[entry[0]] == FREE),
-        key=lambda entry: (entry[0][0] - tx) ** 2 + (entry[0][1] - ty) ** 2,
+        key=lambda entry: (cells[entry[0]][0] - tx) ** 2 + (cells[entry[0]][1] - ty) ** 2,
     )[1]

@@ -30,9 +30,9 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import table
-from .agent import Agent, choose_pace, neighbourhood
+from .agent import Crowd, choose_pace, neighbourhood
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import FREE, WorldGrid, build_floor, check_geometry, is_free
+from .world import FREE, WorldGrid, build_floor, check_geometry
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
@@ -110,87 +110,95 @@ class StepRecord:
         return int((~self.exited & ~self.moved).sum())
 
 
-def _snapshot(t: int, agents: list[Agent], moved: np.ndarray, exits: int) -> StepRecord:
-    n = len(agents)
-    xs = np.fromiter((a.pos[0] for a in agents), dtype=np.int16, count=n)
-    ys = np.fromiter((a.pos[1] for a in agents), dtype=np.int16, count=n)
-    exited = np.fromiter((a.exited for a in agents), dtype=bool, count=n)
-    return StepRecord(t, xs, ys, exited, moved, exits)
+def _snapshot(t: int, crowd: Crowd, moved: np.ndarray, exits: int) -> StepRecord:
+    where = np.array(crowd.cell, dtype=np.intp)
+    floor = crowd.floor
+    exited = np.frombuffer(crowd.exited, dtype=bool).copy()
+    return StepRecord(t, floor.xs[where], floor.ys[where], exited, moved, exits)
 
 
-def initialize(config: SimConfig) -> tuple[WorldGrid, list[Agent], np.random.Generator]:
-    """Lay the run's occupancy map over its floor and place the crowd.
+def initialize(config: SimConfig) -> tuple[WorldGrid, Crowd, np.random.Generator]:
+    """Lay the run's occupancy list over its floor and place the crowd.
 
     Agents land uniformly at random (seeded) on distinct free cells at
     longitudinal coordinate >= spawn_margin.
     """
     config.validate()
-    grid = WorldGrid(build_floor(config.W, config.L, config.w))
+    floor = build_floor(config.W, config.L, config.w)
+    grid = WorldGrid(floor)
     rng = np.random.default_rng(config.seed)
-    spawn = [cell for cell in grid.occupancy if cell[1] >= config.spawn_margin]
+    spawn = np.flatnonzero(floor.ys >= config.spawn_margin)  # in the floor's cell order
     if config.c > len(spawn):
         raise CrowdTooLargeError(
             f"crowd size c={config.c} exceeds {len(spawn)} spawnable cells"
         )
-    picks = rng.choice(len(spawn), size=config.c, replace=False)
-    agents = []
-    for agent_id, i in enumerate(picks):
-        pos = spawn[int(i)]
-        grid.place(agent_id, pos)
-        agents.append(Agent(id=agent_id, pos=pos))
-    return grid, agents, rng
+    cell = spawn[rng.choice(len(spawn), size=config.c, replace=False)].tolist()
+    for agent_id, k in enumerate(cell):
+        grid.occupancy[k] = agent_id
+    return grid, Crowd(floor, cell, bytearray(config.c)), rng
 
 
 def step(
     grid: WorldGrid,
-    agents: list[Agent],
+    crowd: Crowd,
     rng: np.random.Generator,
     config: SimConfig,
     t: int,
 ) -> StepRecord:
     """Advance the simulation by one step and record the result."""
+    floor, occupancy = grid.floor, grid.occupancy
+    cell, exited = crowd.cell, crowd.exited
+    table, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
+    w = len(floor.exit_cells)  # cell indices 0..w-1 are the exit segment
     exits_this_step = 0
-    moved = np.zeros(len(agents), dtype=bool)
-    table, occupancy = neighbourhood(grid.floor, config), grid.occupancy
+    moved = bytearray(len(crowd))
 
-    for idx in rng.permutation(len(agents)):
-        agent = agents[int(idx)]
-        if agent.exited:
+    for i in rng.permutation(len(crowd)).tolist():
+        here = cell[i]
+        if exited[i]:
             # a freshly exited body clears the doorway at its next
             # activation ("moves to the edge of the world")
-            if occupancy.get(agent.pos) == agent.id:
-                grid.vacate(agent.pos)
+            if occupancy[here] == i:
+                occupancy[here] = FREE
             continue
 
-        # spawned on an exit coordinate (possible with spawn_margin = 0);
-        # the floor's row 0 is the exit segment
-        if agent.pos[1] == 0:
-            agent.exited = True
+        # spawned on an exit coordinate (possible with spawn_margin = 0)
+        if here < w:
+            exited[i] = 1
             exits_this_step += 1
             continue
 
-        pace = choose_pace(table[agent.pos], occupancy, agents, config.trigger_threshold)
-        if pace is not None and is_free(grid, pace):
-            grid.move(agent.pos, pace)
-            agent.pos = pace
-            moved[agent.id] = True
+        pace = choose_pace(table[here], occupancy, exited, cells, threshold)
+        if pace is not None and occupancy[pace] == FREE:
+            occupancy[pace], occupancy[here] = i, FREE
+            cell[i] = pace
+            moved[i] = 1
+            if pace < w:  # distance < 1 to an exit cell means standing on it
+                exited[i] = 1
+                exits_this_step += 1
 
-        if agent.pos[1] == 0:  # distance < 1 to an exit cell means standing on it
-            agent.exited = True
-            exits_this_step += 1
+    record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy(), exits_this_step)
+    _check_occupancy(grid, crowd, record)
+    return record
 
-    record = _snapshot(t, agents, moved, exits_this_step)
+
+def _check_occupancy(grid: WorldGrid, crowd: Crowd, record: StepRecord) -> None:
+    """Raise ArchsimError unless the occupied cells are the live agents'
+    plus the bodies still standing in the doorway.
+
+    An exited agent's body stays on its exit cell (row 0) until its next
+    activation; it counts while that cell still holds its id.
+    """
+    occupancy, cell = grid.occupancy, crowd.cell
     live = record.agent_count - record.exited_count
-    dwelling = sum(
-        1 for a in agents if a.exited and grid.occupancy.get(a.pos) == a.id
-    )
-    occupied = len(grid.occupancy) - operator.countOf(grid.occupancy.values(), FREE)
+    doorway = np.flatnonzero(record.exited & (record.ys == 0)).tolist()
+    dwelling = sum(1 for i in doorway if occupancy[cell[i]] == i)
+    occupied = len(occupancy) - operator.countOf(occupancy, FREE) - 1  # the wall slot
     if occupied != live + dwelling:
         raise ArchsimError(
-            f"step {t}: {occupied} occupied cells for {live} live agents "
+            f"step {record.t}: {occupied} occupied cells for {live} live agents "
             f"and {dwelling} bodies in the doorway"
         )
-    return record
 
 
 def simulate(config: SimConfig):
@@ -199,13 +207,13 @@ def simulate(config: SimConfig):
     Stops once every agent has exited or max_steps is reached.  A
     consumer that stops reading stops the simulation there.
     """
-    grid, agents, rng = initialize(config)
-    record = _snapshot(0, agents, np.zeros(len(agents), dtype=bool), 0)
+    grid, crowd, rng = initialize(config)
+    record = _snapshot(0, crowd, np.zeros(len(crowd), dtype=bool), 0)
     yield record
     t = 0
-    while record.exited_count < len(agents) and t < config.max_steps:
+    while record.exited_count < len(crowd) and t < config.max_steps:
         t += 1
-        record = step(grid, agents, rng, config, t)
+        record = step(grid, crowd, rng, config, t)
         yield record
 
 

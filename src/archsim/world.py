@@ -6,7 +6,7 @@ wall holding the exit is the row ``y == 0``; the crowd approaches from
 larger ``y``.  One cell holds one person.  Everything outside the
 coordinate rectangle counts as wall, as do the non-exit cells of row 0.
 Every run of one geometry walks the same frozen ``Floor``; a run owns
-only its ``WorldGrid``, the occupancy map over that floor.
+only its ``WorldGrid``, the occupancy list over that floor's cells.
 """
 
 from __future__ import annotations
@@ -14,14 +14,17 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InvalidDimensionsError
 
 Cell = tuple[int, int]
 
 FREE = -1  # occupancy value of a floor cell nobody stands on
+WALL = -2  # occupancy value of the slot past the floor, where index -1 lands
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,18 +36,38 @@ class Floor:
     ``heading`` (read-only) maps each floor cell, the exit segment first
     and then rows 1..L-1 y-major, to its heading toward the nearest exit;
     a wall is a cell that is not a key.  The exit segment is contiguous
-    and ordered by transverse index.  ``tables`` holds the agents' cone
-    tables (``agent.neighbourhood``), keyed on ``(vision_radius, d_max)``.
+    and ordered by transverse index.  A run works on cell indices in that
+    order: ``cells[k]`` is cell ``k``, ``index`` maps a cell back to ``k``,
+    and ``xs``/``ys`` (read-only ``int16``) hold the coordinates, so
+    indices ``0..w-1`` are the exit segment.  ``tables`` holds the
+    agents' cone tables (``agent.neighbourhood``), keyed on
+    ``(vision_radius, d_max)``.
     """
 
     width: int
     length: int
     exit_cells: tuple[Cell, ...]
     heading: Mapping[Cell, float]
+    cells: tuple[Cell, ...] = field(init=False, repr=False)
+    xs: np.ndarray = field(init=False, repr=False)
+    ys: np.ndarray = field(init=False, repr=False)
     tables: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "heading", MappingProxyType(dict(self.heading)))
+        heading = dict(self.heading)
+        cells = tuple(heading)
+        xs, ys = np.array(cells, dtype=np.int16).reshape(-1, 2).T.copy()
+        xs.flags.writeable = ys.flags.writeable = False
+        set_field = object.__setattr__
+        set_field(self, "heading", MappingProxyType(heading))
+        set_field(self, "cells", cells)
+        set_field(self, "xs", xs)
+        set_field(self, "ys", ys)
+
+    @cached_property  # built on first use: a run needs no cell -> index lookup
+    def index(self) -> Mapping[Cell, int]:
+        """Read-only map from each floor cell to its index."""
+        return MappingProxyType({cell: k for k, cell in enumerate(self.cells)})
 
 
 def check_geometry(W: int, L: int, w: int) -> None:
@@ -73,37 +96,18 @@ def build_floor(W: int, L: int, w: int) -> Floor:
 
 @dataclass
 class WorldGrid:
-    """One run's occupancy map: each floor cell, in the heading field's
-    order, maps to the id of the agent standing there or to FREE."""
+    """One run's occupancy: for each floor cell index, the id of the agent
+    standing there or FREE.
+
+    One more slot follows the floor cells and is never FREE: index -1, a
+    pace onto a wall, reads as taken.
+    """
 
     floor: Floor
-    occupancy: dict[Cell, int] = field(init=False)
+    occupancy: list[int] = field(init=False)
 
     def __post_init__(self):
-        self.occupancy = dict.fromkeys(self.floor.heading, FREE)
-
-    def place(self, agent_id: int, cell: Cell) -> None:
-        occupant = self.occupancy.get(cell)
-        if occupant is None:
-            raise ValueError(f"cell {cell} is a wall")
-        if occupant != FREE:
-            raise ValueError(f"cell {cell} already occupied by {occupant}")
-        self.occupancy[cell] = agent_id
-
-    def vacate(self, cell: Cell) -> None:
-        self.occupancy[cell] = FREE
-
-    def move(self, old: Cell, new: Cell) -> None:
-        self.place(self.occupancy[old], new)
-        self.vacate(old)
-
-
-def is_free(grid: WorldGrid, cell: Cell) -> bool:
-    """True iff ``cell`` is a floor cell nobody stands on.
-
-    Exit cells count as free; walls and out-of-bounds queries do not.
-    """
-    return grid.occupancy.get(cell) == FREE
+        self.occupancy = [FREE] * len(self.floor.cells) + [WALL]
 
 
 def wrap_angle(a: float) -> float:

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from archsim.agent import Crowd
 from archsim.engine import StepRecord
+from archsim.world import FREE
 
 
 def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
@@ -24,6 +26,16 @@ def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
     for i in moved:
         mv[i] = True
     return StepRecord(t, xs, ys, ex, mv, exits_this_step)
+
+
+def crowd_on(grid, cells):
+    """The Crowd of agents 0..n-1 standing on the free floor cells ``cells``
+    of ``grid``, their bodies written into its occupancy."""
+    where = [grid.floor.index[cell] for cell in cells]
+    assert all(grid.occupancy[k] == FREE for k in where) and len(set(where)) == len(where)
+    for agent_id, k in enumerate(where):
+        grid.occupancy[k] = agent_id
+    return Crowd(grid.floor, where, bytearray(len(cells)))
 
 
 def reading(records, seen):

@@ -1,13 +1,24 @@
-"""Scalar reference for the neighbourhood table.
+"""Scalar reference for the neighbourhood table and the step.
 
 The vision cone and the similarity score, written from their definitions
 one Python float operation at a time.  ``archsim.agent`` builds the same
 table with numpy; the tests require the two to agree bit for bit.
+
+``reference_run`` is the step kernel as it was before it moved to cell
+indices: ``Agent`` objects, an occupancy dict keyed by cell tuples,
+``is_free`` and ``WorldGrid.move``, over the tuple-keyed scalar table.
+The tests require ``engine.run`` to give the same records.
 """
 
 import math
+import operator
+from dataclasses import dataclass, field
 
-from archsim.world import TWO_PI
+import numpy as np
+
+from archsim.engine import StepRecord
+from archsim.errors import ArchsimError, CrowdTooLargeError
+from archsim.world import FREE, TWO_PI, build_floor
 
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
 ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
@@ -72,3 +83,152 @@ def build_neighbourhood(floor, config):
                 entries.append((q, cells.get(pace, pace), score))
         table[cell] = tuple(entries)
     return table
+
+
+# ------------------------------------------------- the tuple-keyed step kernel
+
+@dataclass(slots=True)
+class Agent:
+    id: int
+    pos: tuple
+    exited: bool = False
+
+
+@dataclass
+class WorldGrid:
+    """One run's occupancy map: each floor cell, in the heading field's
+    order, maps to the id of the agent standing there or to FREE."""
+
+    floor: object
+    occupancy: dict = field(init=False)
+
+    def __post_init__(self):
+        self.occupancy = dict.fromkeys(self.floor.heading, FREE)
+
+    def place(self, agent_id, cell):
+        occupant = self.occupancy.get(cell)
+        if occupant is None:
+            raise ValueError(f"cell {cell} is a wall")
+        if occupant != FREE:
+            raise ValueError(f"cell {cell} already occupied by {occupant}")
+        self.occupancy[cell] = agent_id
+
+    def vacate(self, cell):
+        self.occupancy[cell] = FREE
+
+    def move(self, old, new):
+        self.place(self.occupancy[old], new)
+        self.vacate(old)
+
+
+def is_free(grid, cell):
+    """True iff ``cell`` is a floor cell nobody stands on.
+
+    Exit cells count as free; walls and out-of-bounds queries do not.
+    """
+    return grid.occupancy.get(cell) == FREE
+
+
+def choose_pace(entries, occupancy, agents, threshold):
+    """The next pace from a cell with these tuple-keyed entries; None when
+    no cone cell is free."""
+    pace = match = None
+    best_id = -1
+    best_score = -1.0
+    for cell, toward, score in entries:
+        other_id = occupancy[cell]
+        if other_id == FREE:
+            if pace is None:
+                pace = toward
+        elif (score > best_score or (score == best_score and other_id < best_id)) \
+                and not agents[other_id].exited:
+            match, best_id, best_score = cell, other_id, score
+    if pace is None or match is None or best_score >= threshold:
+        return pace
+    tx, ty = match
+    return min(
+        (entry for entry in entries if occupancy[entry[0]] == FREE),
+        key=lambda entry: (entry[0][0] - tx) ** 2 + (entry[0][1] - ty) ** 2,
+    )[1]
+
+
+def _snapshot(t, agents, moved, exits):
+    n = len(agents)
+    xs = np.fromiter((a.pos[0] for a in agents), dtype=np.int16, count=n)
+    ys = np.fromiter((a.pos[1] for a in agents), dtype=np.int16, count=n)
+    exited = np.fromiter((a.exited for a in agents), dtype=bool, count=n)
+    return StepRecord(t, xs, ys, exited, moved, exits)
+
+
+def initialize(config):
+    config.validate()
+    grid = WorldGrid(build_floor(config.W, config.L, config.w))
+    rng = np.random.default_rng(config.seed)
+    spawn = [cell for cell in grid.occupancy if cell[1] >= config.spawn_margin]
+    if config.c > len(spawn):
+        raise CrowdTooLargeError(
+            f"crowd size c={config.c} exceeds {len(spawn)} spawnable cells"
+        )
+    picks = rng.choice(len(spawn), size=config.c, replace=False)
+    agents = []
+    for agent_id, i in enumerate(picks):
+        pos = spawn[int(i)]
+        grid.place(agent_id, pos)
+        agents.append(Agent(id=agent_id, pos=pos))
+    return grid, agents, rng
+
+
+def step(grid, agents, rng, config, t, table):
+    exits_this_step = 0
+    moved = np.zeros(len(agents), dtype=bool)
+    occupancy = grid.occupancy
+
+    for idx in rng.permutation(len(agents)):
+        agent = agents[int(idx)]
+        if agent.exited:
+            if occupancy.get(agent.pos) == agent.id:
+                grid.vacate(agent.pos)
+            continue
+
+        if agent.pos[1] == 0:
+            agent.exited = True
+            exits_this_step += 1
+            continue
+
+        pace = choose_pace(table[agent.pos], occupancy, agents, config.trigger_threshold)
+        if pace is not None and is_free(grid, pace):
+            grid.move(agent.pos, pace)
+            agent.pos = pace
+            moved[agent.id] = True
+
+        if agent.pos[1] == 0:
+            agent.exited = True
+            exits_this_step += 1
+
+    record = _snapshot(t, agents, moved, exits_this_step)
+    live = record.agent_count - record.exited_count
+    dwelling = sum(
+        1 for a in agents if a.exited and grid.occupancy.get(a.pos) == a.id
+    )
+    occupied = len(grid.occupancy) - operator.countOf(grid.occupancy.values(), FREE)
+    if occupied != live + dwelling:
+        raise ArchsimError(
+            f"step {t}: {occupied} occupied cells for {live} live agents "
+            f"and {dwelling} bodies in the doorway"
+        )
+    return record
+
+
+def reference_run(config):
+    """The full trace of a run, initial snapshot included, stepped by the
+    tuple-keyed kernel."""
+    grid, agents, rng = initialize(config)
+    table = build_neighbourhood(grid.floor, config)
+    record = _snapshot(0, agents, np.zeros(len(agents), dtype=bool), 0)
+    records = [record]
+    t = 0
+    while record.exited_count < len(agents) and t < config.max_steps:
+        t += 1
+        record = step(grid, agents, rng, config, t, table)
+        records.append(record)
+    return records

@@ -7,13 +7,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scalar_reference import build_neighbourhood, cone_offsets, similarity, signed_deviation
-
-from archsim.agent import Agent, _build_neighbourhood, choose_pace, neighbourhood
-from archsim.engine import SimConfig
-from archsim.world import (
-    FREE, Floor, WorldGrid, build_floor, heading_toward, is_free, wrap_angle
+import scalar_reference
+from conftest import crowd_on as _crowd
+from scalar_reference import (
+    Agent, build_neighbourhood, cone_offsets, is_free, similarity, signed_deviation
 )
+
+from archsim.agent import _build_neighbourhood, choose_pace, neighbourhood
+from archsim.engine import SimConfig
+from archsim.world import FREE, Floor, WorldGrid, build_floor, heading_toward, wrap_angle
 
 HALF_CONE_DEG = 50.0
 CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
@@ -132,12 +134,27 @@ def test_cone_boundary_inclusive():
     assert (1, 1) in members
 
 
-def _crowd(grid, cells):
-    """Agents 0..n-1 standing on ``cells``, placed on ``grid``."""
-    agents = [Agent(id=i, pos=cell) for i, cell in enumerate(cells)]
-    for agent in agents:
-        grid.place(agent.id, agent.pos)
-    return agents
+def _columns(floor, agents):
+    """The grid and crowd columns of reference ``agents`` on ``floor``."""
+    grid = WorldGrid(floor)
+    crowd = _crowd(grid, [agent.pos for agent in agents])
+    crowd.exited[:] = bytes(agent.exited for agent in agents)
+    return grid, crowd
+
+
+def _vacate(grid, cell):
+    grid.occupancy[grid.floor.index[cell]] = FREE
+
+
+def _is_free(grid, cell):
+    """True iff ``cell`` is a floor cell whose occupancy slot is FREE."""
+    k = grid.floor.index.get(cell)
+    return k is not None and grid.occupancy[k] == FREE
+
+
+def _on_floor(floor, pace):
+    """A pace in choose_pace's terms: a floor cell as is, a wall as -1."""
+    return pace if pace is None or pace in floor.index else -1
 
 
 def _floor_with(base, headings):
@@ -145,15 +162,20 @@ def _floor_with(base, headings):
     return Floor(base.width, base.length, base.exit_cells, {**base.heading, **headings})
 
 
-def _pace(agent, grid, agents, config):
-    """choose_pace on the agent's entries of the grid's floor table."""
-    entries = neighbourhood(grid.floor, config)[agent.pos]
-    return choose_pace(entries, grid.occupancy, agents, config.trigger_threshold)
+def _pace(agent, grid, crowd, config):
+    """choose_pace on the agent's entries of the grid's floor table: the
+    pace cell, -1 for a wall, or None."""
+    floor = grid.floor
+    entries = neighbourhood(floor, config)[floor.index[agent.pos]]
+    pace = choose_pace(entries, grid.occupancy, crowd.exited, floor.cells,
+                       config.trigger_threshold)
+    return pace if pace is None or pace < 0 else floor.cells[pace]
 
 
 def _scores(grid, cell, config):
     """The neighbourhood table's similarity score for each cone cell of ``cell``."""
-    return {q: score for q, _, score in neighbourhood(grid.floor, config)[cell]}
+    floor = grid.floor
+    return {floor.cells[q]: score for q, _, score in neighbourhood(floor, config)[floor.index[cell]]}
 
 
 def _toward(src, dst):
@@ -164,7 +186,7 @@ def _toward(src, dst):
 def _free_cone_cells(agent, grid, radius):
     x, y = agent.pos
     return [(x + ox, y + oy) for ox, oy, _ in cone_offsets(radius, grid.floor.heading[agent.pos])
-            if is_free(grid, (x + ox, y + oy))]
+            if _is_free(grid, (x + ox, y + oy))]
 
 
 # ---------------------------------------------------------------- the table
@@ -190,9 +212,10 @@ _BOUNDARY_HEADINGS = _boundary_headings()
 @settings(max_examples=80, deadline=None)
 def test_table_matches_scalar_reference_bit_for_bit(data):
     """The numpy build equals the scalar cone and similarity definitions:
-    key and entry order, the floor's own key tuples, float bits and Python
-    types (no numpy scalar reaches choose_pace's dict lookups).  Some cells
-    face arbitrary headings, at times exactly onto a cone boundary."""
+    cell and entry order, cell indices (-1 for a pace onto a wall), float
+    bits and Python types (no numpy scalar reaches choose_pace's list
+    lookups), one int object per index.  Some cells face arbitrary
+    headings, at times exactly onto a cone boundary."""
     W = data.draw(st.integers(1, 14))
     L = data.draw(st.integers(W + 1, 30))
     radius = data.draw(st.integers(1, 5))
@@ -209,16 +232,15 @@ def test_table_matches_scalar_reference_bit_for_bit(data):
 
     table = _build_neighbourhood(floor, config)
     expected = build_neighbourhood(floor, config)
-    assert list(table) == list(expected) == list(floor.heading)
-    keys = {cell: cell for cell in floor.heading}
-    for cell, (table_cell, entries) in zip(floor.heading, table.items()):
-        assert table_cell is cell
-        assert type(entries) is tuple and len(entries) == len(expected[cell])
-        for (q, pace, score), (ref_q, ref_pace, ref_score) in zip(entries, expected[cell]):
-            assert (q, pace) == (ref_q, ref_pace)
-            assert q is keys[q]
-            assert pace is keys[pace] if pace in keys else type(pace) is tuple
-            assert all(type(v) is int for v in (*q, *pace))
+    assert type(table) is list and list(expected) == list(floor.heading) == list(floor.cells)
+    assert len(table) == len(expected)
+    shared = {}  # index -> the one int object entries hold for it
+    for entries, ref_entries in zip(table, expected.values()):
+        assert type(entries) is tuple and len(entries) == len(ref_entries)
+        for (q, pace, score), (ref_q, ref_pace, ref_score) in zip(entries, ref_entries):
+            assert (floor.cells[q], pace) == (ref_q, floor.index.get(ref_pace, -1))
+            assert type(q) is int and type(pace) is int and q >= 0
+            assert shared.setdefault(q, q) is q and shared.setdefault(pace, pace) is pace
             assert type(score) is float and score.hex() == ref_score.hex()
 
 
@@ -236,16 +258,16 @@ def test_most_similar_neighbor_tie_to_lowest_id():
         crowd = {focal: 0, **ids}
         down_right = dict.fromkeys(crowd, 7 * math.pi / 4)  # heading term 1
         grid = WorldGrid(_floor_with(build_floor(19, 60, 19), down_right))
-        agents = [Agent(id=i, pos=(i, 50)) for i in range(10)]  # parked out of view
+        cells = [(i, 50) for i in range(10)]  # parked out of view
         for cell, agent_id in crowd.items():
-            agents[agent_id].pos = cell
-            grid.place(agent_id, cell)
+            cells[agent_id] = cell
+        crowd = _crowd(grid, cells)
         scores = _scores(grid, focal, config)
         assert scores[right] == pytest.approx(0.85)  # 0.5 * (1 - 3/10) + 0.5
         assert scores[ahead] == pytest.approx(0.85)
         assert scores[far] == pytest.approx(0.5 * (1 - math.hypot(6, 6) / 10) + 0.5)
         best = next(cell for cell, agent_id in ids.items() if agent_id == 3)
-        assert _pace(agents[0], grid, agents, config) == paces[best]
+        assert _pace(list(crowd)[0], grid, crowd, config) == paces[best]
 
 
 def test_most_similar_neighbor_reads_headings_from_the_floor():
@@ -254,22 +276,23 @@ def test_most_similar_neighbor_reads_headings_from_the_floor():
     config = SimConfig(c=3, w=19, d_max=10.0, vision_radius=4, trigger_threshold=0.9)
     # every floor heading straight down but (5, 9)'s, facing along the wall
     grid = WorldGrid(_floor_with(build_floor(19, 60, 19), {(5, 9): math.pi}))
-    agents = _crowd(grid, [(5, 10), (5, 9), (5, 6)])
+    crowd = _crowd(grid, [(5, 10), (5, 9), (5, 6)])
     scores = _scores(grid, (5, 10), config)
     assert scores[(5, 9)] == pytest.approx(0.7)  # 0.5 * (1 - 1/10) + 0.5 * 0.5
     assert scores[(5, 6)] == pytest.approx(0.8)  # 0.5 * (1 - 4/10) + 0.5 * 1.0
     # triggered by the far match: toward (5, 7), the free cell nearest it;
     # the near match would have drawn the agent to (4, 9)
-    assert _pace(agents[0], grid, agents, config) == (5, 9)
+    assert _pace(list(crowd)[0], grid, crowd, config) == (5, 9)
 
 
 def test_most_similar_neighbor_empty():
     """Alone in view, the agent never triggers: the closest free cell wins."""
     config = SimConfig(c=1, w=7, trigger_threshold=1.0)
     grid = WorldGrid(build_floor(19, 60, 7))
-    agents = _crowd(grid, [(4, 4)])
-    assert _pace(agents[0], grid, agents, config) == (4, 3)
-    assert neighbourhood(grid.floor, config)[(4, 4)][0][:2] == ((4, 3), (4, 3))
+    crowd = _crowd(grid, [(4, 4)])
+    assert _pace(list(crowd)[0], grid, crowd, config) == (4, 3)
+    floor = grid.floor
+    assert neighbourhood(floor, config)[floor.index[(4, 4)]][0][:2] == (floor.index[(4, 3)],) * 2
 
 
 # -------------------------------------------------------------- the free cell
@@ -282,23 +305,25 @@ def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     heading = math.atan2(1, 2) - math.radians(10)
     grid = WorldGrid(_floor_with(build_floor(19, 60, 7), {(5, 30): heading}))
     # the focal agent, then blockers on the nearer cells (1,0), (1,1), (2,0)
-    agents = _crowd(grid, [(5, 30), (6, 30), (6, 31), (7, 30)])
+    crowd = _crowd(grid, [(5, 30), (6, 30), (6, 31), (7, 30)])
     # toward (7, 31); the 43-degree cell (7, 29) would give (6, 29)
-    assert _pace(agents[0], grid, agents, UNTRIGGERED) == (6, 31)
-    entries = neighbourhood(grid.floor, UNTRIGGERED)[agents[0].pos]
-    assert [q for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
+    assert _pace(list(crowd)[0], grid, crowd, UNTRIGGERED) == (6, 31)
+    floor = grid.floor
+    entries = neighbourhood(floor, UNTRIGGERED)[floor.index[(5, 30)]]
+    assert [floor.cells[q] for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
     for (q, _, score), dist in zip(entries, [1.0, math.sqrt(2), 2.0]):
-        assert score == similarity(dist, heading, grid.floor.heading[q], UNTRIGGERED)
+        assert score == similarity(dist, heading, floor.heading[floor.cells[q]], UNTRIGGERED)
 
 
 def test_choose_target_none_when_cone_blocked():
     grid = WorldGrid(_floor_with(build_floor(19, 60, 7), {(9, 30): 3 * math.pi / 2}))
     blockers = [(9 + ox, 30 + oy) for ox, oy in sorted(_oracle_cone(3, 3 * math.pi / 2))]
-    agents = _crowd(grid, [(9, 30)] + blockers)
-    assert len(neighbourhood(grid.floor, CONFIG)[agents[0].pos]) == len(blockers)
-    assert _pace(agents[0], grid, agents, UNTRIGGERED) is None
+    crowd = _crowd(grid, [(9, 30)] + blockers)
+    focal = list(crowd)[0]
+    assert len(neighbourhood(grid.floor, CONFIG)[crowd.cell[0]]) == len(blockers)
+    assert _pace(focal, grid, crowd, UNTRIGGERED) is None
     triggered = SimConfig(c=2, w=1, trigger_threshold=1.0)
-    assert _pace(agents[0], grid, agents, triggered) is None
+    assert _pace(focal, grid, crowd, triggered) is None
 
 
 @given(data=st.data())
@@ -308,15 +333,16 @@ def test_choose_target_returns_free_cell(data):
     x = data.draw(st.integers(0, 8))
     y = data.draw(st.integers(1, 13))
     cells = [(i, j) for i in range(9) for j in range(14)
-             if is_free(grid, (i, j)) and (i, j) != (x, y)]
+             if _is_free(grid, (i, j)) and (i, j) != (x, y)]
     blocked = data.draw(st.lists(st.sampled_from(cells), max_size=20, unique=True))
-    agents = _crowd(grid, [(x, y)] + blocked)
-    free = _free_cone_cells(agents[0], grid, 3)
-    pace = _pace(agents[0], grid, agents, UNTRIGGERED)
+    crowd = _crowd(grid, [(x, y)] + blocked)
+    focal = list(crowd)[0]
+    free = _free_cone_cells(focal, grid, 3)
+    pace = _pace(focal, grid, crowd, UNTRIGGERED)
     assert (pace is None) == (not free)
     if pace is not None:
-        assert pace == _toward((x, y), free[0])
-        assert is_free(grid, free[0])
+        assert _on_floor(grid.floor, _toward((x, y), free[0])) == pace
+        assert _is_free(grid, free[0])
         assert math.hypot(free[0][0] - x, free[0][1] - y) <= 3.0
 
 
@@ -324,22 +350,23 @@ def test_choose_target_returns_free_cell(data):
 
 def test_sct_passthrough_above_threshold():
     grid = WorldGrid(build_floor(19, 60, 1))
-    focal, other = _crowd(grid, [(10, 10), (8, 8)])
+    crowd = _crowd(grid, [(10, 10), (8, 8)])
+    focal, other = crowd
     score = _scores(grid, focal.pos, CONFIG)[other.pos]
     for threshold in (0.0, score):  # below and at the match's score
         config = SimConfig(c=2, w=1, trigger_threshold=threshold)
-        assert _pace(focal, grid, [focal, other], config) == (10, 9)
-    grid.vacate(other.pos)  # no match in view
-    assert _pace(focal, grid, [focal, other], CONFIG) == (10, 9)
+        assert _pace(focal, grid, crowd, config) == (10, 9)
+    _vacate(grid, other.pos)  # no match in view
+    assert _pace(focal, grid, crowd, CONFIG) == (10, 9)
 
 
 def test_sct_veers_toward_dissimilar_comparison():
     """A low-scoring match two cells down-left pulls the pace leftward."""
     grid = WorldGrid(build_floor(19, 60, 1))
-    focal, other = _crowd(grid, [(10, 10), (8, 8)])
+    crowd = _crowd(grid, [(10, 10), (8, 8)])
     config = SimConfig(c=2, w=1, trigger_threshold=1.0)
     # nearest free cone cell to (8,8) is (9,8): one step down-left of the focal agent
-    assert _pace(focal, grid, [focal, other], config) == (9, 9)
+    assert _pace(list(crowd)[0], grid, crowd, config) == (9, 9)
 
 
 @given(data=st.data())
@@ -349,17 +376,19 @@ def test_sct_adjust_result_is_free_or_goal(data):
     x, y = data.draw(st.integers(0, 8)), data.draw(st.integers(2, 13))
     ox, oy = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
     other_pos = (x + ox, y + oy)
-    if other_pos == (x, y) or other_pos not in grid.occupancy:
+    if other_pos == (x, y) or other_pos not in grid.floor.index:
         other_pos = (x, min(13, y + 1))
-    agents = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
+    crowd = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
+    focal = list(crowd)[0]
     threshold = data.draw(st.floats(0.0, 1.0, allow_nan=False))
     config = SimConfig(c=2, w=3, W=9, L=14, trigger_threshold=threshold)
-    pace = _pace(agents[0], grid, agents, config)
+    pace = _pace(focal, grid, crowd, config)
     score = _scores(grid, (x, y), config).get(other_pos)
     if score is None or score >= threshold:
-        assert pace == _pace(agents[0], grid, agents, UNTRIGGERED)
+        assert pace == _pace(focal, grid, crowd, UNTRIGGERED)
     elif pace is not None:
-        assert pace in {_toward((x, y), cell) for cell in _free_cone_cells(agents[0], grid, 3)}
+        assert pace in {_on_floor(grid.floor, _toward((x, y), cell))
+                        for cell in _free_cone_cells(focal, grid, 3)}
 
 
 # ------------------------------------ the three scans the table replaced
@@ -473,7 +502,7 @@ def test_choose_pace_matches_scan_reference(data):
     if not mirrored and data.draw(st.booleans()):
         headings[data.draw(st.sampled_from(cells))] = data.draw(
             st.floats(0.0, 2 * math.pi, exclude_max=True))
-    grid = WorldGrid(_floor_with(base, headings))
+    grid = scalar_reference.WorldGrid(_floor_with(base, headings))
     for agent in agents:
         grid.place(agent.id, agent.pos)
     config = SimConfig(c=len(agents), w=1, W=W, L=L, vision_radius=radius,
@@ -488,4 +517,5 @@ def test_choose_pace_matches_scan_reference(data):
     config.trigger_threshold = data.draw(thresholds)
 
     expected = _reference_pace(focal, grid, agents, config)
-    assert _pace(focal, grid, agents, config) == expected
+    columns, crowd = _columns(grid.floor, agents)
+    assert _pace(focal, columns, crowd, config) == _on_floor(grid.floor, expected)

@@ -1,12 +1,17 @@
 """Engine semantics: scheduling, movement, exits, traces, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from archsim.agent import Agent
+import archsim
+from archsim.agent import neighbourhood
 from archsim.engine import (
     SimConfig,
     initialize,
@@ -19,16 +24,25 @@ from archsim.engine import (
 )
 from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError, InvalidDimensionsError
 from archsim.metrics import detect_arch_onset
-from archsim.world import FREE, WorldGrid, build_floor, nearest_exit_coordinate
+from archsim.world import FREE, WALL, WorldGrid, build_floor, nearest_exit_coordinate
 
-from conftest import reading
+from conftest import crowd_on, reading
+from scalar_reference import reference_run
+
+
+def _crowd_world(cells, w=1):
+    """A grid on the 19x60 floor with agents 0..n-1 standing on ``cells``."""
+    grid = WorldGrid(build_floor(19, 60, w))
+    return grid, crowd_on(grid, cells)
 
 
 def _lone_agent_world(pos, w=1):
-    grid = WorldGrid(build_floor(19, 60, w))
-    agent = Agent(id=0, pos=pos)
-    grid.place(0, pos)
-    return grid, [agent]
+    return _crowd_world([pos], w)
+
+
+def _body_at(grid, cell):
+    """The id on ``cell``'s occupancy slot (FREE when nobody stands there)."""
+    return grid.occupancy[grid.floor.index[cell]]
 
 
 def test_ten_cells_straight_exits_at_step_ten():
@@ -40,7 +54,7 @@ def test_ten_cells_straight_exits_at_step_ten():
         if rec.exited_count == 1:
             break
     assert t == 10
-    assert agents[0].pos == (9, 0)
+    assert list(agents)[0].pos == (9, 0)
 
 
 def test_agent_standing_on_exit_cell_exits():
@@ -51,38 +65,85 @@ def test_agent_standing_on_exit_cell_exits():
     assert rec.exits_this_step == 1
     assert not rec.moved[0]
     # the body clears the doorway at the next activation, not immediately
-    assert grid.occupancy.get((9, 0)) == 0
+    assert _body_at(grid, (9, 0)) == 0
     step(grid, agents, rng, SimConfig(c=1, w=7), 2)
-    assert grid.occupancy[(9, 0)] == FREE
+    assert _body_at(grid, (9, 0)) == FREE
 
 
 def test_enclosed_agent_stays_put():
-    grid = WorldGrid(build_floor(19, 60, 7))
-    focal = Agent(id=0, pos=(9, 30))
-    grid.place(0, focal.pos)
-    agents = [focal]
-    for i, (ox, oy) in enumerate(
-        [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
-    ):
-        blocker = Agent(id=i + 1, pos=(9 + ox, 30 + oy))
-        grid.place(blocker.id, blocker.pos)
-        agents.append(blocker)
+    grid, agents = _crowd_world([(9, 30)] + [
+        (9 + ox, 30 + oy)
+        for ox, oy in [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
+    ], w=7)
     # pick a seed whose first permutation activates the focal agent first,
     # so it decides while still fully enclosed
     seed = next(
         s for s in range(100) if np.random.default_rng(s).permutation(9)[0] == 0
     )
     rec = step(grid, agents, np.random.default_rng(seed), SimConfig(c=9, w=7, seed=seed), 1)
+    focal = list(agents)[0]
     assert focal.pos == (9, 30)
     assert not rec.moved[0]
 
 
-def test_phantom_body_fails_the_occupancy_check():
+def test_occupancy_ends_in_a_wall_slot_that_is_never_free():
+    """One slot per floor cell, then the slot that index -1 (a pace onto a
+    wall) reads; a run never frees it."""
+    cfg = SimConfig(c=40, w=1, W=7, L=12, spawn_margin=0, seed=3)
+    grid, crowd, rng = initialize(cfg)
+    assert len(grid.occupancy) == len(grid.floor.cells) + 1
+    assert grid.occupancy[-1] == WALL != FREE
+    for t in range(1, 200):
+        record = step(grid, crowd, rng, cfg, t)
+        assert grid.occupancy[-1] == WALL
+        if record.exited_count == len(crowd):
+            break
+    assert record.exited_count == len(crowd)
+
+
+def test_agent_whose_first_free_pace_is_a_wall_stays_put():
+    """Beside a one-cell exit, with (8, 1) and (9, 1) taken, the closest free
+    cone cell of (7, 1) is the exit (9, 0).  The pace toward it crosses the
+    wall corner (8, 0): index -1, whose slot is never FREE, so the agent
+    stays put."""
+    grid, agents = _crowd_world([(7, 1), (8, 1), (9, 1)], w=1)
+    floor, cfg = grid.floor, SimConfig(c=3, w=1)
+    entries = neighbourhood(floor, cfg)[floor.index[(7, 1)]]
+    toward_8_1 = floor.index[(8, 1)]
+    assert [(floor.cells[q], pace) for q, pace, _ in entries[:3]] == [
+        ((8, 1), toward_8_1), ((9, 1), toward_8_1), ((9, 0), -1)]
+    # a seed whose first permutation activates agent 0 before the blockers move
+    seed = next(s for s in range(100) if np.random.default_rng(s).permutation(3)[0] == 0)
+    rec = step(grid, agents, np.random.default_rng(seed), cfg, 1)
+    assert list(agents)[0].pos == (7, 1)
+    assert not rec.moved[0]
+    assert _body_at(grid, (7, 1)) == 0
+
+
+def _phantom_body_step():
+    """Step a 30-agent run whose grid holds a second body for agent 7."""
     cfg = SimConfig(c=30, w=3)
     grid, agents, rng = initialize(cfg)
-    grid.occupancy[(0, 1)] = 7  # a second body for agent 7
+    grid.occupancy[grid.floor.index[(0, 1)]] = 7  # a second body for agent 7
+    step(grid, agents, rng, cfg, 1)
+
+
+def test_phantom_body_fails_the_occupancy_check():
     with pytest.raises(ArchsimError, match="31 occupied cells for 30 live agents"):
-        step(grid, agents, rng, cfg, 1)
+        _phantom_body_step()
+
+
+def test_occupancy_check_survives_optimized_mode():
+    """The check is an exception, not an assert, so python -O keeps it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(archsim.__file__).parent.parent), str(Path(__file__).parent)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import test_engine; test_engine._phantom_body_step()"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.rstrip().endswith(
+        "ArchsimError: step 1: 31 occupied cells for 30 live agents and 0 bodies in the doorway")
 
 
 def test_lone_agent_trace_length_is_taxicab_distance():
@@ -116,7 +177,7 @@ def test_spawn_region_exactly_filled():
     cfg = SimConfig(c=1045, w=7)
     grid, agents, _ = initialize(cfg)
     assert len(agents) == 1045
-    assert sum(v != FREE for v in grid.occupancy.values()) == 1045
+    assert sum(v != FREE for v in grid.occupancy[:-1]) == 1045
     assert all(a.pos[1] >= cfg.spawn_margin for a in agents)
     with pytest.raises(CrowdTooLargeError):
         initialize(SimConfig(c=1046, w=7))
@@ -195,6 +256,7 @@ def test_step_invariants_hold_on_random_configs(cfg):
     bodies of this step's exits, exits never undone, every move one
     8-neighbour pace."""
     grid, agents, rng = initialize(cfg)
+    cells = grid.floor.cells
     for t in range(1, cfg.max_steps + 1):
         before = [(a.pos, a.exited) for a in agents]
         step(grid, agents, rng, cfg, t)
@@ -205,10 +267,35 @@ def test_step_invariants_hold_on_random_configs(cfg):
         bodies = [(a.pos, a.id) for a, (_, was_exited) in zip(agents, before)
                   if not was_exited]
         assert len({pos for pos, _ in bodies}) == len(bodies)  # one body per cell
-        assert dict(bodies) == {pos: i for pos, i in grid.occupancy.items() if i != FREE}
-        assert all(pos in grid.occupancy for pos, _ in bodies)
+        assert dict(bodies) == {cells[k]: i for k, i in enumerate(grid.occupancy[:-1])
+                                if i != FREE}
+        assert all(pos in grid.floor.index for pos, _ in bodies)
         if all(a.exited for a in agents):
             break
+
+
+@st.composite
+def _reference_configs(draw):
+    """Small configs for the reference run: spawn_margin 0 at times, and
+    d_max below and above the vision radius."""
+    cfg = draw(_small_configs())
+    if draw(st.booleans()):
+        cfg.spawn_margin = 0
+    radius = cfg.vision_radius
+    cfg.d_max = draw(st.floats(0.25, radius, exclude_max=True) | st.floats(radius, 3.0 * radius))
+    return cfg
+
+
+@given(cfg=_reference_configs())
+@example(cfg=SimConfig(c=12, w=3, W=3, L=4, spawn_margin=0, seed=1))  # the exit row full
+@example(cfg=SimConfig(c=20, w=1, W=5, L=6, spawn_margin=0, seed=2, d_max=1.5))
+@settings(max_examples=60, deadline=None)
+def test_run_matches_the_tuple_keyed_reference(cfg):
+    """engine.run on cell indices gives the tuple-keyed kernel's records,
+    record for record: positions, exited and moved flags, exits."""
+    expected = reference_run(cfg)
+    _assert_same_records(run(cfg), expected)
+    assert len(expected) > 1 or cfg.c == 0
 
 
 @given(

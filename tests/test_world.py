@@ -1,22 +1,31 @@
 """World geometry: exit placement, walls, occupancy, nearest-exit selection,
-the heading field and the shared floor."""
+the heading field, cell indices and the shared floor."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from archsim.errors import InvalidDimensionsError
 from archsim.world import (
     FREE,
+    WALL,
     Floor,
     WorldGrid,
     build_floor,
     check_geometry,
     heading_toward,
-    is_free,
     nearest_exit_coordinate,
 )
+
+from conftest import crowd_on
+
+
+def _is_free(grid, cell):
+    """True iff ``cell`` is a floor cell whose occupancy slot is FREE."""
+    k = grid.floor.index.get(cell)
+    return k is not None and grid.occupancy[k] == FREE
 
 
 def test_centered_exit_19_7():
@@ -55,38 +64,46 @@ def test_invalid_dimensions(W, L, w):
 
 
 def test_wall_predicate():
+    floor = build_floor(19, 60, 7)
+    assert (0, 0) not in floor.index   # end wall outside the exit
+    assert (5, 0) not in floor.index
+    assert (6, 0) in floor.index       # exit cells are not walls
+    assert (12, 0) in floor.index
+    assert (13, 0) not in floor.index
+    assert (0, 1) in floor.index
+    assert (-1, 5) not in floor.index  # out of bounds counts as wall
+    assert (19, 5) not in floor.index
+    assert (5, 60) not in floor.index
+
+
+def test_occupancy_slots():
     grid = WorldGrid(build_floor(19, 60, 7))
-    assert (0, 0) not in grid.occupancy   # end wall outside the exit
-    assert (5, 0) not in grid.occupancy
-    assert (6, 0) in grid.occupancy       # exit cells are not walls
-    assert (12, 0) in grid.occupancy
-    assert (13, 0) not in grid.occupancy
-    assert (0, 1) in grid.occupancy
-    assert (-1, 5) not in grid.occupancy  # out of bounds counts as wall
-    assert (19, 5) not in grid.occupancy
-    assert (5, 60) not in grid.occupancy
+    index = grid.floor.index
+    # one FREE slot per floor cell, then the one a pace onto a wall (index -1) reads
+    assert grid.occupancy == [FREE] * len(grid.floor.cells) + [WALL]
+    assert _is_free(grid, (9, 5))
+    grid.occupancy[index[(9, 5)]] = 0
+    assert not _is_free(grid, (9, 5))
+    assert not _is_free(grid, (0, 0))     # wall
+    assert not _is_free(grid, (-1, 3))    # out of bounds
+    assert _is_free(grid, (9, 0))         # exit cells count as free
 
 
-def test_is_free_and_occupancy():
-    grid = WorldGrid(build_floor(19, 60, 7))
-    assert is_free(grid, (9, 5))
-    grid.place(0, (9, 5))
-    assert not is_free(grid, (9, 5))
-    assert grid.occupancy[(9, 5)] == 0
-    assert not is_free(grid, (0, 0))     # wall
-    assert not is_free(grid, (-1, 3))    # out of bounds
-    assert is_free(grid, (9, 0))         # exit cells count as free
-
+def test_floor_cell_indices():
+    """Cell k of the heading field's order is cells[k] = (xs[k], ys[k]) and
+    index[cells[k]] = k; the exit segment comes first; all read-only."""
+    floor = build_floor(19, 60, 7)
+    assert floor.cells == tuple(floor.heading)
+    assert floor.cells[:7] == floor.exit_cells
+    assert [floor.index[cell] for cell in floor.cells] == list(range(len(floor.cells)))
+    assert list(zip(floor.xs.tolist(), floor.ys.tolist())) == list(floor.cells)
+    assert floor.xs.dtype == floor.ys.dtype == np.int16
     with pytest.raises(ValueError):
-        grid.place(1, (9, 5))            # occupied
+        floor.xs[0] = 1
     with pytest.raises(ValueError):
-        grid.place(1, (0, 0))            # wall
-
-    grid.move((9, 5), (9, 4))
-    assert grid.occupancy[(9, 4)] == 0
-    assert is_free(grid, (9, 5))
-    grid.vacate((9, 4))
-    assert set(grid.occupancy.values()) == {FREE}
+        floor.ys[0] = 1
+    with pytest.raises(TypeError):
+        floor.index[(0, 0)] = 0
 
 
 def _reference_is_wall(floor, cell):
@@ -101,27 +118,21 @@ def _reference_is_wall(floor, cell):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_floor_map_matches_bounds_arithmetic(data):
-    """The floor map, is_free and place agree with the bounds-arithmetic walls on
-    every cell of a box reaching 4 cells beyond the corridor."""
+    """The floor's cell index and the occupancy slots agree with the
+    bounds-arithmetic walls on every cell of a box reaching 4 cells beyond
+    the corridor."""
     W = data.draw(st.integers(1, 9))
     L = data.draw(st.integers(W + 1, 12))
     grid = WorldGrid(build_floor(W, L, data.draw(st.integers(1, W))))
     box = [(x, y) for y in range(-4, L + 4) for x in range(-4, W + 4)]
     cells = [cell for cell in box if not _reference_is_wall(grid.floor, cell)]
     bodies = data.draw(st.lists(st.sampled_from(cells), unique=True))
-    for agent_id, cell in enumerate(bodies):
-        grid.place(agent_id, cell)
+    crowd_on(grid, bodies)
     occupied = set(bodies)
     for cell in box:
         wall = _reference_is_wall(grid.floor, cell)
-        assert (cell not in grid.occupancy) == wall
-        assert is_free(grid, cell) == (not wall and cell not in occupied)
-        if wall or cell in occupied:
-            with pytest.raises(ValueError, match="wall" if wall else "occupied"):
-                grid.place(len(bodies), cell)
-        else:
-            grid.place(len(bodies), cell)
-            grid.vacate(cell)
+        assert (cell not in grid.floor.index) == wall
+        assert _is_free(grid, cell) == (not wall and cell not in occupied)
 
 
 def test_nearest_exit_example():
@@ -175,7 +186,8 @@ def test_nearest_exit_brute_force_full_neighborhood():
 def test_heading_field_faces_nearest_exit(W, L, w):
     """Every floor cell's heading points at the brute-force nearest exit."""
     floor = build_floor(W, L, w)
-    assert list(floor.heading) == list(WorldGrid(floor).occupancy)
+    assert list(floor.heading) == list(floor.cells)
+    assert len(WorldGrid(floor).occupancy) == len(floor.cells) + 1
     for cell in floor.heading:
         assert floor.heading[cell] == heading_toward(cell, _oracle_nearest(floor, cell)), cell
 
