@@ -10,10 +10,11 @@ pure functions of (cell, occupancy, run config):
   cone cells (the forward vision cone is a 100-degree wedge facing the
   heading) with the pace toward each and the similarity score of a
   neighbour standing there.
-* :func:`choose_pace` reads its cell's entries once: it takes the
-  closest free cell, unless the best match looks too dissimilar: then
-  the agent is triggered to close the gap and heads for the free cell
-  nearest the match.
+* :func:`choose_pace` takes the closest free cell, unless the best
+  match looks too dissimilar: then the agent is triggered to close the
+  gap and heads for the free cell nearest the match.  Each scan stops at
+  its answer: the first free entry in cone order, the first live agent
+  in score order.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ def _disc_offsets(radius: int) -> tuple[tuple[int, int, float, float], ...]:
 
 
 Entry = tuple[int, int, float]  # (cone cell q, pace toward q, similarity score)
+Entries = tuple[tuple[Entry, ...], tuple[Entry, ...]]  # (cone order, score order)
 
 
-def neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, ...]]:
-    """Each floor cell's cone entries ``(q, pace, score)``, in cone order,
-    indexed by cell index.
+def neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
+    """Each floor cell's cone entries ``(q, pace, score)``, in cone order
+    and ranked by descending score, indexed by cell index.
 
     ``q`` runs over the floor cells of the cone facing the cell's heading
     (walls are dropped), ``pace`` is the one-cell step toward ``q`` and
@@ -99,7 +101,8 @@ def neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, ...]]:
     for "closest free space" with fixed tie breaks.  The score is the
     equal-weight sum of distance similarity, falling linearly from 1 to 0
     at ``d_max`` cells, and heading similarity, 1 minus the angle between
-    the two cells' headings over pi.
+    the two cells' headings over pi.  The ranking is stable: equal scores
+    keep cone order.  Both tuples hold the same entry objects.
     """
     key = (config.vision_radius, config.d_max)
     table = floor.tables.get(key)
@@ -114,7 +117,7 @@ def _deviation(d: np.ndarray) -> np.ndarray:
     return np.where(d > math.pi, d - TWO_PI, np.where(d <= -math.pi, d + TWO_PI, d))
 
 
-def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, ...]]:
+def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     """The table, computed with numpy a block of ``_BLOCK`` cells at a time.
 
     The angles come from ``math.atan2`` (the heading field's and
@@ -150,42 +153,64 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[tuple[Entry, .
         score = by_distance[order][keep] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
         entries = list(zip(map(ints.__getitem__, q.tolist()),
                            map(ints.__getitem__, pace.tolist()), score.tolist()))
-        start = 0
-        for end in accumulate(keep.sum(1).tolist()):
-            table.append(tuple(entries[start:end]))
+        # most cells' cone order is already by descending score: those
+        # share the cone tuple, and only the rest are ranked, by a stable
+        # lexsort so that equal scores keep cone order
+        cell_of = keep.nonzero()[0]
+        rises = (score[1:] > score[:-1]) & (cell_of[1:] == cell_of[:-1])
+        unsorted = np.zeros(len(keep), bool)
+        unsorted[cell_of[1:][rises]] = True
+        picked = np.flatnonzero(unsorted[cell_of])
+        by_score = picked[np.lexsort((-score[picked], cell_of[picked]))]
+        ranked = list(map(entries.__getitem__, by_score.tolist()))
+        start = at = 0
+        for end, rank in zip(accumulate(keep.sum(1).tolist()), unsorted.tolist()):
+            cone = tuple(entries[start:end])
+            if rank:
+                table.append((cone, tuple(ranked[at:at + end - start])))
+                at += end - start
+            else:
+                table.append((cone, cone))
             start = end
     return table
 
 
 def choose_pace(
-    entries: tuple[Entry, ...], occupancy: list[int], exited: bytearray,
+    entries: Entries, occupancy: list[int], exited: bytearray,
     cells: tuple[Cell, ...], threshold: float,
 ) -> int | None:
     """The next pace from a cell with these entries; None when no cone cell is free.
 
-    One pass over the entries finds the closest free cell (the first free
-    entry) and the most similar live agent in view (highest score, ties
-    to the lowest id).  The pace heads for the closest free cell, unless
-    that match scores below ``threshold``: then the agent moves to reduce
-    the difference and heads for the free cell nearest the match, ties
-    to the earlier cone cell.  ``cells`` gives a cell index's
-    coordinates.  The pace cell itself may be occupied or a wall (-1).
+    The pace heads for the closest free cell (the first free entry in cone
+    order), unless the most similar live agent in view (highest score,
+    ties to the lowest id) scores below ``threshold``: then the agent
+    moves to reduce the difference and heads for the free cell nearest
+    that match, ties to the earlier cone cell.  The best score is that of
+    the first live agent in score order; only a triggered agent looks
+    among the entries of equal score for the lowest id.  ``cells``
+    gives a cell index's coordinates.  The pace cell itself may be
+    occupied or a wall (-1).
     """
-    pace = match = None
-    best_id = -1
-    best_score = -1.0
-    for q, toward, score in entries:
-        other_id = occupancy[q]
-        if other_id == FREE:
-            if pace is None:
-                pace = toward
-        elif (score > best_score or (score == best_score and other_id < best_id)) \
-                and not exited[other_id]:
-            match, best_id, best_score = q, other_id, score
-    if pace is None or match is None or best_score >= threshold:
+    cone, ranked = entries
+    for q, pace, _ in cone:
+        if occupancy[q] == FREE:
+            break
+    else:
+        return None
+    for match, _, best in ranked:
+        best_id = occupancy[match]
+        if best_id != FREE and not exited[best_id]:
+            break
+    else:
         return pace
+    if best >= threshold:
+        return pace
+    for q, _, score in ranked:
+        other_id = occupancy[q]
+        if score == best and other_id != FREE and other_id < best_id and not exited[other_id]:
+            match, best_id = q, other_id
     tx, ty = cells[match]
     return min(
-        (entry for entry in entries if occupancy[entry[0]] == FREE),
+        (entry for entry in cone if occupancy[entry[0]] == FREE),
         key=lambda entry: (cells[entry[0]][0] - tx) ** 2 + (cells[entry[0]][1] - ty) ** 2,
     )[1]

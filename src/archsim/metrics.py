@@ -33,17 +33,27 @@ class ArchMeasurement:
     cluster_size: int | None = None
 
 
-def _stationary_cells(record) -> set[Cell]:
+def clog_cluster(record, floor: Floor) -> set[Cell]:
+    """Largest exit-anchored component of stationary live agents.
+
+    Returns an empty set when nothing qualifies.  Among equally large
+    components the one with the smallest cell wins, so the result never
+    depends on iteration order.  A cell within distance 1 of its nearest
+    exit coordinate has ``y <= 1``, since that distance is at least ``y``:
+    the flood fills start from such cells only, so no component away from
+    the exit is ever filled.
+    """
     mask = ~record.exited & ~record.moved
-    return {(int(x), int(y)) for x, y in zip(record.xs[mask], record.ys[mask])}
-
-
-def _components(cells: set[Cell]) -> list[set[Cell]]:
-    """8-connected components, flood fill over a sparse cell set."""
-    remaining = set(cells)
-    components = []
-    while remaining:
-        seed = remaining.pop()
+    remaining = set(zip(record.xs[mask].tolist(), record.ys[mask].tolist()))
+    seeds = [
+        cell for cell in remaining
+        if cell[1] <= 1 and dist(cell, nearest_exit_coordinate(floor, cell)) <= 1
+    ]
+    candidates = []
+    for seed in seeds:
+        if seed not in remaining:  # reached from an earlier seed
+            continue
+        remaining.remove(seed)
         comp = {seed}
         frontier = [seed]
         while frontier:
@@ -54,31 +64,10 @@ def _components(cells: set[Cell]) -> list[set[Cell]]:
                     remaining.remove(nb)
                     comp.add(nb)
                     frontier.append(nb)
-        components.append(comp)
-    return components
-
-
-def _touches_exit(comp: set[Cell], floor: Floor) -> bool:
-    """Some member lies within distance 1 of its nearest (clamped) exit cell."""
-    return any(dist(cell, nearest_exit_coordinate(floor, cell)) <= 1 for cell in comp)
-
-
-def clog_cluster(record, floor: Floor) -> set[Cell]:
-    """Largest exit-anchored component of stationary live agents.
-
-    Returns an empty set when nothing qualifies.  Among equally large
-    components the one with the smallest cell wins, so the result never
-    depends on iteration order.
-    """
-    candidates = [
-        comp
-        for comp in _components(_stationary_cells(record))
-        if _touches_exit(comp, floor)
-    ]
+        candidates.append(comp)
     if not candidates:
         return set()
-    candidates.sort(key=lambda comp: (-len(comp), min(comp)))
-    return candidates[0]
+    return min(candidates, key=lambda comp: (-len(comp), min(comp)))
 
 
 def detect_arch_onset(

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 from . import table
@@ -201,6 +199,11 @@ def run_sweep(
             except Exception as exc:  # noqa: BLE001 - cell failures are data
                 finish(task, None, f"{type(exc).__name__}: {exc}")
     else:
+        # imported here: the pool machinery loads multiprocessing, socket and
+        # logging, which a serial sweep or a single run never needs
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = {pool.submit(run_cell, config, *task): task for task in tasks}
             pending = set(futures)

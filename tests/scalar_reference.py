@@ -8,6 +8,11 @@ table with numpy; the tests require the two to agree bit for bit.
 indices: ``Agent`` objects, an occupancy dict keyed by cell tuples,
 ``is_free`` and ``WorldGrid.move``, over the tuple-keyed scalar table.
 The tests require ``engine.run`` to give the same records.
+
+``one_pass_choose_pace`` is the index-based pace decision as it was
+before the table ranked each cell's entries by score: one pass over the
+cone entries.  The tests require ``agent.choose_pace`` to return the
+same pace.
 """
 
 import math
@@ -149,6 +154,29 @@ def choose_pace(entries, occupancy, agents, threshold):
     return min(
         (entry for entry in entries if occupancy[entry[0]] == FREE),
         key=lambda entry: (entry[0][0] - tx) ** 2 + (entry[0][1] - ty) ** 2,
+    )[1]
+
+
+def one_pass_choose_pace(entries, occupancy, exited, cells, threshold):
+    """The next pace from a cell with these cone entries ``(q, pace, score)``
+    of cell indices; None when no cone cell is free."""
+    pace = match = None
+    best_id = -1
+    best_score = -1.0
+    for q, toward, score in entries:
+        other_id = occupancy[q]
+        if other_id == FREE:
+            if pace is None:
+                pace = toward
+        elif (score > best_score or (score == best_score and other_id < best_id)) \
+                and not exited[other_id]:
+            match, best_id, best_score = q, other_id, score
+    if pace is None or match is None or best_score >= threshold:
+        return pace
+    tx, ty = cells[match]
+    return min(
+        (entry for entry in entries if occupancy[entry[0]] == FREE),
+        key=lambda entry: (cells[entry[0]][0] - tx) ** 2 + (cells[entry[0]][1] - ty) ** 2,
     )[1]
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference
 from conftest import crowd_on as _crowd
 from scalar_reference import (
-    Agent, build_neighbourhood, cone_offsets, is_free, similarity, signed_deviation
+    Agent, build_neighbourhood, cone_offsets, is_free, one_pass_choose_pace, similarity,
+    signed_deviation,
 )
 
 from archsim.agent import _build_neighbourhood, choose_pace, neighbourhood
 from archsim.engine import SimConfig
-from archsim.world import FREE, Floor, WorldGrid, build_floor, heading_toward, wrap_angle
+from archsim.world import FREE, WALL, Floor, WorldGrid, build_floor, heading_toward, wrap_angle
 
 HALF_CONE_DEG = 50.0
 CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
@@ -175,7 +176,8 @@ def _pace(agent, grid, crowd, config):
 def _scores(grid, cell, config):
     """The neighbourhood table's similarity score for each cone cell of ``cell``."""
     floor = grid.floor
-    return {floor.cells[q]: score for q, _, score in neighbourhood(floor, config)[floor.index[cell]]}
+    cone, _ = neighbourhood(floor, config)[floor.index[cell]]
+    return {floor.cells[q]: score for q, _, score in cone}
 
 
 def _toward(src, dst):
@@ -214,8 +216,10 @@ def test_table_matches_scalar_reference_bit_for_bit(data):
     """The numpy build equals the scalar cone and similarity definitions:
     cell and entry order, cell indices (-1 for a pace onto a wall), float
     bits and Python types (no numpy scalar reaches choose_pace's list
-    lookups), one int object per index.  Some cells face arbitrary
-    headings, at times exactly onto a cone boundary."""
+    lookups), one int object per index.  Each cell's ranked tuple is a
+    stable descending-score sort of its cone tuple, holding the same entry
+    objects.  Some cells face arbitrary headings, at times exactly onto a
+    cone boundary."""
     W = data.draw(st.integers(1, 14))
     L = data.draw(st.integers(W + 1, 30))
     radius = data.draw(st.integers(1, 5))
@@ -235,8 +239,11 @@ def test_table_matches_scalar_reference_bit_for_bit(data):
     assert type(table) is list and list(expected) == list(floor.heading) == list(floor.cells)
     assert len(table) == len(expected)
     shared = {}  # index -> the one int object entries hold for it
-    for entries, ref_entries in zip(table, expected.values()):
+    for (entries, ranked), ref_entries in zip(table, expected.values()):
         assert type(entries) is tuple and len(entries) == len(ref_entries)
+        by_score = sorted(entries, key=lambda entry: -entry[2])  # sorted is stable
+        assert type(ranked) is tuple and len(ranked) == len(entries)
+        assert all(entry is ref for entry, ref in zip(ranked, by_score))
         for (q, pace, score), (ref_q, ref_pace, ref_score) in zip(entries, ref_entries):
             assert (floor.cells[q], pace) == (ref_q, floor.index.get(ref_pace, -1))
             assert type(q) is int and type(pace) is int and q >= 0
@@ -292,7 +299,8 @@ def test_most_similar_neighbor_empty():
     crowd = _crowd(grid, [(4, 4)])
     assert _pace(list(crowd)[0], grid, crowd, config) == (4, 3)
     floor = grid.floor
-    assert neighbourhood(floor, config)[floor.index[(4, 4)]][0][:2] == (floor.index[(4, 3)],) * 2
+    cone, _ = neighbourhood(floor, config)[floor.index[(4, 4)]]
+    assert cone[0][:2] == (floor.index[(4, 3)],) * 2
 
 
 # -------------------------------------------------------------- the free cell
@@ -309,7 +317,7 @@ def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     # toward (7, 31); the 43-degree cell (7, 29) would give (6, 29)
     assert _pace(list(crowd)[0], grid, crowd, UNTRIGGERED) == (6, 31)
     floor = grid.floor
-    entries = neighbourhood(floor, UNTRIGGERED)[floor.index[(5, 30)]]
+    entries, _ = neighbourhood(floor, UNTRIGGERED)[floor.index[(5, 30)]]
     assert [floor.cells[q] for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
     for (q, _, score), dist in zip(entries, [1.0, math.sqrt(2), 2.0]):
         assert score == similarity(dist, heading, floor.heading[floor.cells[q]], UNTRIGGERED)
@@ -320,7 +328,8 @@ def test_choose_target_none_when_cone_blocked():
     blockers = [(9 + ox, 30 + oy) for ox, oy in sorted(_oracle_cone(3, 3 * math.pi / 2))]
     crowd = _crowd(grid, [(9, 30)] + blockers)
     focal = list(crowd)[0]
-    assert len(neighbourhood(grid.floor, CONFIG)[crowd.cell[0]]) == len(blockers)
+    cone, _ = neighbourhood(grid.floor, CONFIG)[crowd.cell[0]]
+    assert len(cone) == len(blockers)
     assert _pace(focal, grid, crowd, UNTRIGGERED) is None
     triggered = SimConfig(c=2, w=1, trigger_threshold=1.0)
     assert _pace(focal, grid, crowd, triggered) is None
@@ -519,3 +528,81 @@ def test_choose_pace_matches_scan_reference(data):
     expected = _reference_pace(focal, grid, agents, config)
     columns, crowd = _columns(grid.floor, agents)
     assert _pace(focal, columns, crowd, config) == _on_floor(grid.floor, expected)
+
+
+# ------------------------------------------- the ranked scan and the one pass
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_ranked_choose_pace_matches_one_pass(data):
+    """choose_pace's short scans over the cone and the ranked entries return
+    the one-pass decision's pace: random free, live and exited occupants
+    under random ids, exited bodies in the doorway, no free cell, nobody
+    in view, triggered agents whose best matches share a score (with the
+    whole end wall an exit every heading faces straight down) under
+    either id order, and thresholds at 0, at 1, in between and at and one
+    ulp either side of the best score."""
+    W = data.draw(st.integers(1, 9))
+    L = data.draw(st.integers(W + 1, 12))
+    floor = build_floor(W, L, data.draw(st.just(W) | st.integers(1, W)))
+    radius = data.draw(st.integers(1, 4))
+    config = SimConfig(c=1, w=1, W=W, L=L, vision_radius=radius,
+                       d_max=data.draw(st.floats(0.5, 6.0)))
+    n, w = len(floor.cells), len(floor.exit_cells)
+    beside_door = [k for k in range(w, n) if floor.cells[k][1] <= radius]
+    k = data.draw(st.sampled_from(beside_door) | st.integers(w, n - 1))
+    entries = neighbourhood(floor, config)[k]
+    cone, _ = entries
+    scores = [score for _, _, score in cone]
+    tied = [[i for i, other in enumerate(scores) if other == score] for score in set(scores)]
+    tied = [group for group in tied if len(group) > 1]
+    fills = ["mixed", "no free cell", "nobody in view"] + ["equal best scores"] * bool(tied)
+    fill = data.draw(st.sampled_from(fills))
+    kinds = {
+        "mixed": st.sampled_from(["free", "live", "exited"]),
+        "no free cell": st.sampled_from(["live", "exited"]),
+        "nobody in view": st.sampled_from(["free", "exited"]),
+        "equal best scores": st.sampled_from(["free", "exited"]),
+    }[fill]
+    kinds = data.draw(st.lists(kinds, min_size=len(cone), max_size=len(cone)))
+    if fill == "equal best scores":  # the only live agents in view
+        for i in data.draw(st.sampled_from(tied)):
+            kinds[i] = "live"
+    taken = [(q, kind) for (q, _, _), kind in zip(cone, kinds) if kind != "free"]
+    ids = data.draw(st.permutations(range(1, len(taken) + 1)))
+    occupancy = [FREE] * n + [WALL]
+    exited = bytearray(len(taken) + 1)
+    occupancy[k] = 0
+    for (q, kind), agent_id in zip(taken, ids):
+        occupancy[q] = agent_id
+        exited[agent_id] = kind == "exited"
+    live = [score for score, kind in zip(scores, kinds) if kind == "live"]
+    thresholds = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    if live:
+        best = max(live)
+        thresholds |= st.sampled_from([best, math.nextafter(best, -1.0), math.nextafter(best, 2.0)])
+    if fill == "equal best scores":  # triggered, so the ids decide the match
+        thresholds = st.floats(best, 1.0, exclude_min=True)
+    threshold = data.draw(thresholds)
+
+    assert choose_pace(entries, occupancy, exited, floor.cells, threshold) == \
+        one_pass_choose_pace(cone, occupancy, exited, floor.cells, threshold)
+
+
+def test_ranked_choose_pace_equal_scores_in_both_id_orders():
+    """Two live agents on mirrored cells score equal; the lower id is the
+    match and draws the triggered agent to its side, in both id orders.
+    An exited body straight ahead is no match."""
+    floor = build_floor(7, 12, 7)  # every heading straight down
+    entries = neighbourhood(floor, CONFIG)[floor.index[(3, 5)]]
+    left, right, ahead = (floor.index[cell] for cell in [(2, 3), (4, 3), (3, 3)])
+    for ids in ((1, 2), (2, 1)):
+        occupancy = [FREE] * len(floor.cells) + [WALL]
+        occupancy[left], occupancy[right], occupancy[ahead] = *ids, 3
+        exited = bytearray([0, 0, 0, 1])
+        side = (2, 4) if ids[0] == 1 else (4, 4)
+        for threshold, pace in ((0.0, (3, 4)), (0.5, (3, 4)), (1.0, side)):
+            got = choose_pace(entries, occupancy, exited, floor.cells, threshold)
+            assert got == one_pass_choose_pace(entries[0], occupancy, exited, floor.cells,
+                                               threshold)
+            assert floor.cells[got] == pace, (ids, threshold)

@@ -108,7 +108,7 @@ def test_agent_whose_first_free_pace_is_a_wall_stays_put():
     stays put."""
     grid, agents = _crowd_world([(7, 1), (8, 1), (9, 1)], w=1)
     floor, cfg = grid.floor, SimConfig(c=3, w=1)
-    entries = neighbourhood(floor, cfg)[floor.index[(7, 1)]]
+    entries, _ = neighbourhood(floor, cfg)[floor.index[(7, 1)]]
     toward_8_1 = floor.index[(8, 1)]
     assert [(floor.cells[q], pace) for q, pace, _ in entries[:3]] == [
         ((8, 1), toward_8_1), ((9, 1), toward_8_1), ((9, 0), -1)]

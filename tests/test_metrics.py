@@ -123,6 +123,77 @@ def test_clog_cluster_matches_oracle_on_random_layouts():
         assert clog_cluster(rec, floor) == _oracle_clog(rec, floor), (trial, w, layout)
 
 
+def _column(x, y0, height):
+    return [(x, y) for y in range(y0, y0 + height)]
+
+
+def test_clog_cluster_matches_oracle_on_seeding_layouts():
+    """Seeded layouts aimed at the flood fills that start from the exit:
+    equal anchored components where min(comp) decides, live agents
+    standing on exit cells (the t=0 record with spawn_margin=0), blobs
+    touching the exit row only diagonally (distance sqrt(2): no anchor),
+    an exit across the whole end wall, and large stationary crowds
+    behind the clog."""
+    # equal anchored components: the one with the smaller min cell reaches
+    # farther along the wall, so only min(comp) decides for it
+    floor = build_floor(11, 30, 11)
+    hook = [(0, 1), (0, 2), (0, 3)] + [(x, 4) for x in range(1, 8)]
+    block = [(x, y) for x in range(3, 8) for y in (1, 2)]
+    for layout in (hook + block, block + hook):
+        rec = make_record(0, layout)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor) == set(hook)
+
+    rnd = random.Random(1506)
+    for trial in range(60):
+        # two equal anchored columns, listed in either order
+        W = rnd.randint(5, 19)
+        floor = build_floor(W, 30, rnd.randint(3, W))
+        (x0, _), (x1, _) = floor.exit_cells[0], floor.exit_cells[-1]
+        a = rnd.randint(x0, x1 - 2)
+        b = rnd.randint(a + 2, x1)
+        height = rnd.randint(1, 6)
+        columns = [_column(a, rnd.randint(0, 1), height), _column(b, rnd.randint(0, 1), height)]
+        rnd.shuffle(columns)
+        rec = make_record(trial, columns[0] + columns[1])
+        expected = min(map(set, columns), key=min)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor) == expected, (trial, W)
+
+        # live agents on exit cells, some linked to a stationary blob behind
+        on_exit = rnd.sample(floor.exit_cells, rnd.randint(1, len(floor.exit_cells)))
+        behind = rnd.sample([cell for cell in floor.cells if 1 <= cell[1] <= 6], 12)
+        layout = list(dict.fromkeys(on_exit + behind))
+        moved = [i for i in range(len(layout)) if rnd.random() < 0.3]
+        rec = make_record(0, layout, moved=moved)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor), (trial, layout)
+
+        # a blob meeting the one-cell exit's row only across a corner
+        floor = build_floor(W, 30, 1)
+        (e, _), = floor.exit_cells
+        side = e + rnd.choice([-1, 1]) if 0 < e < W - 1 else (1 if e == 0 else W - 2)
+        blob = _column(side, 1, rnd.randint(1, 5)) + _column(e, rnd.randint(2, 3), 3)
+        rec = make_record(trial, blob)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor) == set(), (trial, blob)
+
+        # the whole end wall an exit
+        floor = build_floor(W, 30, W)
+        layout = rnd.sample(floor.cells, rnd.randint(0, 3 * W))
+        moved = [i for i in range(len(layout)) if rnd.random() < 0.35]
+        rec = make_record(trial, layout, moved=moved)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor), (trial, W, layout)
+
+    for trial in range(10):
+        # a clog at the exit and a dense stationary crowd behind it, joined or not
+        w = rnd.choice([1, 3, 7, 19])
+        floor = build_floor(19, 60, w)
+        clog = [cell for cell in floor.cells if cell[1] <= 3 and rnd.random() < 0.7]
+        crowd = [cell for cell in floor.cells
+                 if rnd.randint(4, 5) <= cell[1] <= 50 and rnd.random() < 0.6]
+        layout = clog + crowd
+        moved = [i for i in range(len(layout)) if rnd.random() < 0.1]
+        rec = make_record(trial, layout, moved=moved)
+        assert clog_cluster(rec, floor) == _oracle_clog(rec, floor), (trial, w)
+
+
 # ------------------------------------------------------------------- onset
 
 def _half_disk_cells(w=7):

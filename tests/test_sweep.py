@@ -2,9 +2,13 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import archsim
 from archsim import agent, config as configmod, engine, sweep, world
 from archsim.cli import main
 from archsim.engine import run
@@ -177,6 +181,19 @@ def test_crashed_worker_is_reported_once(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "worker crashed" in err[0]
     assert not out.exists()
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    """Only a parallel sweep imports concurrent.futures (and with it
+    multiprocessing, socket and logging)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(archsim.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, archsim.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_invalid_sweep_configs():
