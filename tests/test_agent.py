@@ -565,9 +565,11 @@ def test_ranked_choose_pace_matches_one_pass(data):
         "equal best scores": st.sampled_from(["free", "exited"]),
     }[fill]
     kinds = data.draw(st.lists(kinds, min_size=len(cone), max_size=len(cone)))
-    if fill == "equal best scores":  # the only live agents in view
-        for i in data.draw(st.sampled_from(tied)):
-            kinds[i] = "live"
+    if fill == "equal best scores":  # the only live agents in view, beside exited bodies
+        group = data.draw(st.sampled_from(tied))
+        for i in group:
+            kinds[i] = data.draw(st.sampled_from(["live", "exited"]))
+        kinds[data.draw(st.sampled_from(group))] = "live"
     taken = [(q, kind) for (q, _, _), kind in zip(cone, kinds) if kind != "free"]
     ids = data.draw(st.permutations(range(1, len(taken) + 1)))
     occupancy = [FREE] * n + [WALL]
@@ -590,19 +592,22 @@ def test_ranked_choose_pace_matches_one_pass(data):
 
 
 def test_ranked_choose_pace_equal_scores_in_both_id_orders():
-    """Two live agents on mirrored cells score equal; the lower id is the
-    match and draws the triggered agent to its side, in both id orders.
-    An exited body straight ahead is no match."""
+    """Two agents on mirrored cells score equal; the lower id among the live
+    ones is the match and draws the triggered agent to its side, in both
+    id orders.  An exited body, straight ahead or on a mirrored cell, is
+    no match."""
     floor = build_floor(7, 12, 7)  # every heading straight down
     entries = neighbourhood(floor, CONFIG)[floor.index[(3, 5)]]
     left, right, ahead = (floor.index[cell] for cell in [(2, 3), (4, 3), (3, 3)])
     for ids in ((1, 2), (2, 1)):
-        occupancy = [FREE] * len(floor.cells) + [WALL]
-        occupancy[left], occupancy[right], occupancy[ahead] = *ids, 3
-        exited = bytearray([0, 0, 0, 1])
-        side = (2, 4) if ids[0] == 1 else (4, 4)
-        for threshold, pace in ((0.0, (3, 4)), (0.5, (3, 4)), (1.0, side)):
-            got = choose_pace(entries, occupancy, exited, floor.cells, threshold)
-            assert got == one_pass_choose_pace(entries[0], occupancy, exited, floor.cells,
-                                               threshold)
-            assert floor.cells[got] == pace, (ids, threshold)
+        for first_exited in (0, 1):
+            occupancy = [FREE] * len(floor.cells) + [WALL]
+            occupancy[left], occupancy[right], occupancy[ahead] = *ids, 3
+            exited = bytearray([0, first_exited, 0, 1])
+            match = ids.index(2 if first_exited else 1)
+            side = [(2, 4), (4, 4)][match]
+            for threshold, pace in ((0.0, (3, 4)), (0.5, (3, 4)), (1.0, side)):
+                got = choose_pace(entries, occupancy, exited, floor.cells, threshold)
+                assert got == one_pass_choose_pace(entries[0], occupancy, exited, floor.cells,
+                                                   threshold)
+                assert floor.cells[got] == pace, (ids, first_exited, threshold)
