@@ -16,7 +16,8 @@ A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
 StepRecord at a time, so a consumer such as the arch detector can stop
 the run as soon as it has read enough; ``run`` collects the whole trace.
-The trace and summary rows go to CSV through ``table``.
+The trace and summary rows go to CSV through ``table``; the trace is
+rendered a step at a time from per-value text tables.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -223,13 +223,55 @@ def run(config: SimConfig) -> list[StepRecord]:
 
 
 def write_trace_csv(records: list[StepRecord], path) -> None:
-    """One row per (step, agent): positions and exited flags over time."""
-    steps = (
-        zip(repeat(rec.t), range(rec.agent_count), rec.xs.tolist(), rec.ys.tolist(),
-            rec.exited.view(np.int8).tolist())
-        for rec in records
-    )
-    table.write_table(path, TRACE_HEADER, chain.from_iterable(steps))
+    """One row per (step, agent): positions and exited flags over time.
+
+    Writes what read_trace_csv reads back: raises ArchsimError naming the
+    step, before the file is opened, if a record's agent count differs
+    from the first record's or a coordinate lies outside 0..COORD_MAX.
+    """
+    n, top = _trace_extent(records)
+    table.write_rendered(path, TRACE_HEADER, _trace_text(records, n, top))
+
+
+def _trace_extent(records: list[StepRecord]) -> tuple[int, int]:
+    """The agent count of every record and the largest coordinate in them."""
+    n = records[0].agent_count if records else 0
+    for rec in records:
+        if rec.agent_count != n:
+            raise ArchsimError(f"step {rec.t}: {rec.agent_count} agents where step 0 has {n}")
+    if not n:
+        return 0, 0
+    coords = np.concatenate([(rec.xs, rec.ys) for rec in records], axis=1)  # (2, steps * n)
+    bad = np.flatnonzero(((coords < 0) | (coords > COORD_MAX)).any(axis=0))
+    if bad.size:
+        s, i = divmod(int(bad[0]), n)
+        raise ArchsimError(
+            f"step {records[s].t}: agent {i} at {tuple(coords[:, bad[0]].tolist())} "
+            f"outside 0..{COORD_MAX}"
+        )
+    return n, int(coords.max())
+
+
+def _trace_text(records: list[StepRecord], n: int, top: int):
+    """Each record's rows as one string, joined from per-value text tables.
+
+    A step fills the slices of one parts list, four parts per row: the
+    step, the agent id, x, and y with the exited flag, the last from a
+    table indexed by ``2*y + exited``.  The tables run to ``top``, at most
+    COORD_MAX, not over every (x, y, exited) triple: read-back records
+    may hold any coordinate up to COORD_MAX.
+    """
+    coord_text = [table.int_field(v) for v in range(top + 1)]
+    flag_text = [table.int_field(e, last=True) for e in (0, 1)]
+    tail_text = [y + e for y in coord_text for e in flag_text]
+    parts = [""] * (4 * n)
+    parts[1::4] = [table.int_field(i) for i in range(n)]
+    for rec in records:
+        tails = 2 * rec.ys.astype(np.intp) + rec.exited
+        parts[0::4] = [table.int_field(rec.t)] * n
+        parts[2::4] = map(coord_text.__getitem__, rec.xs.tolist())
+        parts[3::4] = map(tail_text.__getitem__, tails.tolist())
+        yield "".join(parts)
 
 
 def write_summary_csv(records: list[StepRecord], path) -> None:
@@ -293,7 +335,8 @@ def read_trace_csv(path) -> list[StepRecord]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body of blank lines only
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2, comments=None)
+                rows = np.loadtxt(fh, delimiter=table.SEPARATOR, dtype=np.int32, ndmin=2,
+                                  comments=None)
         except ValueError:
             raise _malformed_row(path) from None
     if rows.shape != (lines, width):

@@ -1,9 +1,14 @@
 """The one CSV path: every table archsim writes or reads goes through here.
 
-A table is UTF-8: a header row, then one row per record, with ``\\n``
-line endings.  Values have one format: None is an empty field, a bool is 0
-or 1, a float is rounded to 6 decimals, anything else is written as is.
-A table backed by a dataclass takes its header from the field names.
+A table is UTF-8: a header row, then one row per record, with ``,``
+between fields and ``\\n`` line endings.  Values have one format: None is
+an empty field, a bool is 0 or 1, a float is rounded to 6 decimals,
+anything else is written as is.  A table backed by a dataclass takes its
+header from the field names.
+
+A table of ints alone, such as the trace, may be written as text rendered
+ahead: ``int_field`` gives the text of one int in a row, and
+``write_rendered`` writes the header and then that text as it is.
 """
 
 from __future__ import annotations
@@ -36,11 +41,29 @@ def row(record) -> list:
     return [value(getattr(record, f.name)) for f in fields(record)]
 
 
+SEPARATOR = ","
+LINE_END = "\n"
+
+
+def int_field(v: int, *, last: bool = False) -> str:
+    """The text of int ``v`` in a row: followed by the separator, or by the
+    line end when ``last``."""
+    return f"{v}{LINE_END if last else SEPARATOR}"
+
+
 def write_table(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=SEPARATOR, lineterminator=LINE_END)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_rendered(path, header, blocks) -> None:
+    """Write the header, then each block as it is: the text of whole rows
+    of ints, joined from ``int_field`` texts."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, delimiter=SEPARATOR, lineterminator=LINE_END).writerow(header)
+        fh.writelines(blocks)
 
 
 @contextmanager
@@ -49,7 +72,7 @@ def open_table(path, header, what):
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             first = fh.readline()
-            found = next(csv.reader([first])) if first else None
+            found = next(csv.reader([first], delimiter=SEPARATOR)) if first else None
             if found != header:
                 raise ConfigError(f"{path}: unexpected {what} header: {found}")
             yield fh
@@ -64,6 +87,7 @@ def read_table(path, header, what, *, unquote=True):
     of numbers, a quoted field then reads as text that is not a number.
     """
     with open_table(path, header, what) as fh:
-        reader = csv.reader(fh, quoting=csv.QUOTE_MINIMAL if unquote else csv.QUOTE_NONE)
+        quoting = csv.QUOTE_MINIMAL if unquote else csv.QUOTE_NONE
+        reader = csv.reader(fh, delimiter=SEPARATOR, quoting=quoting)
         for values in reader:
             yield reader.line_num + 1, values

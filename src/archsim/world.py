@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -37,11 +37,10 @@ class Floor:
     and then rows 1..L-1 y-major, to its heading toward the nearest exit;
     a wall is a cell that is not a key.  The exit segment is contiguous
     and ordered by transverse index.  A run works on cell indices in that
-    order: ``cells[k]`` is cell ``k``, ``index`` maps a cell back to ``k``,
-    and ``xs``/``ys`` (read-only ``int16``) hold the coordinates, so
-    indices ``0..w-1`` are the exit segment.  ``tables`` holds the
-    agents' cone tables (``agent.neighbourhood``), keyed on
-    ``(vision_radius, d_max)``.
+    order: ``cells[k]`` is cell ``k`` and ``xs``/``ys`` (read-only
+    ``int16``) hold the coordinates, so indices ``0..w-1`` are the exit
+    segment.  ``tables`` holds the agents' cone tables
+    (``agent.neighbourhood``), keyed on ``(vision_radius, d_max)``.
     """
 
     width: int
@@ -64,11 +63,6 @@ class Floor:
         set_field(self, "xs", xs)
         set_field(self, "ys", ys)
 
-    @cached_property  # built on first use: a run needs no cell -> index lookup
-    def index(self) -> Mapping[Cell, int]:
-        """Read-only map from each floor cell to its index."""
-        return MappingProxyType({cell: k for k, cell in enumerate(self.cells)})
-
 
 def check_geometry(W: int, L: int, w: int) -> None:
     """Raise InvalidDimensionsError unless ``1 <= w <= W < L``."""
@@ -83,14 +77,19 @@ def build_floor(W: int, L: int, w: int) -> Floor:
     """The floor of a W-by-L corridor with a centered w-wide exit on the end wall.
 
     When ``W - w`` is odd the segment sits one cell closer to the low-index
-    side.  Raises InvalidDimensionsError unless ``1 <= w <= W < L``.
+    side.  A cell's heading is the angle in [0, 2*pi) toward its nearest
+    exit coordinate, 0 on an exit cell.  Raises InvalidDimensionsError
+    unless ``1 <= w <= W < L``.
     """
     check_geometry(W, L, w)
     x0, x1 = (W - w) // 2, (W - w) // 2 + w - 1
     exits = tuple((x, 0) for x in range(x0, x1 + 1))
     rows = ((x, y) for y in range(1, L) for x in range(W))
-    heading = {cell: heading_toward(cell, (min(max(cell[0], x0), x1), 0))
-               for cell in (*exits, *rows)}
+    heading = {}
+    for cell in (*exits, *rows):
+        x, y = cell
+        a = math.atan2(-y, min(max(x, x0), x1) - x)  # in [-pi, pi]: no fmod needed
+        heading[cell] = a + TWO_PI if a < 0 else a
     return Floor(width=W, length=L, exit_cells=exits, heading=heading)
 
 
@@ -108,17 +107,6 @@ class WorldGrid:
 
     def __post_init__(self):
         self.occupancy = [FREE] * len(self.floor.cells) + [WALL]
-
-
-def wrap_angle(a: float) -> float:
-    """Map an angle into [0, 2*pi)."""
-    a = math.fmod(a, TWO_PI)
-    return a + TWO_PI if a < 0 else a
-
-
-def heading_toward(src: Cell, dst: Cell) -> float:
-    """Heading angle from ``src`` to ``dst`` in [0, 2*pi); 0 for coincident cells."""
-    return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
 
 
 def nearest_exit_coordinate(floor: Floor, pos: Cell) -> Cell:

@@ -1,6 +1,7 @@
 """Shared fixtures and record-building helpers for the test suite."""
 
 import time
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,10 +29,16 @@ def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
     return StepRecord(t, xs, ys, ex, mv, exits_this_step)
 
 
+@lru_cache(maxsize=8)  # tests look cells up one at a time
+def cell_index(floor):
+    """Each cell of ``floor`` mapped to its index ``k``: ``floor.cells[k]``."""
+    return {cell: k for k, cell in enumerate(floor.cells)}
+
+
 def crowd_on(grid, cells):
     """The Crowd of agents 0..n-1 standing on the free floor cells ``cells``
     of ``grid``, their bodies written into its occupancy."""
-    where = [grid.floor.index[cell] for cell in cells]
+    where = [cell_index(grid.floor)[cell] for cell in cells]
     assert all(grid.occupancy[k] == FREE for k in where) and len(set(where)) == len(where)
     for agent_id, k in enumerate(where):
         grid.occupancy[k] = agent_id

@@ -13,16 +13,26 @@ The tests require ``engine.run`` to give the same records.
 before the table ranked each cell's entries by score: one pass over the
 cone entries.  The tests require ``agent.choose_pace`` to return the
 same pace.
+
+``heading_toward`` is the heading from one cell to another as a helper
+of its own; ``build_floor`` computes the same angle inline for its
+heading field, and the tests require the two to agree bit for bit.
+``write_trace_csv`` is the trace writer as it was before each step's
+rows were rendered from per-value text tables: one ``csv.writer`` row
+per (step, agent).  The tests require ``engine.write_trace_csv`` to
+write the same bytes.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
-from archsim.engine import StepRecord
+from archsim.engine import TRACE_HEADER, StepRecord
 from archsim.errors import ArchsimError, CrowdTooLargeError
+from archsim.table import write_table
 from archsim.world import FREE, TWO_PI, build_floor
 
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
@@ -37,6 +47,17 @@ def signed_deviation(angle, heading):
     elif d <= -math.pi:
         d += TWO_PI
     return d
+
+
+def wrap_angle(a):
+    """Map an angle into [0, 2*pi)."""
+    a = math.fmod(a, TWO_PI)
+    return a + TWO_PI if a < 0 else a
+
+
+def heading_toward(src, dst):
+    """Heading angle from ``src`` to ``dst`` in [0, 2*pi); 0 for coincident cells."""
+    return wrap_angle(math.atan2(dst[1] - src[1], dst[0] - src[0]))
 
 
 def similarity(dist, heading, other_heading, config):
@@ -260,3 +281,15 @@ def reference_run(config):
         record = step(grid, agents, rng, config, t, table)
         records.append(record)
     return records
+
+
+# ------------------------------------------------------------ the trace writer
+
+def write_trace_csv(records, path):
+    """One row per (step, agent): positions and exited flags over time."""
+    steps = (
+        zip(repeat(rec.t), range(rec.agent_count), rec.xs.tolist(), rec.ys.tolist(),
+            rec.exited.view(np.int8).tolist())
+        for rec in records
+    )
+    write_table(path, TRACE_HEADER, chain.from_iterable(steps))

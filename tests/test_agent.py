@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from conftest import crowd_on as _crowd
+from conftest import cell_index, crowd_on as _crowd
 from scalar_reference import (
-    Agent, build_neighbourhood, cone_offsets, is_free, one_pass_choose_pace, similarity,
-    signed_deviation,
+    Agent, build_neighbourhood, cone_offsets, heading_toward, is_free, one_pass_choose_pace,
+    signed_deviation, similarity, wrap_angle,
 )
 
 from archsim.agent import _build_neighbourhood, choose_pace, neighbourhood
 from archsim.engine import SimConfig
-from archsim.world import FREE, WALL, Floor, WorldGrid, build_floor, heading_toward, wrap_angle
+from archsim.world import FREE, WALL, Floor, WorldGrid, build_floor
 
 HALF_CONE_DEG = 50.0
 CONFIG = SimConfig(c=2, w=1)  # d_max = vision_radius = 3, trigger_threshold = 0.5
@@ -144,18 +144,18 @@ def _columns(floor, agents):
 
 
 def _vacate(grid, cell):
-    grid.occupancy[grid.floor.index[cell]] = FREE
+    grid.occupancy[cell_index(grid.floor)[cell]] = FREE
 
 
 def _is_free(grid, cell):
     """True iff ``cell`` is a floor cell whose occupancy slot is FREE."""
-    k = grid.floor.index.get(cell)
+    k = cell_index(grid.floor).get(cell)
     return k is not None and grid.occupancy[k] == FREE
 
 
 def _on_floor(floor, pace):
     """A pace in choose_pace's terms: a floor cell as is, a wall as -1."""
-    return pace if pace is None or pace in floor.index else -1
+    return pace if pace is None or pace in floor.heading else -1
 
 
 def _floor_with(base, headings):
@@ -167,7 +167,7 @@ def _pace(agent, grid, crowd, config):
     """choose_pace on the agent's entries of the grid's floor table: the
     pace cell, -1 for a wall, or None."""
     floor = grid.floor
-    entries = neighbourhood(floor, config)[floor.index[agent.pos]]
+    entries = neighbourhood(floor, config)[cell_index(floor)[agent.pos]]
     pace = choose_pace(entries, grid.occupancy, crowd.exited, floor.cells,
                        config.trigger_threshold)
     return pace if pace is None or pace < 0 else floor.cells[pace]
@@ -176,7 +176,7 @@ def _pace(agent, grid, crowd, config):
 def _scores(grid, cell, config):
     """The neighbourhood table's similarity score for each cone cell of ``cell``."""
     floor = grid.floor
-    cone, _ = neighbourhood(floor, config)[floor.index[cell]]
+    cone, _ = neighbourhood(floor, config)[cell_index(floor)[cell]]
     return {floor.cells[q]: score for q, _, score in cone}
 
 
@@ -245,7 +245,7 @@ def test_table_matches_scalar_reference_bit_for_bit(data):
         assert type(ranked) is tuple and len(ranked) == len(entries)
         assert all(entry is ref for entry, ref in zip(ranked, by_score))
         for (q, pace, score), (ref_q, ref_pace, ref_score) in zip(entries, ref_entries):
-            assert (floor.cells[q], pace) == (ref_q, floor.index.get(ref_pace, -1))
+            assert (floor.cells[q], pace) == (ref_q, cell_index(floor).get(ref_pace, -1))
             assert type(q) is int and type(pace) is int and q >= 0
             assert shared.setdefault(q, q) is q and shared.setdefault(pace, pace) is pace
             assert type(score) is float and score.hex() == ref_score.hex()
@@ -299,8 +299,8 @@ def test_most_similar_neighbor_empty():
     crowd = _crowd(grid, [(4, 4)])
     assert _pace(list(crowd)[0], grid, crowd, config) == (4, 3)
     floor = grid.floor
-    cone, _ = neighbourhood(floor, config)[floor.index[(4, 4)]]
-    assert cone[0][:2] == (floor.index[(4, 3)],) * 2
+    cone, _ = neighbourhood(floor, config)[cell_index(floor)[(4, 4)]]
+    assert cone[0][:2] == (cell_index(floor)[(4, 3)],) * 2
 
 
 # -------------------------------------------------------------- the free cell
@@ -317,7 +317,7 @@ def test_choose_target_prefers_smaller_deviation_at_equal_distance():
     # toward (7, 31); the 43-degree cell (7, 29) would give (6, 29)
     assert _pace(list(crowd)[0], grid, crowd, UNTRIGGERED) == (6, 31)
     floor = grid.floor
-    entries, _ = neighbourhood(floor, UNTRIGGERED)[floor.index[(5, 30)]]
+    entries, _ = neighbourhood(floor, UNTRIGGERED)[cell_index(floor)[(5, 30)]]
     assert [floor.cells[q] for q, _, _ in entries[:4]] == [(6, 30), (6, 31), (7, 30), (7, 31)]
     for (q, _, score), dist in zip(entries, [1.0, math.sqrt(2), 2.0]):
         assert score == similarity(dist, heading, floor.heading[floor.cells[q]], UNTRIGGERED)
@@ -385,7 +385,7 @@ def test_sct_adjust_result_is_free_or_goal(data):
     x, y = data.draw(st.integers(0, 8)), data.draw(st.integers(2, 13))
     ox, oy = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
     other_pos = (x + ox, y + oy)
-    if other_pos == (x, y) or other_pos not in grid.floor.index:
+    if other_pos == (x, y) or other_pos not in grid.floor.heading:
         other_pos = (x, min(13, y + 1))
     crowd = _crowd(grid, list(dict.fromkeys([(x, y), other_pos])))
     focal = list(crowd)[0]
@@ -597,8 +597,8 @@ def test_ranked_choose_pace_equal_scores_in_both_id_orders():
     id orders.  An exited body, straight ahead or on a mirrored cell, is
     no match."""
     floor = build_floor(7, 12, 7)  # every heading straight down
-    entries = neighbourhood(floor, CONFIG)[floor.index[(3, 5)]]
-    left, right, ahead = (floor.index[cell] for cell in [(2, 3), (4, 3), (3, 3)])
+    entries = neighbourhood(floor, CONFIG)[cell_index(floor)[(3, 5)]]
+    left, right, ahead = (cell_index(floor)[cell] for cell in [(2, 3), (4, 3), (3, 3)])
     for ids in ((1, 2), (2, 1)):
         for first_exited in (0, 1):
             occupancy = [FREE] * len(floor.cells) + [WALL]

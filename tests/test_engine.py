@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import archsim
 from archsim.agent import neighbourhood
 from archsim.engine import (
+    COORD_MAX,
     SimConfig,
+    StepRecord,
     initialize,
     read_trace_csv,
     run,
@@ -26,7 +29,8 @@ from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError, Invali
 from archsim.metrics import detect_arch_onset
 from archsim.world import FREE, WALL, WorldGrid, build_floor, nearest_exit_coordinate
 
-from conftest import crowd_on, reading
+import scalar_reference
+from conftest import cell_index, crowd_on, make_record, reading
 from scalar_reference import reference_run
 
 
@@ -42,7 +46,7 @@ def _lone_agent_world(pos, w=1):
 
 def _body_at(grid, cell):
     """The id on ``cell``'s occupancy slot (FREE when nobody stands there)."""
-    return grid.occupancy[grid.floor.index[cell]]
+    return grid.occupancy[cell_index(grid.floor)[cell]]
 
 
 def test_ten_cells_straight_exits_at_step_ten():
@@ -108,8 +112,8 @@ def test_agent_whose_first_free_pace_is_a_wall_stays_put():
     stays put."""
     grid, agents = _crowd_world([(7, 1), (8, 1), (9, 1)], w=1)
     floor, cfg = grid.floor, SimConfig(c=3, w=1)
-    entries, _ = neighbourhood(floor, cfg)[floor.index[(7, 1)]]
-    toward_8_1 = floor.index[(8, 1)]
+    entries, _ = neighbourhood(floor, cfg)[cell_index(floor)[(7, 1)]]
+    toward_8_1 = cell_index(floor)[(8, 1)]
     assert [(floor.cells[q], pace) for q, pace, _ in entries[:3]] == [
         ((8, 1), toward_8_1), ((9, 1), toward_8_1), ((9, 0), -1)]
     # a seed whose first permutation activates agent 0 before the blockers move
@@ -124,7 +128,7 @@ def _phantom_body_step():
     """Step a 30-agent run whose grid holds a second body for agent 7."""
     cfg = SimConfig(c=30, w=3)
     grid, agents, rng = initialize(cfg)
-    grid.occupancy[grid.floor.index[(0, 1)]] = 7  # a second body for agent 7
+    grid.occupancy[cell_index(grid.floor)[(0, 1)]] = 7  # a second body for agent 7
     step(grid, agents, rng, cfg, 1)
 
 
@@ -133,17 +137,43 @@ def test_phantom_body_fails_the_occupancy_check():
         _phantom_body_step()
 
 
+def _write_trace_with_a_negative_coordinate():
+    records = [make_record(0, [(1, 5), (2, 5)]), make_record(1, [(1, 4), (2, -1)])]
+    write_trace_csv(records, os.devnull)
+
+
+def _write_trace_whose_crowd_grows():
+    write_trace_csv([make_record(0, [(1, 5)]), make_record(1, [(1, 4), (2, 5)])], os.devnull)
+
+
+def _checks_in_optimized_mode():
+    """Print the ArchsimError each broken input raises, one line each."""
+    for broken in (_phantom_body_step, _write_trace_with_a_negative_coordinate,
+                   _write_trace_whose_crowd_grows):
+        try:
+            broken()
+        except ArchsimError as exc:
+            print(exc)
+        else:
+            print(f"{broken.__name__}: no error")
+
+
 def test_occupancy_check_survives_optimized_mode():
-    """The check is an exception, not an assert, so python -O keeps it."""
+    """The occupancy and trace-writer checks are exceptions, not asserts,
+    so python -O keeps them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(archsim.__file__).parent.parent), str(Path(__file__).parent)]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", "import test_engine; test_engine._phantom_body_step()"],
+        [sys.executable, "-O", "-c",
+         "import test_engine; test_engine._checks_in_optimized_mode()"],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.rstrip().endswith(
-        "ArchsimError: step 1: 31 occupied cells for 30 live agents and 0 bodies in the doorway")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "step 1: 31 occupied cells for 30 live agents and 0 bodies in the doorway",
+        f"step 1: agent 1 at (2, -1) outside 0..{COORD_MAX}",
+        "step 1: 2 agents where step 0 has 1",
+    ]
 
 
 def test_lone_agent_trace_length_is_taxicab_distance():
@@ -269,7 +299,7 @@ def test_step_invariants_hold_on_random_configs(cfg):
         assert len({pos for pos, _ in bodies}) == len(bodies)  # one body per cell
         assert dict(bodies) == {cells[k]: i for k, i in enumerate(grid.occupancy[:-1])
                                 if i != FREE}
-        assert all(pos in grid.floor.index for pos, _ in bodies)
+        assert all(pos in grid.floor.heading for pos, _ in bodies)
         if all(a.exited for a in agents):
             break
 
@@ -488,6 +518,55 @@ def test_trace_bytes_are_pinned(tmp_path, config, sha256):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(config), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+_COORDS = st.integers(0, COORD_MAX) | st.sampled_from([0, COORD_MAX])
+
+
+@st.composite
+def _traces(draw):
+    """1 to 20 steps of 0 to 30 agents, at any coordinates the reader
+    accepts, each agent exited or not at random."""
+    n, steps = draw(st.integers(0, 30)), draw(st.integers(1, 20))
+    xs, ys = (draw(arrays(np.int16, (steps, n), elements=_COORDS)) for _ in "xy")
+    exited = draw(arrays(bool, (steps, n)))
+    moved = np.zeros(n, dtype=bool)
+    return [StepRecord(t, xs[t], ys[t], exited[t], moved, 0) for t in range(steps)]
+
+
+@given(records=_traces())
+@example(records=[make_record(0, [])])  # an empty crowd: the header alone
+@settings(max_examples=40, deadline=None)
+def test_trace_bytes_equal_the_csv_writer_reference(tmp_path_factory, records):
+    out = tmp_path_factory.mktemp("trace")
+    write_trace_csv(records, out / "trace.csv")
+    scalar_reference.write_trace_csv(records, out / "reference.csv")
+    assert (out / "trace.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "xs,dtype,agent",
+    [([1, -1], np.int16, 1), ([COORD_MAX + 1, 2], np.int32, 0)],
+    ids=["negative", "beyond-int16"],
+)
+def test_trace_writer_rejects_coordinates_the_reader_rejects(tmp_path, xs, dtype, agent):
+    """A coordinate outside 0..COORD_MAX fails naming its step, before the
+    file is made."""
+    first, bad = make_record(0, [(1, 5), (2, 5)]), make_record(3, [(1, 4), (2, 4)])
+    bad.xs = np.array(xs, dtype=dtype)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ArchsimError, match=rf"^step 3: agent {agent} at \({xs[agent]}, 4\)"):
+        write_trace_csv([first, bad], path)
+    assert not path.exists()
+
+
+def test_trace_writer_rejects_a_changing_agent_count(tmp_path):
+    records = [make_record(0, [(1, 5), (2, 5)]), make_record(1, [(1, 4), (2, 5)]),
+               make_record(2, [(1, 3)])]
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ArchsimError, match="^step 2: 1 agents where step 0 has 2$"):
+        write_trace_csv(records, path)
+    assert not path.exists()
 
 
 def test_trace_csv_without_rows_is_rejected(tmp_path):

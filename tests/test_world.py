@@ -15,16 +15,16 @@ from archsim.world import (
     WorldGrid,
     build_floor,
     check_geometry,
-    heading_toward,
     nearest_exit_coordinate,
 )
 
-from conftest import crowd_on
+from conftest import cell_index, crowd_on
+from scalar_reference import heading_toward
 
 
 def _is_free(grid, cell):
     """True iff ``cell`` is a floor cell whose occupancy slot is FREE."""
-    k = grid.floor.index.get(cell)
+    k = cell_index(grid.floor).get(cell)
     return k is not None and grid.occupancy[k] == FREE
 
 
@@ -65,20 +65,20 @@ def test_invalid_dimensions(W, L, w):
 
 def test_wall_predicate():
     floor = build_floor(19, 60, 7)
-    assert (0, 0) not in floor.index   # end wall outside the exit
-    assert (5, 0) not in floor.index
-    assert (6, 0) in floor.index       # exit cells are not walls
-    assert (12, 0) in floor.index
-    assert (13, 0) not in floor.index
-    assert (0, 1) in floor.index
-    assert (-1, 5) not in floor.index  # out of bounds counts as wall
-    assert (19, 5) not in floor.index
-    assert (5, 60) not in floor.index
+    assert (0, 0) not in floor.heading   # end wall outside the exit
+    assert (5, 0) not in floor.heading
+    assert (6, 0) in floor.heading       # exit cells are not walls
+    assert (12, 0) in floor.heading
+    assert (13, 0) not in floor.heading
+    assert (0, 1) in floor.heading
+    assert (-1, 5) not in floor.heading  # out of bounds counts as wall
+    assert (19, 5) not in floor.heading
+    assert (5, 60) not in floor.heading
 
 
 def test_occupancy_slots():
     grid = WorldGrid(build_floor(19, 60, 7))
-    index = grid.floor.index
+    index = cell_index(grid.floor)
     # one FREE slot per floor cell, then the one a pace onto a wall (index -1) reads
     assert grid.occupancy == [FREE] * len(grid.floor.cells) + [WALL]
     assert _is_free(grid, (9, 5))
@@ -90,20 +90,17 @@ def test_occupancy_slots():
 
 
 def test_floor_cell_indices():
-    """Cell k of the heading field's order is cells[k] = (xs[k], ys[k]) and
-    index[cells[k]] = k; the exit segment comes first; all read-only."""
+    """Cell k of the heading field's order is cells[k] = (xs[k], ys[k]); the
+    exit segment comes first; the coordinate columns are read-only."""
     floor = build_floor(19, 60, 7)
     assert floor.cells == tuple(floor.heading)
     assert floor.cells[:7] == floor.exit_cells
-    assert [floor.index[cell] for cell in floor.cells] == list(range(len(floor.cells)))
     assert list(zip(floor.xs.tolist(), floor.ys.tolist())) == list(floor.cells)
     assert floor.xs.dtype == floor.ys.dtype == np.int16
     with pytest.raises(ValueError):
         floor.xs[0] = 1
     with pytest.raises(ValueError):
         floor.ys[0] = 1
-    with pytest.raises(TypeError):
-        floor.index[(0, 0)] = 0
 
 
 def _reference_is_wall(floor, cell):
@@ -131,7 +128,7 @@ def test_floor_map_matches_bounds_arithmetic(data):
     occupied = set(bodies)
     for cell in box:
         wall = _reference_is_wall(grid.floor, cell)
-        assert (cell not in grid.floor.index) == wall
+        assert (cell not in grid.floor.heading) == wall
         assert _is_free(grid, cell) == (not wall and cell not in occupied)
 
 
