@@ -14,7 +14,8 @@ pure functions of (cell, occupancy, run config):
   match looks too dissimilar: then the agent is triggered to close the
   gap and heads for the free cell nearest the match.  Each scan stops at
   its answer: the first free entry in cone order, the first live agent
-  in score order.
+  in score order.  The step runs the two scans inline and calls it only
+  for a triggered agent.
 """
 
 from __future__ import annotations
@@ -138,33 +139,37 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     table = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        x, y, h = xs[block, None], ys[block, None], headings[block, None]
-        dev = _deviation(angle - h)
+        x, y, h = xs[block], ys[block], headings[block]
+        dev = _deviation(angle - h[:, None])
         adev = np.abs(dev)
-        # clockwise (negative rotation) wins ties on |deviation|
-        order = np.lexsort(np.broadcast_arrays(oy, ox, dev >= 0, adev, dist))
-        cx, cy = ox[order], oy[order]
+        # the (cell, offset) pairs in the cone and on the floor, in cone
+        # order within each cell; clockwise (negative rotation) wins ties
+        # on |deviation|
+        on_floor = rows[y[:, None] + oy + radius, x[:, None] + ox + radius] >= 0
+        cell_of, off = np.nonzero((adev <= HALF_CONE + _ANGLE_EPS) & on_floor)
+        dev, adev = dev[cell_of, off], adev[cell_of, off]
+        order = np.lexsort((oy[off], ox[off], dev >= 0, adev, dist[off], cell_of))
+        cell_of, off = cell_of[order], off[order]
+        x, y, h = x[cell_of], y[cell_of], h[cell_of]
+        cx, cy = ox[off], oy[off]
         q = rows[y + cy + radius, x + cx + radius]
-        keep = np.take_along_axis(adev <= HALF_CONE + _ANGLE_EPS, order, 1) & (q >= 0)
-        q = q[keep]
-        px, py = (x + np.sign(cx))[keep], (y + np.sign(cy))[keep]
-        pace = rows[py + radius, px + radius]
-        apart = _deviation(np.broadcast_to(h, keep.shape)[keep] - headings[q])
-        score = by_distance[order][keep] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
+        pace = rows[y + np.sign(cy) + radius, x + np.sign(cx) + radius]
+        apart = _deviation(h - headings[q])
+        score = by_distance[off] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
         entries = list(zip(map(ints.__getitem__, q.tolist()),
                            map(ints.__getitem__, pace.tolist()), score.tolist()))
         # most cells' cone order is already by descending score: those
         # share the cone tuple, and only the rest are ranked, by a stable
         # lexsort so that equal scores keep cone order
-        cell_of = keep.nonzero()[0]
         rises = (score[1:] > score[:-1]) & (cell_of[1:] == cell_of[:-1])
-        unsorted = np.zeros(len(keep), bool)
+        unsorted = np.zeros(len(on_floor), bool)
         unsorted[cell_of[1:][rises]] = True
         picked = np.flatnonzero(unsorted[cell_of])
         by_score = picked[np.lexsort((-score[picked], cell_of[picked]))]
         ranked = list(map(entries.__getitem__, by_score.tolist()))
+        sizes = np.bincount(cell_of, minlength=len(on_floor))
         start = at = 0
-        for end, rank in zip(accumulate(keep.sum(1).tolist()), unsorted.tolist()):
+        for end, rank in zip(accumulate(sizes.tolist()), unsorted.tolist()):
             cone = tuple(entries[start:end])
             if rank:
                 table.append((cone, tuple(ranked[at:at + end - start])))
@@ -190,6 +195,10 @@ def choose_pace(
     among the entries of equal score for the lowest id.  ``cells``
     gives a cell index's coordinates.  The pace cell itself may be
     occupied or a wall (-1).
+
+    ``engine.step`` runs the two scans itself and calls this only for a
+    triggered agent; ``test_run_matches_the_tuple_keyed_reference`` pins
+    the step's copy of the scans to this decision.
     """
     cone, ranked = entries
     for q, pace, _ in cone:

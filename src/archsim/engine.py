@@ -12,6 +12,10 @@ the body keeps occupying the doorway until the agent's next activation,
 when it moves off the world — so exit cells are briefly blocked and the
 door is a real bottleneck.
 
+The step decides an untriggered pace inline, from the same two scans as
+``agent.choose_pace``, and calls that only for an agent whose best match
+scores below the trigger threshold.
+
 A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
 StepRecord at a time, so a consumer such as the arch detector can stop
@@ -145,7 +149,11 @@ def step(
     config: SimConfig,
     t: int,
 ) -> StepRecord:
-    """Advance the simulation by one step and record the result."""
+    """Advance the simulation by one step and record the result.
+
+    An untriggered agent's pace is decided here, from ``choose_pace``'s
+    two scans; ``choose_pace`` decides a triggered agent's.
+    """
     floor, occupancy = grid.floor, grid.occupancy
     cell, exited = crowd.cell, crowd.exited
     table, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
@@ -168,8 +176,20 @@ def step(
             exits_this_step += 1
             continue
 
-        pace = choose_pace(table[here], occupancy, exited, cells, threshold)
-        if pace is not None and occupancy[pace] == FREE:
+        # choose_pace's two scans; only a triggered agent needs the rest
+        entries = table[here]
+        for q, pace, _ in entries[0]:
+            if occupancy[q] == FREE:
+                break
+        else:
+            continue  # no free cone cell
+        for match, _, best in entries[1]:
+            best_id = occupancy[match]
+            if best_id != FREE and not exited[best_id]:
+                if best < threshold:
+                    pace = choose_pace(entries, occupancy, exited, cells, threshold)
+                break
+        if occupancy[pace] == FREE:
             occupancy[pace], occupancy[here] = i, FREE
             cell[i] = pace
             moved[i] = 1
@@ -186,13 +206,14 @@ def _check_occupancy(grid: WorldGrid, crowd: Crowd, record: StepRecord) -> None:
     """Raise ArchsimError unless the occupied cells are the live agents'
     plus the bodies still standing in the doorway.
 
-    An exited agent's body stays on its exit cell (row 0) until its next
-    activation; it counts while that cell still holds its id.
+    An exited agent's body stays on its exit cell (cell indices 0..w-1)
+    until its next activation: an exit cell counts as a body while its
+    occupant is exited and stands on it.
     """
-    occupancy, cell = grid.occupancy, crowd.cell
+    occupancy, cell, exited = grid.occupancy, crowd.cell, crowd.exited
     live = record.agent_count - record.exited_count
-    doorway = np.flatnonzero(record.exited & (record.ys == 0)).tolist()
-    dwelling = sum(1 for i in doorway if occupancy[cell[i]] == i)
+    dwelling = sum(1 for k in range(len(grid.floor.exit_cells))
+                   if (i := occupancy[k]) != FREE and exited[i] and cell[i] == k)
     occupied = len(occupancy) - operator.countOf(occupancy, FREE) - 1  # the wall slot
     if occupied != live + dwelling:
         raise ArchsimError(

@@ -41,14 +41,18 @@ def clog_cluster(record, floor: Floor) -> set[Cell]:
     depends on iteration order.  A cell within distance 1 of its nearest
     exit coordinate has ``y <= 1``, since that distance is at least ``y``:
     the flood fills start from such cells only, so no component away from
-    the exit is ever filled.
+    the exit is ever filled, and the stationary set is built only once
+    there is a seed.
     """
     mask = ~record.exited & ~record.moved
-    remaining = set(zip(record.xs[mask].tolist(), record.ys[mask].tolist()))
+    front = mask & (record.ys <= 1)
     seeds = [
-        cell for cell in remaining
-        if cell[1] <= 1 and dist(cell, nearest_exit_coordinate(floor, cell)) <= 1
+        cell for cell in zip(record.xs[front].tolist(), record.ys[front].tolist())
+        if dist(cell, nearest_exit_coordinate(floor, cell)) <= 1
     ]
+    if not seeds:
+        return set()
+    remaining = set(zip(record.xs[mask].tolist(), record.ys[mask].tolist()))
     candidates = []
     for seed in seeds:
         if seed not in remaining:  # reached from an earlier seed
@@ -65,8 +69,6 @@ def clog_cluster(record, floor: Floor) -> set[Cell]:
                     comp.add(nb)
                     frontier.append(nb)
         candidates.append(comp)
-    if not candidates:
-        return set()
     return min(candidates, key=lambda comp: (-len(comp), min(comp)))
 
 

@@ -124,6 +124,26 @@ def test_agent_whose_first_free_pace_is_a_wall_stays_put():
     assert _body_at(grid, (7, 1)) == 0
 
 
+@pytest.mark.parametrize("body_exited, pace", [(True, (9, 1)), (False, (8, 1))])
+def test_an_exited_body_is_no_match(body_exited, pace):
+    """Beside a one-cell exit, the agent on (8, 2) ranks the doorway (9, 0)
+    above the agent on (10, 1).  At threshold 0.44 the doorway scores above
+    it and (10, 1) below it.  A live agent in the doorway is the best match,
+    so the agent takes its closest free pace, (8, 1); an exited body there
+    is no match, so the agent is triggered toward (10, 1) and paces to (9, 1)."""
+    grid, crowd = _crowd_world([(8, 2), (9, 0), (10, 1)], w=1)
+    crowd.exited[1] = body_exited
+    floor, cfg = grid.floor, SimConfig(c=3, w=1, trigger_threshold=0.44)
+    _, ranked = neighbourhood(floor, cfg)[cell_index(floor)[(8, 2)]]
+    seen = [floor.cells[q] for q, _, _ in ranked]
+    assert seen.index((9, 0)) < seen.index((10, 1))
+    assert ranked[seen.index((9, 0))][2] >= 0.44 > ranked[seen.index((10, 1))][2]
+    # a seed whose first permutation activates agent 0 first
+    seed = next(s for s in range(100) if np.random.default_rng(s).permutation(3)[0] == 0)
+    step(grid, crowd, np.random.default_rng(seed), cfg, 1)
+    assert list(crowd)[0].pos == pace
+
+
 def _phantom_body_step():
     """Step a 30-agent run whose grid holds a second body for agent 7."""
     cfg = SimConfig(c=30, w=3)
@@ -137,6 +157,24 @@ def test_phantom_body_fails_the_occupancy_check():
         _phantom_body_step()
 
 
+def _stray_doorway_body_step():
+    """Step a 30-agent run whose exit cell 0 holds the id of exited agent 7,
+    which stands on its spawn cell, not there."""
+    cfg = SimConfig(c=30, w=3)
+    grid, agents, rng = initialize(cfg)
+    agents.exited[7] = 1
+    grid.occupancy[0] = 7
+    step(grid, agents, rng, cfg, 1)
+
+
+def test_doorway_body_of_an_agent_standing_elsewhere_fails_the_occupancy_check():
+    """An exit cell counts as a body in the doorway only when its exited
+    occupant stands on it."""
+    with pytest.raises(ArchsimError, match="30 occupied cells for 29 live agents "
+                                           "and 0 bodies in the doorway"):
+        _stray_doorway_body_step()
+
+
 def _write_trace_with_a_negative_coordinate():
     records = [make_record(0, [(1, 5), (2, 5)]), make_record(1, [(1, 4), (2, -1)])]
     write_trace_csv(records, os.devnull)
@@ -148,8 +186,8 @@ def _write_trace_whose_crowd_grows():
 
 def _checks_in_optimized_mode():
     """Print the ArchsimError each broken input raises, one line each."""
-    for broken in (_phantom_body_step, _write_trace_with_a_negative_coordinate,
-                   _write_trace_whose_crowd_grows):
+    for broken in (_phantom_body_step, _stray_doorway_body_step,
+                   _write_trace_with_a_negative_coordinate, _write_trace_whose_crowd_grows):
         try:
             broken()
         except ArchsimError as exc:
@@ -171,6 +209,7 @@ def test_occupancy_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "step 1: 31 occupied cells for 30 live agents and 0 bodies in the doorway",
+        "step 1: 30 occupied cells for 29 live agents and 0 bodies in the doorway",
         f"step 1: agent 1 at (2, -1) outside 0..{COORD_MAX}",
         "step 1: 2 agents where step 0 has 1",
     ]
@@ -326,6 +365,22 @@ def test_run_matches_the_tuple_keyed_reference(cfg):
     expected = reference_run(cfg)
     _assert_same_records(run(cfg), expected)
     assert len(expected) > 1 or cfg.c == 0
+
+
+@pytest.mark.parametrize("edge", ["a table score", 0.0, 1.0])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_run_matches_the_reference_at_the_threshold_edges(edge, data):
+    """The step decides ``best < threshold`` itself for untriggered agents.
+    At a threshold equal to a score of the floor's own table, a best match
+    can score exactly the threshold; 0 triggers nobody, and 1 every agent
+    with a live match in view (no score reaches 1)."""
+    cfg = data.draw(_reference_configs())
+    if edge == "a table score":
+        table = neighbourhood(build_floor(cfg.W, cfg.L, cfg.w), cfg)
+        edge = data.draw(st.sampled_from([s for cone, _ in table for _, _, s in cone]))
+    cfg.trigger_threshold = edge
+    _assert_same_records(run(cfg), reference_run(cfg))
 
 
 @given(
