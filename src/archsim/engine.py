@@ -26,6 +26,7 @@ rendered a step at a time from per-value text tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -198,11 +199,11 @@ def step(
                 exits_this_step += 1
 
     record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy(), exits_this_step)
-    _check_occupancy(grid, crowd, record)
+    _check_occupancy(grid, crowd, t)
     return record
 
 
-def _check_occupancy(grid: WorldGrid, crowd: Crowd, record: StepRecord) -> None:
+def _check_occupancy(grid: WorldGrid, crowd: Crowd, t: int) -> None:
     """Raise ArchsimError unless the occupied cells are the live agents'
     plus the bodies still standing in the doorway.
 
@@ -211,13 +212,13 @@ def _check_occupancy(grid: WorldGrid, crowd: Crowd, record: StepRecord) -> None:
     occupant is exited and stands on it.
     """
     occupancy, cell, exited = grid.occupancy, crowd.cell, crowd.exited
-    live = record.agent_count - record.exited_count
+    live = len(crowd) - exited.count(1)
     dwelling = sum(1 for k in range(len(grid.floor.exit_cells))
                    if (i := occupancy[k]) != FREE and exited[i] and cell[i] == k)
     occupied = len(occupancy) - operator.countOf(occupancy, FREE) - 1  # the wall slot
     if occupied != live + dwelling:
         raise ArchsimError(
-            f"step {record.t}: {occupied} occupied cells for {live} live agents "
+            f"step {t}: {occupied} occupied cells for {live} live agents "
             f"and {dwelling} bodies in the doorway"
         )
 
@@ -302,40 +303,6 @@ def write_summary_csv(records: list[StepRecord], path) -> None:
     )
 
 
-def _malformed_row(path) -> ConfigError:
-    """The error naming the first trace line that is not five int32 fields.
-
-    Called only once the array parse has failed, to find where: a row
-    with a blank, quoted, non-decimal or overflowing field, or of the
-    wrong width.  A blank line, which the array parse skips, is a row of
-    width 0.  The fields _is_int32 accepts are those np.loadtxt reads,
-    so some row always fails here.
-    """
-    for line, row in table.read_table(path, TRACE_HEADER, "trace", unquote=False):
-        if len(row) != len(TRACE_HEADER) or not all(map(_is_int32, row)):
-            break
-    return ConfigError(f"{path}: line {line}: expected {len(TRACE_HEADER)} integers, got {row}")
-
-
-def _is_int32(field: str) -> bool:
-    """Whether np.loadtxt reads ``field`` as an int32: ASCII digits after at
-    most one sign, with blanks around them."""
-    digits = field.strip()
-    digits = digits[1:] if digits[:1] in ("+", "-") else digits
-    return digits.isascii() and digits.isdigit() and -(2**31) <= int(field) < 2**31
-
-
-def _count_lines(fh) -> int:
-    """The lines left in ``fh``, ended by \\n, \\r\\n or \\r as the csv reader
-    and np.loadtxt end them, counted a chunk at a time."""
-    lines, last = 0, "\n"
-    for chunk in iter(lambda: fh.read(1 << 16), ""):
-        lines += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
-        lines -= last + chunk[0] == "\r\n"  # a \r\n split between two chunks
-        last = chunk[-1]
-    return lines + (last not in "\r\n")
-
-
 def read_trace_csv(path) -> list[StepRecord]:
     """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
 
@@ -344,24 +311,37 @@ def read_trace_csv(path) -> list[StepRecord]:
     in any order, with the n of the first step, each with an exited flag
     of 0 or 1 that never returns from 1 to 0 and coordinates in
     0..COORD_MAX; a malformed row or step raises ConfigError naming the
-    line.  The body is parsed as one integer array and checked there.
+    line.  The body is parsed once, as one integer array, and checked there.
     """
     width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
         body = fh.tell()
-        lines = _count_lines(fh)  # loadtxt skips blank lines; they are errors here
-        if not lines:
-            raise ConfigError(f"{path}: trace holds no rows")
-        fh.seek(body)
+        # np.loadtxt takes the lines one at a time and fails on the last it
+        # took; compress draws a count after each line it hands over, so the
+        # counter names that line
+        counter = itertools.count(2)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a body of blank lines only
-                rows = np.loadtxt(fh, delimiter=table.SEPARATOR, dtype=np.int32, ndmin=2,
-                                  comments=None)
+                rows = np.loadtxt(itertools.compress(fh, counter), delimiter=table.SEPARATOR,
+                                  dtype=np.int32, ndmin=2, comments=None)
+        except UnicodeDecodeError:
+            raise  # open_table reports it
         except ValueError:
-            raise _malformed_row(path) from None
-    if rows.shape != (lines, width):
-        raise _malformed_row(path)
+            rows = None
+        last = next(counter) - 1  # the last line handed over
+        if last == 1:
+            raise ConfigError(f"{path}: trace holds no rows")
+        if rows is None or rows.shape != (last - 1, width):
+            # the failing line, unless a blank line (which loadtxt skips) or
+            # a first row of another width comes before it
+            fh.seek(body)
+            for line, text in enumerate(fh, 2):
+                text = text.rstrip("\r\n")
+                row = text.split(table.SEPARATOR) if text else []
+                if line == last or len(row) != width:
+                    break
+            raise ConfigError(f"{path}: line {line}: expected {width} integers, got {row}")
 
     # row checks, in file order: a line is line 2 + its row index
     t, flag = rows[:, 0], rows[:, 4]

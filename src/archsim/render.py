@@ -18,6 +18,9 @@ _SVG_COLORS = {
     "moving": "#4878b0",
     "stationary": "#c03830",
 }
+_CELL_PX = 10  # side of one floor cell in an SVG frame
+_PLOT_WIDTH, _PLOT_HEIGHT = 480, 360
+_TICKS = 5  # about this many ticks per plot axis
 
 
 def _live_agents(record) -> dict:
@@ -48,16 +51,16 @@ def ascii_frame(record, floor: Floor) -> str:
     return "\n".join(lines)
 
 
-def svg_frame(record, floor: Floor, cell_px: int = 10) -> str:
+def svg_frame(record, floor: Floor) -> str:
     W, L = floor.width, floor.length
-    width_px = (W + 2) * cell_px
-    height_px = (L + 1) * cell_px
+    width_px = (W + 2) * _CELL_PX
+    height_px = (L + 1) * _CELL_PX
     c = _SVG_COLORS
 
     def rect(x, y, w, h, color):
         return (
-            f'<rect x="{x * cell_px}" y="{y * cell_px}" width="{w * cell_px}" '
-            f'height="{h * cell_px}" fill="{color}"/>'
+            f'<rect x="{x * _CELL_PX}" y="{y * _CELL_PX}" width="{w * _CELL_PX}" '
+            f'height="{h * _CELL_PX}" fill="{color}"/>'
         )
 
     parts = [
@@ -76,10 +79,10 @@ def svg_frame(record, floor: Floor, cell_px: int = 10) -> str:
     return "\n".join(parts)
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / count
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
     first = math.ceil(lo / step) * step
@@ -101,13 +104,12 @@ def svg_scatter(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 480,
-    height: int = 360,
 ) -> str:
     """Scatter plot with an optional fitted line y = slope*x + intercept.
 
     `fit` is anything with slope/intercept attributes, e.g. a RegressionFit.
     """
+    width, height = _PLOT_WIDTH, _PLOT_HEIGHT
     ml, mr, mt, mb = 52, 16, 30, 42
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]

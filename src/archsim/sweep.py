@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 
 from . import table
@@ -91,8 +92,10 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                 if raw not in ("0", "1"):
                     raise ValueError(f"{f.name}={raw} must be 0 or 1")
                 values[f.name] = raw == "1"
-            else:
+            elif re.fullmatch(r"-?[0-9]+", raw):
                 values[f.name] = int(raw)
+            else:
+                raise ValueError(f"{f.name}={raw!r} must be a decimal integer")
         parsed = cls(**values)
         if not 1 <= parsed.w <= parsed.W:
             raise ValueError(f"w={parsed.w} must satisfy 1 <= w <= W={parsed.W}")

@@ -80,14 +80,9 @@ def open_table(path, header, what):
             raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
-def read_table(path, header, what, *, unquote=True):
-    """Yield (line number, row) for each row below a header equal to ``header``.
-
-    With ``unquote=False`` a quote is an ordinary character: in a table
-    of numbers, a quoted field then reads as text that is not a number.
-    """
+def read_table(path, header, what):
+    """Yield (line number, row) for each row below a header equal to ``header``."""
     with open_table(path, header, what) as fh:
-        quoting = csv.QUOTE_MINIMAL if unquote else csv.QUOTE_NONE
-        reader = csv.reader(fh, delimiter=SEPARATOR, quoting=quoting)
+        reader = csv.reader(fh, delimiter=SEPARATOR)
         for values in reader:
             yield reader.line_num + 1, values

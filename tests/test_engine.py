@@ -467,8 +467,8 @@ def test_trace_csv_reads_crlf_and_a_missing_final_newline(tmp_path):
 
 
 def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path):
-    """Lines are counted 64 KiB at a time; one of these paddings puts a
-    \\r\\n across the first chunk boundary, which still ends one line."""
+    """A \\r\\n that straddles a 64 KiB boundary of the file still ends one
+    line; one of these paddings puts it across the first boundary."""
     header = "t,agent_id,transverse,longitudinal,exited\r\n"
     rows = "".join(f"0,{i},1,5,0\r\n" for i in range(6000))
     path = tmp_path / "trace.csv"
@@ -488,26 +488,23 @@ def test_trace_csv_header_checked(tmp_path):
         read_trace_csv(path)
 
 
-@pytest.mark.parametrize(
-    "body,line",
-    [
-        ("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n", 4),
-        ("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n1,0,2,4,0\n", 4),
-        ("0,0,1,5,0\n0,2,2,5,0\n", 2),
-        ("0,0,1,5,0\n0,1,2,5\n", 3),
-        ("0,0,1,5,0\n0,1,2.5,5,0\n", 3),
-        ("0,0,1,5,7\n", 2),
-        ("0,0,1,5,0\n0,1,-3,5,0\n", 3),
-        ("0,0,1,5,0\n0,1,2,40000,0\n", 3),
-        ("0,0,1,5,0\n1,0,1,4,0\n3,0,1,3,0\n", 4),
-        ("1,0,1,5,0\n2,0,1,4,0\n", 2),
-        ("0,0,1,5,0\n0,1,2,0,1\n1,0,1,4,0\n1,1,2,0,0\n", 4),
-        ("0,0,1,5,0\n1,0,1,4,0\n0,1,2,5,0\n", 4),
-    ],
-    ids=["missing-agent", "duplicate-agent", "skipped-id", "short-row", "non-integer",
-         "exited-not-flag", "negative-coordinate", "int16-overflow",
-         "step-gap", "first-step-not-zero", "un-exit", "step-revisited"],
-)
+MALFORMED_STEPS = [
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n", 4, id="missing-agent"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n1,0,2,4,0\n", 4, id="duplicate-agent"),
+    pytest.param("0,0,1,5,0\n0,2,2,5,0\n", 2, id="skipped-id"),
+    pytest.param("0,0,1,5,0\n0,1,2,5\n", 3, id="short-row"),
+    pytest.param("0,0,1,5,0\n0,1,2.5,5,0\n", 3, id="non-integer"),
+    pytest.param("0,0,1,5,7\n", 2, id="exited-not-flag"),
+    pytest.param("0,0,1,5,0\n0,1,-3,5,0\n", 3, id="negative-coordinate"),
+    pytest.param("0,0,1,5,0\n0,1,2,40000,0\n", 3, id="int16-overflow"),
+    pytest.param("0,0,1,5,0\n1,0,1,4,0\n3,0,1,3,0\n", 4, id="step-gap"),
+    pytest.param("1,0,1,5,0\n2,0,1,4,0\n", 2, id="first-step-not-zero"),
+    pytest.param("0,0,1,5,0\n0,1,2,0,1\n1,0,1,4,0\n1,1,2,0,0\n", 4, id="un-exit"),
+    pytest.param("0,0,1,5,0\n1,0,1,4,0\n0,1,2,5,0\n", 4, id="step-revisited"),
+]
+
+
+@pytest.mark.parametrize("body,line", MALFORMED_STEPS)
 def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
     path = tmp_path / "trace.csv"
     path.write_text("t,agent_id,transverse,longitudinal,exited\n" + body)
@@ -516,22 +513,40 @@ def test_trace_csv_rejects_malformed_steps(tmp_path, body, line):
     assert str(err.value).startswith(f"{path}: line {line}:")
 
 
-@pytest.mark.parametrize(
-    "body,line",
-    [
-        ("0,0,1,5,0\n\n0,1,2,5,0\n", 3),
-        ("0,0,1,5,0\n0,1,2,5,0\n\n", 4),
-        ("0,0,1,5,0\n0,1,\"0\",5,0\n1,0,1,4,0\n", 3),
-        ("0,0,1,5,0\n0,1_0,2,5,0\n1,0,1,4,0\n", 3),
-        ("0,0,1,5,0\n0,1,2,99999999999,0\n1,0,1,4,0\n", 3),
-        ("0,0,1,5,0\n0,1,2,5,99999999999\n1,0,1,4,0\n", 3),
-    ],
-    ids=["blank-line", "trailing-blank-line", "quoted-field", "underscore-field",
-         "int32-overflow", "int32-overflow-in-flag"],
-)
+UNREADABLE_ROWS = [
+    pytest.param("0,0,1,5,0\n\n0,1,2,5,0\n", 3, id="blank-line"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n\n", 4, id="trailing-blank-line"),
+    pytest.param("0,0,1,5,0\n0,1,\"0\",5,0\n1,0,1,4,0\n", 3, id="quoted-field"),
+    pytest.param("0,0,1,5,0\n0,1_0,2,5,0\n1,0,1,4,0\n", 3, id="underscore-field"),
+    pytest.param("0,0,1,5,0\n0,1,2,99999999999,0\n1,0,1,4,0\n", 3, id="int32-overflow"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,99999999999\n1,0,1,4,0\n", 3,
+                 id="int32-overflow-in-flag"),
+    # two faults: the one earlier in the file is named
+    pytest.param("0,0,1,5,0\n\n0,1,2.5,5,0\n", 3, id="blank-line-before-bad-field"),
+    pytest.param("0,0,1,5,0\n0,1,2.5,5,0\n\n", 3, id="bad-field-before-trailing-blank"),
+    # rows of another width: the array parse reads them, or fails on the second
+    pytest.param("0,0,1,5,0,1\n0,1,2,5,0,1\n", 2, id="six-fields-throughout"),
+    pytest.param("0,0,1,5,0,1\n0,1,2,5,0\n", 2, id="six-fields-then-five"),
+    pytest.param("\n0,0,1,5,0,1\n0,1,2,5,0,1\n", 2, id="blank-line-before-six-fields"),
+]
+
+
+@pytest.mark.parametrize("body,line", UNREADABLE_ROWS)
 def test_trace_csv_rejects_fields_the_array_parse_cannot_read(tmp_path, body, line):
     path = tmp_path / "trace.csv"
     path.write_text("t,agent_id,transverse,longitudinal,exited\n" + body)
+    with pytest.raises(ConfigError) as err:
+        read_trace_csv(path)
+    assert str(err.value).startswith(f"{path}: line {line}:")
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("body,line", MALFORMED_STEPS + UNREADABLE_ROWS)
+def test_trace_csv_names_the_same_line_under_any_line_ending(tmp_path, body, line, ending):
+    """The line a fault is reported on does not depend on how lines end."""
+    path = tmp_path / "trace.csv"
+    text = "t,agent_id,transverse,longitudinal,exited\n" + body
+    path.write_bytes(text.replace("\n", ending).encode())
     with pytest.raises(ConfigError) as err:
         read_trace_csv(path)
     assert str(err.value).startswith(f"{path}: line {line}:")
