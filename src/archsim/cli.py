@@ -172,9 +172,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_render(args) -> int:
     try:
+        sim_config = configmod.sim_config_from_mapping(_load_config(args.config))
         records = read_trace_csv(args.trace)
-        values = _load_config(args.config)
-        sim_config = configmod.sim_config_from_mapping(values)
         try:
             _, text = _draw_frame(records, sim_config, args.step, args.format)
         except ArchsimError as exc:

@@ -277,23 +277,42 @@ def _trace_extent(records: list[StepRecord]) -> tuple[int, int]:
 def _trace_text(records: list[StepRecord], n: int, top: int):
     """Each record's rows as one string, joined from per-value text tables.
 
-    A step fills the slices of one parts list, four parts per row: the
-    step, the agent id, x, and y with the exited flag, the last from a
-    table indexed by ``2*y + exited``.  The tables run to ``top``, at most
-    COORD_MAX, not over every (x, y, exited) triple: read-back records
-    may hold any coordinate up to COORD_MAX.
+    Each row is the step's field followed by the agent's part: its id, x,
+    and y with the exited flag, the last from a table indexed by
+    ``2*y + exited``.  A step in which at most half the rows differ from
+    the previous record re-renders only those in the agent parts it keeps
+    and joins them with the step's field as separator; any other step
+    fills the slices of one list, four parts per row.  The tables run to
+    ``top``, at most COORD_MAX, not over every (x, y, exited) triple:
+    read-back records may hold any coordinate up to COORD_MAX.
     """
+    if not n:
+        return
     coord_text = [table.int_field(v) for v in range(top + 1)]
     flag_text = [table.int_field(e, last=True) for e in (0, 1)]
     tail_text = [y + e for y in coord_text for e in flag_text]
+    id_text = [table.int_field(i) for i in range(n)]
     parts = [""] * (4 * n)
-    parts[1::4] = [table.int_field(i) for i in range(n)]
+    parts[1::4] = id_text
+    agent_text = None  # each row after its step field, while it matches the previous record
+    prev_xs = prev_tails = np.full(n, -1)  # no record comes before the first
     for rec in records:
-        tails = 2 * rec.ys.astype(np.intp) + rec.exited
-        parts[0::4] = [table.int_field(rec.t)] * n
-        parts[2::4] = map(coord_text.__getitem__, rec.xs.tolist())
-        parts[3::4] = map(tail_text.__getitem__, tails.tolist())
-        yield "".join(parts)
+        t_text = table.int_field(rec.t)
+        xs, tails = rec.xs, 2 * rec.ys.astype(np.intp) + rec.exited
+        changed = np.flatnonzero((xs != prev_xs) | (tails != prev_tails))
+        prev_xs, prev_tails = xs, tails
+        if 2 * len(changed) > n:
+            agent_text = None
+            parts[0::4] = [t_text] * n
+            parts[2::4] = map(coord_text.__getitem__, xs.tolist())
+            parts[3::4] = map(tail_text.__getitem__, tails.tolist())
+            yield "".join(parts)
+            continue
+        if agent_text is None:
+            agent_text, changed = [""] * n, np.arange(n)
+        for i, x, tail in zip(changed.tolist(), xs[changed].tolist(), tails[changed].tolist()):
+            agent_text[i] = id_text[i] + coord_text[x] + tail_text[tail]
+        yield t_text + t_text.join(agent_text)
 
 
 def write_summary_csv(records: list[StepRecord], path) -> None:
@@ -343,12 +362,15 @@ def read_trace_csv(path) -> list[StepRecord]:
                     break
             raise ConfigError(f"{path}: line {line}: expected {width} integers, got {row}")
 
-    # row checks, in file order: a line is line 2 + its row index
-    t, flag = rows[:, 0], rows[:, 4]
-    coords = rows[:, 2:4]
-    bad_value = (flag < 0) | (flag > 1) | ((coords < 0) | (coords > COORD_MAX)).any(axis=1)
-    prev_t = np.concatenate(([-1], t[:-1]))
-    bad_order = (t != prev_t) & (t != prev_t + 1)
+    # row checks, in file order: a line is line 2 + its row index.  Read as
+    # uint32 a negative field lies above any bound, so one compare per
+    # column checks both ends.  The step rises by 0 or 1 from row to row,
+    # and by exactly 1 from the -1 before the first row.
+    t, fields = rows[:, 0], rows.view(np.uint32)
+    bad_value = (fields[:, 2] > COORD_MAX) | (fields[:, 3] > COORD_MAX) | (fields[:, 4] > 1)
+    rise = np.diff(t, prepend=np.int32(-1))
+    bad_order = rise.view(np.uint32) > 1
+    bad_order[0] = rise[0] != 1
     bad = np.flatnonzero(bad_value | bad_order)
     if bad.size:
         i = int(bad[0])
@@ -358,24 +380,24 @@ def read_trace_csv(path) -> list[StepRecord]:
                 f"within 0..{COORD_MAX}, got {rows[i].tolist()}"
             )
         raise ConfigError(
-            f"{path}: line {i + 2}: step {t[i]} follows step {prev_t[i]}; "
+            f"{path}: line {i + 2}: step {t[i]} follows step {t[i - 1] if i else -1}; "
             f"steps must run 0, 1, 2, ... in order"
         )
 
     # step checks, in step order: the steps that have the first step's size
-    # are columns of shape (steps, n), each row reordered by agent id
-    starts = np.flatnonzero(t != prev_t)
+    # are columns of shape (steps, n).  A written step lists ids 0..n-1 in
+    # order; only the steps that do not are reordered by id and checked again.
+    starts = np.flatnonzero(rise)
     sizes = np.diff(starts, append=len(rows))
     n = int(sizes[0])
     whole = len(sizes) if (sizes == n).all() else int(np.argmax(sizes != n))
     steps = rows[: whole * n].reshape(whole, n, width)
-    by_id = np.argsort(steps[:, :, 1], axis=1, kind="stable")
-
-    def column(j, dtype):
-        return np.take_along_axis(steps[:, :, j], by_id, axis=1).astype(dtype)
-
-    bad_ids = (column(1, np.int32) != np.arange(n)).any(axis=1)
-    exited = column(4, bool)
+    ids = np.arange(n)
+    unordered = np.flatnonzero((steps[:, :, 1] != ids).any(axis=1))
+    by_id = np.argsort(steps[unordered, :, 1], axis=1, kind="stable")
+    steps[unordered] = np.take_along_axis(steps[unordered], by_id[:, :, None], axis=1)
+    bad_ids = (steps[:, :, 1] != ids).any(axis=1)
+    exited = steps[:, :, 4].astype(bool)
     returned = exited[:-1] & ~exited[1:]
     unexit = np.concatenate(([False], returned.any(axis=1)))
     failing = np.flatnonzero(bad_ids | unexit)
@@ -392,7 +414,7 @@ def read_trace_csv(path) -> list[StepRecord]:
             f"{np.flatnonzero(returned[s - 1])[0]} as not exited"
         )
 
-    xs, ys = column(2, np.int16), column(3, np.int16)
+    xs, ys = steps[:, :, 2].astype(np.int16), steps[:, :, 3].astype(np.int16)
     moved = np.zeros_like(exited)  # before the first step nobody has moved or exited
     moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
     new_exits = exited.copy()

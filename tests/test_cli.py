@@ -204,6 +204,24 @@ def test_render_rejects_out_of_range_coordinate(run_dir, tmp_path, capsys):
     assert err.startswith("error:") and "bad.csv: line 4:" in err
 
 
+@pytest.mark.parametrize(
+    "config_text,message",
+    [(None, "config file not found: {cfg}"),
+     ("c = 5\nw = 0\n", "exit width w=0 must satisfy 1 <= w <= W=19")],
+    ids=["missing", "invalid"],
+)
+def test_render_checks_its_config_before_the_trace(tmp_path, capsys, config_text, message):
+    """A bad --config is reported as such, before the trace is read, even
+    when the trace is malformed too."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,agent_id,transverse,longitudinal,exited\n0,0,1,5\n")
+    cfg = tmp_path / "run.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    assert main(["render", str(trace), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+
 def _sweep(tmp_path, text, name="sweep.cfg", extra=()):
     cfg = tmp_path / name
     cfg.write_text(text)

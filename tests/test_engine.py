@@ -496,9 +496,12 @@ MALFORMED_STEPS = [
     pytest.param("0,0,1,5,0\n0,1,2.5,5,0\n", 3, id="non-integer"),
     pytest.param("0,0,1,5,7\n", 2, id="exited-not-flag"),
     pytest.param("0,0,1,5,0\n0,1,-3,5,0\n", 3, id="negative-coordinate"),
+    pytest.param("0,0,1,5,0\n0,1,2,-5,0\n", 3, id="negative-longitudinal"),
+    pytest.param("0,0,1,5,-1\n", 2, id="negative-exited"),
     pytest.param("0,0,1,5,0\n0,1,2,40000,0\n", 3, id="int16-overflow"),
     pytest.param("0,0,1,5,0\n1,0,1,4,0\n3,0,1,3,0\n", 4, id="step-gap"),
     pytest.param("1,0,1,5,0\n2,0,1,4,0\n", 2, id="first-step-not-zero"),
+    pytest.param("-1,0,1,5,0\n0,0,1,5,0\n1,0,1,4,0\n", 2, id="first-step-negative"),
     pytest.param("0,0,1,5,0\n0,1,2,0,1\n1,0,1,4,0\n1,1,2,0,0\n", 4, id="un-exit"),
     pytest.param("0,0,1,5,0\n1,0,1,4,0\n0,1,2,5,0\n", 4, id="step-revisited"),
 ]
@@ -612,6 +615,69 @@ def test_trace_bytes_equal_the_csv_writer_reference(tmp_path_factory, records):
     write_trace_csv(records, out / "trace.csv")
     scalar_reference.write_trace_csv(records, out / "reference.csv")
     assert (out / "trace.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+@st.composite
+def _evolving_traces(draw):
+    """1 to 20 steps of 1 to 30 agents, each step the previous one with
+    some agents changed: moved, flipped between exited and not in place,
+    or put back to the row of an earlier step."""
+    n, steps = draw(st.integers(1, 30)), draw(st.integers(1, 20))
+    xs, ys = (draw(arrays(np.int16, n, elements=_COORDS)) for _ in "xy")
+    records = [StepRecord(0, xs, ys, draw(arrays(bool, n)), np.zeros(n, dtype=bool), 0)]
+    for t in range(1, steps):
+        prev = records[-1]
+        xs, ys, exited = prev.xs.copy(), prev.ys.copy(), prev.exited.copy()
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+            change = draw(st.sampled_from(["move", "flip", "revert"]))
+            if change == "move":
+                xs[i], ys[i] = draw(_COORDS), draw(_COORDS)
+            elif change == "flip":
+                exited[i] = not exited[i]
+            else:
+                old = records[draw(st.integers(0, t - 1))]
+                xs[i], ys[i], exited[i] = old.xs[i], old.ys[i], old.exited[i]
+        records.append(StepRecord(t, xs, ys, exited, np.zeros(n, dtype=bool), 0))
+    return records
+
+
+@given(records=_evolving_traces())
+@example(records=[
+    make_record(0, [(0, 5), (1, 5), (2, 5), (3, 5)]),
+    make_record(1, [(0, 4), (1, 5), (2, 5), (3, 5)]),  # one row changes
+    make_record(2, [(0, 4), (1, 5), (2, 5), (3, 5)], exited=[1]),  # exits in place
+    make_record(3, [(1, 3), (2, 4), (3, 4), (COORD_MAX, 0)]),  # every row changes
+    make_record(4, [(0, 4), (2, 4), (3, 4), (COORD_MAX, 0)]),  # back to step 1's row
+])
+@settings(max_examples=40, deadline=None)
+def test_trace_bytes_equal_the_reference_when_few_rows_change(tmp_path_factory, records):
+    """Steps that re-render only the rows that changed since the previous
+    record, and steps after one in which most rows changed, write the
+    reference's bytes."""
+    out = tmp_path_factory.mktemp("trace")
+    write_trace_csv(records, out / "trace.csv")
+    scalar_reference.write_trace_csv(records, out / "reference.csv")
+    assert (out / "trace.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_trace_csv_reads_shuffled_steps_as_the_ordered_file(tmp_path_factory, data):
+    """Ids shuffled within any subset of the steps read back as the file
+    with every step in id order."""
+    n, steps = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    xs, ys = (data.draw(arrays(np.int16, (steps, n), elements=_COORDS)) for _ in "xy")
+    exited = np.logical_or.accumulate(data.draw(arrays(bool, (steps, n))), axis=0)
+    records = [StepRecord(t, xs[t], ys[t], exited[t], exited[t], 0) for t in range(steps)]
+    out = tmp_path_factory.mktemp("shuffled")
+    write_trace_csv(records, out / "trace.csv")
+    header, *rows = (out / "trace.csv").read_text().splitlines(keepends=True)
+    shuffled = data.draw(st.sets(st.integers(0, steps - 1)))
+    body = [row for s in range(steps)
+            for row in (data.draw(st.permutations(rows[s * n:(s + 1) * n])) if s in shuffled
+                        else rows[s * n:(s + 1) * n])]
+    (out / "shuffled.csv").write_text(header + "".join(body))
+    _assert_same_records(read_trace_csv(out / "shuffled.csv"), read_trace_csv(out / "trace.csv"))
 
 
 @pytest.mark.parametrize(
