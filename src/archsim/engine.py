@@ -279,12 +279,12 @@ def _trace_text(records: list[StepRecord], n: int, top: int):
 
     Each row is the step's field followed by the agent's part: its id, x,
     and y with the exited flag, the last from a table indexed by
-    ``2*y + exited``.  A step in which at most half the rows differ from
-    the previous record re-renders only those in the agent parts it keeps
-    and joins them with the step's field as separator; any other step
-    fills the slices of one list, four parts per row.  The tables run to
-    ``top``, at most COORD_MAX, not over every (x, y, exited) triple:
-    read-back records may hold any coordinate up to COORD_MAX.
+    ``2*y + exited``.  A step in which at most three fifths of the rows
+    differ from the previous record re-renders only those in the agent
+    parts it keeps, joined by the step's field; past that share, where
+    it is cheaper, one list of four parts per row is filled.  The tables
+    run to ``top``, at most COORD_MAX, not over every (x, y, exited)
+    triple: read-back records may hold any coordinate up to COORD_MAX.
     """
     if not n:
         return
@@ -301,7 +301,7 @@ def _trace_text(records: list[StepRecord], n: int, top: int):
         xs, tails = rec.xs, 2 * rec.ys.astype(np.intp) + rec.exited
         changed = np.flatnonzero((xs != prev_xs) | (tails != prev_tails))
         prev_xs, prev_tails = xs, tails
-        if 2 * len(changed) > n:
+        if 5 * len(changed) > 3 * n:
             agent_text = None
             parts[0::4] = [t_text] * n
             parts[2::4] = map(coord_text.__getitem__, xs.tolist())
