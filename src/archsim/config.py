@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 
+from . import table
 from .engine import SimConfig
 from .errors import ConfigError
 from .sweep import SweepConfig
@@ -16,13 +17,14 @@ from .sweep import SweepConfig
 
 def _int_list(raw: str) -> tuple:
     try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+        parts = (part.strip() for part in raw.split(","))
+        return tuple(table.parse_int(part) for part in parts if part)
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 
 
 # field annotation -> parser of its `key = value` text
-_PARSERS = {"int": int, "float": float, "float | None": float, "tuple": _int_list}
+_PARSERS = {"int": table.parse_int, "float": float, "float | None": float, "tuple": _int_list}
 _KEY_TYPES = {
     f.name: _PARSERS[f.type] for cls in (SimConfig, SweepConfig) for f in fields(cls)
 }

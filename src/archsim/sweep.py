@@ -9,8 +9,8 @@ order the cells finish.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-import re
 from dataclasses import asdict, dataclass, fields
 
 from . import table
@@ -92,10 +92,11 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                 if raw not in ("0", "1"):
                     raise ValueError(f"{f.name}={raw} must be 0 or 1")
                 values[f.name] = raw == "1"
-            elif re.fullmatch(r"-?[0-9]+", raw):
-                values[f.name] = int(raw)
             else:
-                raise ValueError(f"{f.name}={raw!r} must be a decimal integer")
+                try:
+                    values[f.name] = table.parse_int(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{f.name}={exc}") from None
         parsed = cls(**values)
         if not 1 <= parsed.w <= parsed.W:
             raise ValueError(f"w={parsed.w} must satisfy 1 <= w <= W={parsed.W}")
@@ -161,6 +162,40 @@ def run_cell(config: SweepConfig, c: int, w: int, replicate: int) -> Measurement
     )
 
 
+def plan_chunks(tasks: list, parallelism: int) -> list[list]:
+    """Split w-major ``tasks`` into the pool's chunks, in order.
+
+    Guided self-scheduling: with R cells left, the next chunk takes the
+    next ceil(R / parallelism) of them, cut short where the exit width
+    ends, so a worker keeps the floor and table it already built.
+    """
+    chunks = []
+    left = len(tasks)
+    for _, width in itertools.groupby(tasks, key=lambda task: task[1]):
+        width = list(width)
+        while width:
+            size = -(-left // parallelism)
+            chunks.append(width[:size])
+            width = width[size:]
+            left -= len(chunks[-1])
+    return chunks
+
+
+def _attempt(config: SweepConfig, task) -> tuple:
+    """(row, None), or (None, error text) if the cell failed.
+
+    Looks ``run_cell`` up as the module global, so a patched one runs."""
+    try:
+        return run_cell(config, *task), None
+    except Exception as exc:  # noqa: BLE001 - cell failures are data
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_chunk(config: SweepConfig, chunk: list) -> list[tuple]:
+    """A pool worker's job: the chunk's cells in order, one outcome per cell."""
+    return [_attempt(config, task) for task in chunk]
+
+
 def run_sweep(
     config: SweepConfig, parallelism: int = 1, progress=None
 ) -> tuple[list[MeasurementRow], list[SweepError]]:
@@ -168,8 +203,9 @@ def run_sweep(
 
     Failed cells are collected rather than aborting the sweep.  Both
     returned lists are sorted by (c, w, replicate), so the output is
-    byte-identical across parallelism settings.  A crashed pool worker
-    aborts the sweep with one ArchsimError.
+    byte-identical across parallelism settings.  A pool runs the cells in
+    chunks from ``plan_chunks`` and reports each chunk's cells when it
+    ends.  A crashed pool worker aborts the sweep with one ArchsimError.
     """
     config.validate()
     if parallelism < 1:
@@ -196,35 +232,38 @@ def run_sweep(
 
     if parallelism == 1:
         for task in tasks:
-            try:
-                row = run_cell(config, *task)
-                finish(task, row, None)
-            except Exception as exc:  # noqa: BLE001 - cell failures are data
-                finish(task, None, f"{type(exc).__name__}: {exc}")
+            finish(task, *_attempt(config, task))
     else:
         # imported here: the pool machinery loads multiprocessing, socket and
         # logging, which a serial sweep or a single run never needs
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(run_cell, config, *task): task for task in tasks}
+        chunks = plan_chunks(tasks, parallelism)
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
+            futures = {pool.submit(_run_chunk, config, chunk): chunk for chunk in chunks}
             pending = set(futures)
             while pending:
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in finished:
-                    task = futures[fut]
+                    chunk = futures[fut]
                     try:
-                        finish(task, fut.result(), None)
+                        outcomes = fut.result()
                     except BrokenProcessPool:
                         # every unfinished cell fails with it: not their fault
-                        lost = sum(isinstance(f.exception(), BrokenProcessPool) for f in futures)
+                        lost = sum(
+                            len(c) for f, c in futures.items()
+                            if isinstance(f.exception(), BrokenProcessPool)
+                        )
                         raise ArchsimError(
                             f"a sweep worker crashed; {lost} of {len(tasks)} cells "
                             "left unfinished"
                         ) from None
-                    except Exception as exc:  # noqa: BLE001
-                        finish(task, None, f"{type(exc).__name__}: {exc}")
+                    except Exception as exc:  # noqa: BLE001 - its outcomes never came back
+                        outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
+                    for task, outcome in zip(chunk, outcomes):
+                        finish(task, *outcome)
 
     rows.sort(key=lambda r: (r.c, r.w, r.replicate))
     errors.sort(key=lambda e: (e.c, e.w, e.replicate))

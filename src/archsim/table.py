@@ -3,8 +3,10 @@
 A table is UTF-8: a header row, then one row per record, with ``,``
 between fields and ``\\n`` line endings.  Values have one format: None is
 an empty field, a bool is 0 or 1, a float is rounded to 6 decimals,
-anything else is written as is.  A table backed by a dataclass takes its
-header from the field names.
+anything else is written as is.  An int is read back only from an
+optional ``-`` and ASCII digits (``parse_int``), in a table or a config
+file alike.  A table backed by a dataclass takes its header from the
+field names.
 
 A table of ints alone, such as the trace, may be written as text rendered
 ahead: ``int_field`` gives the text of one int in a row, and
@@ -14,6 +16,7 @@ ahead: ``int_field`` gives the text of one int in a row, and
 from __future__ import annotations
 
 import csv
+import re
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -29,6 +32,14 @@ def value(v):
     if isinstance(v, float):
         return round(v, 6)
     return v
+
+
+def parse_int(text: str) -> int:
+    """The int ``text`` spells as ``-?[0-9]+``; ValueError for anything else,
+    such as ``+7``, ``4_00``, padding or non-ASCII digits, which int() takes."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} must be a decimal integer")
+    return int(text)
 
 
 def columns(cls) -> list[str]:

@@ -282,16 +282,21 @@ def test_sweep_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, para
     assert not out.exists()
 
 
-def test_sweep_partial_failure(tmp_path, capsys):
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_sweep_partial_failure(tmp_path, capsys, parallelism):
+    # at parallelism 2 the first chunk holds c=10 and c=1100
     status, out = _sweep(
         tmp_path,
-        "c_levels = 10,1100\nw_levels = 3\nreplicates = 1\nmax_steps = 200\n",
+        "c_levels = 10,1100,20,30\nw_levels = 3\nreplicates = 1\nmax_steps = 200\n",
+        extra=["--parallelism", parallelism],
     )
     assert status == 1
     assert "errors.csv" in capsys.readouterr().err
-    assert (out / "errors.csv").read_text().splitlines()[1].startswith("1100,3,0,")
-    # the healthy cell is still measured
-    assert (out / "measurements.csv").read_text().splitlines()[1].startswith("10,3,")
+    errors = (out / "errors.csv").read_text().splitlines()
+    assert len(errors) == 2 and errors[1].startswith("1100,3,0,")
+    # the healthy cells, its chunk-mate among them, are still measured
+    rows = (out / "measurements.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["10", "3"], ["20", "3"], ["30", "3"]]
 
 
 def test_sweep_bad_shared_setting_fails_before_any_cell(tmp_path, capsys):

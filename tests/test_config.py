@@ -53,6 +53,29 @@ def test_parse_errors_are_located(text, needle, tmp_path):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("c = 4_00\n", "bad value '4_00' for 'c'"),
+        ("c = +7\n", "bad value '+7' for 'c'"),
+        ("c = \u0664\u0660\u0660\n", "bad value '\u0664\u0660\u0660' for 'c'"),
+        ("max_steps = 1_000\n", "bad value '1_000' for 'max_steps'"),
+        ("c_levels = 2_00, \u0663\u0660\u0660\n", "comma-separated"),
+        ("w_levels = 1, +3\n", "comma-separated"),
+    ],
+)
+def test_config_ints_take_the_measurement_grammar(text, needle):
+    """An int key or list holds what a measurement CSV field may: -?[0-9]+."""
+    with pytest.raises(ConfigError, match="line 1: ") as err:
+        parse_config_text(text)
+    assert needle in str(err.value)
+
+
+def test_config_ints_keep_signs_and_list_spacing():
+    values = parse_config_text("base_seed = -3\nc_levels = 10 ,20,  30\n")
+    assert values == {"base_seed": -3, "c_levels": (10, 20, 30)}
+
+
 def test_run_mapping_requires_c_and_w():
     with pytest.raises(ConfigError):
         sim_config_from_mapping({"c": 400})

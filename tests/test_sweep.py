@@ -1,5 +1,6 @@
 """Sweep harness: seed derivation, cell execution, CSV artifacts, parallelism."""
 
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -20,6 +21,7 @@ from archsim.sweep import (
     SweepConfig,
     derive_seed,
     measure,
+    plan_chunks,
     read_measurements_csv,
     run_cell,
     run_sweep,
@@ -90,8 +92,59 @@ def test_sweep_rows_sorted_and_complete():
 
 def test_sweep_independent_of_parallelism():
     serial, _ = run_sweep(TINY, parallelism=1)
-    parallel, _ = run_sweep(TINY, parallelism=2)
-    assert serial == parallel
+    assert run_sweep(TINY, parallelism=2)[0] == serial
+    # three workers split TINY's 8 cells into chunks of 3, 1, 2, 1 and 1
+    assert [len(chunk) for chunk in plan_chunks(_tasks(TINY), 3)] == [3, 1, 2, 1, 1]
+    assert run_sweep(TINY, parallelism=3)[0] == serial
+
+
+def _tasks(config):
+    """The sweep's w-major task list, as run_sweep builds it."""
+    return [(c, w, rep) for w in config.w_levels for c in config.c_levels
+            for rep in range(config.replicates)]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4, 8, 16, 200])
+@pytest.mark.parametrize(
+    "config",
+    [TINY, SweepConfig(), SweepConfig(c_levels=(300, 450), replicates=1),
+     SweepConfig(c_levels=(10, 20, 30), w_levels=(7, 1, 3), replicates=5)],
+    ids=["tiny", "default", "slice", "uneven"],
+)
+def test_plan_chunks_are_guided_and_stay_within_one_width(config, parallelism):
+    tasks = _tasks(config)
+    chunks = plan_chunks(tasks, parallelism)
+    assert [task for chunk in chunks for task in chunk] == tasks
+    left = len(tasks)
+    for chunk in chunks:
+        assert len({w for _, w, _ in chunk}) == 1
+        width_left = sum(w == chunk[0][1] for _, w, _ in tasks[len(tasks) - left:])
+        # as long as the guided share allows, and never past the width's end
+        assert len(chunk) == min(-(-left // parallelism), width_left)
+        left -= len(chunk)
+
+
+def test_plan_chunks_split_the_bench_slice_by_width():
+    """Two workers get one chunk per width, but two for the last: 8 tables, not 14."""
+    slice_config = SweepConfig(c_levels=(300, 450), replicates=1)
+    chunks = plan_chunks(_tasks(slice_config), 2)
+    assert [chunk[0][1] for chunk in chunks] == [*DEFAULT_W_LEVELS, 13]
+    assert [len(chunk) for chunk in chunks] == [2] * 6 + [1, 1]
+
+
+def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    cfg = SweepConfig(c_levels=(15, 25), w_levels=(3,), replicates=2, max_steps=300)
+    rows, errors = run_sweep(cfg, parallelism=8)
+    assert len(rows) == 4 and not errors
+    assert sizes == [len(plan_chunks(_tasks(cfg), 8))] == [4]
 
 
 def test_sweep_progress_callback():
@@ -149,10 +202,13 @@ def test_run_sweep_rejects_parallelism_below_one(monkeypatch, parallelism):
         run_sweep(cfg, parallelism=parallelism)
 
 
-def test_failing_cells_become_error_rows(tmp_path):
-    cfg = SweepConfig(c_levels=(10, 1100), w_levels=(3,), replicates=1, max_steps=200)
-    rows, errors = run_sweep(cfg)
-    assert [r.c for r in rows] == [10]
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_failing_cells_become_error_rows(tmp_path, parallelism):
+    cfg = SweepConfig(c_levels=(10, 1100, 20, 30), w_levels=(3,), replicates=1, max_steps=200)
+    # on the pool, the oversized crowd shares its chunk with a healthy cell
+    assert plan_chunks(_tasks(cfg), 2)[0] == [(10, 3, 0), (1100, 3, 0)]
+    rows, errors = run_sweep(cfg, parallelism=parallelism)
+    assert [r.c for r in rows] == [10, 20, 30]
     assert [(e.c, e.w, e.replicate) for e in errors] == [(1100, 3, 0)]
     assert "1100" in errors[0].error  # names the oversized crowd
     write_errors_csv(errors, tmp_path / "errors.csv")
