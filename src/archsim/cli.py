@@ -198,18 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True,
                        help="run config file (key = value lines)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
+    p_run.add_argument("--seed", type=table.parse_int, help="override the config seed")
     p_run.add_argument("--format", choices=("ascii", "svg"),
                        help="also render one frame in this format")
-    p_run.add_argument("--step", type=int, help="step to render (default: last)")
+    p_run.add_argument("--step", type=table.parse_int, help="step to render (default: last)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full c x w factorial experiment")
     p_sweep.add_argument("--config", help="sweep config file")
     p_sweep.add_argument("--out", required=True, help="output directory")
-    p_sweep.add_argument("--parallelism", type=int, default=1,
+    p_sweep.add_argument("--parallelism", type=table.parse_int, default=1,
                          help="worker processes (default 1)")
-    p_sweep.add_argument("--seed", type=int, help="override base_seed")
+    p_sweep.add_argument("--seed", type=table.parse_int, help="override base_seed")
     p_sweep.add_argument("--verbose", action="store_true",
                          help="print per-cell progress")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("trace", help="trace CSV from a run")
     p_render.add_argument("--config", required=True,
                           help="the run's effective_config.txt (world geometry)")
-    p_render.add_argument("--step", type=int, help="step to draw (default: last)")
+    p_render.add_argument("--step", type=table.parse_int, help="step to draw (default: last)")
     p_render.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p_render.add_argument("--out", help="output file (default: stdout)")
     p_render.set_defaults(func=cmd_render)

@@ -24,7 +24,8 @@ def _int_list(raw: str) -> tuple:
 
 
 # field annotation -> parser of its `key = value` text
-_PARSERS = {"int": table.parse_int, "float": float, "float | None": float, "tuple": _int_list}
+_PARSERS = {"int": table.parse_int, "float": table.parse_float,
+            "float | None": table.parse_float, "tuple": _int_list}
 _KEY_TYPES = {
     f.name: _PARSERS[f.type] for cls in (SimConfig, SweepConfig) for f in fields(cls)
 }

@@ -279,12 +279,11 @@ def _trace_text(records: list[StepRecord], n: int, top: int):
 
     Each row is the step's field followed by the agent's part: its id, x,
     and y with the exited flag, the last from a table indexed by
-    ``2*y + exited``.  A step in which at most three fifths of the rows
-    differ from the previous record re-renders only those in the agent
-    parts it keeps, joined by the step's field; past that share, where
-    it is cheaper, one list of four parts per row is filled.  The tables
-    run to ``top``, at most COORD_MAX, not over every (x, y, exited)
-    triple: read-back records may hold any coordinate up to COORD_MAX.
+    ``2*y + exited``.  Only the agent parts whose (x, y, exited) differ
+    from the previous record are rendered again, all of them for the
+    first; the step's field joins them.  The tables run to ``top``, at
+    most COORD_MAX, not over every (x, y, exited) triple: read-back
+    records may hold any coordinate up to COORD_MAX.
     """
     if not n:
         return
@@ -292,24 +291,13 @@ def _trace_text(records: list[StepRecord], n: int, top: int):
     flag_text = [table.int_field(e, last=True) for e in (0, 1)]
     tail_text = [y + e for y in coord_text for e in flag_text]
     id_text = [table.int_field(i) for i in range(n)]
-    parts = [""] * (4 * n)
-    parts[1::4] = id_text
-    agent_text = None  # each row after its step field, while it matches the previous record
+    agent_text = [""] * n  # each row after its step field, as of the previous record
     prev_xs = prev_tails = np.full(n, -1)  # no record comes before the first
     for rec in records:
         t_text = table.int_field(rec.t)
         xs, tails = rec.xs, 2 * rec.ys.astype(np.intp) + rec.exited
         changed = np.flatnonzero((xs != prev_xs) | (tails != prev_tails))
         prev_xs, prev_tails = xs, tails
-        if 5 * len(changed) > 3 * n:
-            agent_text = None
-            parts[0::4] = [t_text] * n
-            parts[2::4] = map(coord_text.__getitem__, xs.tolist())
-            parts[3::4] = map(tail_text.__getitem__, tails.tolist())
-            yield "".join(parts)
-            continue
-        if agent_text is None:
-            agent_text, changed = [""] * n, np.arange(n)
         for i, x, tail in zip(changed.tolist(), xs[changed].tolist(), tails[changed].tolist()):
             agent_text[i] = id_text[i] + coord_text[x] + tail_text[tail]
         yield t_text + t_text.join(agent_text)

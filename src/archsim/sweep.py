@@ -236,34 +236,31 @@ def run_sweep(
     else:
         # imported here: the pool machinery loads multiprocessing, socket and
         # logging, which a serial sweep or a single run never needs
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         chunks = plan_chunks(tasks, parallelism)
         # the pool forks all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(parallelism, len(chunks))) as pool:
             futures = {pool.submit(_run_chunk, config, chunk): chunk for chunk in chunks}
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    chunk = futures[fut]
-                    try:
-                        outcomes = fut.result()
-                    except BrokenProcessPool:
-                        # every unfinished cell fails with it: not their fault
-                        lost = sum(
-                            len(c) for f, c in futures.items()
-                            if isinstance(f.exception(), BrokenProcessPool)
-                        )
-                        raise ArchsimError(
-                            f"a sweep worker crashed; {lost} of {len(tasks)} cells "
-                            "left unfinished"
-                        ) from None
-                    except Exception as exc:  # noqa: BLE001 - its outcomes never came back
-                        outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
-                    for task, outcome in zip(chunk, outcomes):
-                        finish(task, *outcome)
+            for fut in as_completed(futures):
+                chunk = futures[fut]
+                try:
+                    outcomes = fut.result()
+                except BrokenProcessPool:
+                    # every unfinished cell fails with it: not their fault
+                    lost = sum(
+                        len(c) for f, c in futures.items()
+                        if isinstance(f.exception(), BrokenProcessPool)
+                    )
+                    raise ArchsimError(
+                        f"a sweep worker crashed; {lost} of {len(tasks)} cells "
+                        "left unfinished"
+                    ) from None
+                except Exception as exc:  # noqa: BLE001 - its outcomes never came back
+                    outcomes = [(None, f"{type(exc).__name__}: {exc}")] * len(chunk)
+                for task, outcome in zip(chunk, outcomes):
+                    finish(task, *outcome)
 
     rows.sort(key=lambda r: (r.c, r.w, r.replicate))
     errors.sort(key=lambda e: (e.c, e.w, e.replicate))

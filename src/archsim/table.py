@@ -5,8 +5,9 @@ between fields and ``\\n`` line endings.  Values have one format: None is
 an empty field, a bool is 0 or 1, a float is rounded to 6 decimals,
 anything else is written as is.  An int is read back only from an
 optional ``-`` and ASCII digits (``parse_int``), in a table or a config
-file alike.  A table backed by a dataclass takes its header from the
-field names.
+file alike; a config file's float only from such an int with an optional
+fraction and exponent (``parse_float``).  A table backed by a dataclass
+takes its header from the field names.
 
 A table of ints alone, such as the trace, may be written as text rendered
 ahead: ``int_field`` gives the text of one int in a row, and
@@ -40,6 +41,16 @@ def parse_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{text!r} must be a decimal integer")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """The float ``text`` spells as ``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?``,
+    which covers every float ``str`` gives but inf and nan; ValueError for
+    anything else, such as ``+3``, ``1_0.5``, ``.5`` or non-ASCII digits,
+    which float() takes."""
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+        raise ValueError(f"{text!r} must be a decimal number")
+    return float(text)
 
 
 def columns(cls) -> list[str]:

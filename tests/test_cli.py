@@ -222,6 +222,27 @@ def test_render_checks_its_config_before_the_trace(tmp_path, capsys, config_text
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
 
 
+@pytest.mark.parametrize("value", ["1_0", "+7", "\u0662"])
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--seed"), ("run", "--step"), ("sweep", "--seed"), ("sweep", "--parallelism"),
+    ("render", "--step"),
+])
+def test_int_flags_take_the_config_grammar(tmp_path, capsys, command, flag, value):
+    """An int flag holds what a config int may, -?[0-9]+, and refuses the
+    rest before anything runs."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("c_levels = 5\nw_levels = 3\nreplicates = 1\nmax_steps = 20\n"
+                   if command == "sweep" else RUN_CFG)
+    out = tmp_path / "o"
+    argv = {"run": ["run", "--format", "ascii"], "sweep": ["sweep"],
+            "render": ["render", str(tmp_path / "trace.csv")]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(cfg), "--out", str(out), flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: invalid parse_int value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sweep(tmp_path, text, name="sweep.cfg", extra=()):
     cfg = tmp_path / name
     cfg.write_text(text)

@@ -71,6 +71,26 @@ def test_config_ints_take_the_measurement_grammar(text, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("trigger_threshold = \u0660.\u0665\n",
+         "bad value '\u0660.\u0665' for 'trigger_threshold'"),
+        ("d_max = 1_0.5\n", "bad value '1_0.5' for 'd_max'"),
+        ("threshold_factor = +3\n", "bad value '+3' for 'threshold_factor'"),
+        ("d_max = .5\n", "bad value '.5' for 'd_max'"),
+        ("d_max = 5.\n", "bad value '5.' for 'd_max'"),
+        ("d_max = inf\n", "bad value 'inf' for 'd_max'"),
+        ("trigger_threshold = nan\n", "bad value 'nan' for 'trigger_threshold'"),
+    ],
+)
+def test_config_floats_take_an_ascii_grammar(text, needle):
+    """A float key holds -?[0-9]+(.[0-9]+)?([eE][-+]?[0-9]+)? only."""
+    with pytest.raises(ConfigError, match="line 1: ") as err:
+        parse_config_text(text)
+    assert needle in str(err.value)
+
+
 def test_config_ints_keep_signs_and_list_spacing():
     values = parse_config_text("base_seed = -3\nc_levels = 10 ,20,  30\n")
     assert values == {"base_seed": -3, "c_levels": (10, 20, 30)}
@@ -108,13 +128,15 @@ def test_similarity_keys_rebuild_spec():
 
 
 def test_sim_config_round_trip():
-    cfg = SimConfig(c=123, w=5, W=21, L=70, seed=9, max_steps=777, spawn_margin=8)
+    cfg = SimConfig(c=123, w=5, W=21, L=70, seed=9, max_steps=777, spawn_margin=8,
+                    trigger_threshold=0.3, d_max=1e-05)
     back = sim_config_from_mapping(parse_config_text(dump_config(cfg)))
     assert back == cfg
 
 
 def test_sweep_config_round_trip(tmp_path):
-    cfg = SweepConfig(c_levels=(50, 80), w_levels=(1, 3), replicates=2, base_seed=4)
+    cfg = SweepConfig(c_levels=(50, 80), w_levels=(1, 3), replicates=2, base_seed=4,
+                      threshold_factor=1e+16)
     path = tmp_path / "sweep.cfg"
     path.write_text(dump_config(cfg))
     back = sweep_config_from_mapping(load_config_file(path))

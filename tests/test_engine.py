@@ -652,7 +652,8 @@ def _evolving_traces(draw):
 @settings(max_examples=40, deadline=None)
 def test_trace_bytes_equal_the_reference_when_few_rows_change(tmp_path_factory, records):
     """Steps that re-render only the rows that changed since the previous
-    record, and steps after one in which most rows changed, write the
+    record, whether none, a few or all of them, and steps that keep rows
+    rendered before a step in which every row changed, write the
     reference's bytes."""
     out = tmp_path_factory.mktemp("trace")
     write_trace_csv(records, out / "trace.csv")
