@@ -10,12 +10,10 @@ pure functions of (cell, occupancy, run config):
   cone cells (the forward vision cone is a 100-degree wedge facing the
   heading) with the pace toward each and the similarity score of a
   neighbour standing there.
-* :func:`choose_pace` takes the closest free cell, unless the best
-  match looks too dissimilar: then the agent is triggered to close the
-  gap and heads for the free cell nearest the match.  Each scan stops at
-  its answer: the first free entry in cone order, the first live agent
-  in score order.  The step runs the two scans inline and calls it only
-  for a triggered agent.
+* :func:`steer` is the veer of a triggered agent, one whose best match
+  looks too dissimilar: it closes the gap by heading for the free cell
+  nearest that match.  The step finds the closest free cell and the
+  best match itself and calls it only for a triggered agent.
 """
 
 from __future__ import annotations
@@ -180,44 +178,21 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     return table
 
 
-def choose_pace(
+def steer(
     entries: Entries, occupancy: list[int], exited: bytearray,
-    cells: tuple[Cell, ...], threshold: float,
-) -> int | None:
-    """The next pace from a cell with these entries; None when no cone cell is free.
+    cells: tuple[Cell, ...], best: float,
+) -> int:
+    """The pace of a triggered agent from a cell with these entries.
 
-    The pace heads for the closest free cell (the first free entry in cone
-    order), unless the most similar live agent in view (highest score,
-    ties to the lowest id) scores below ``threshold``: then the agent
-    moves to reduce the difference and heads for the free cell nearest
-    that match, ties to the earlier cone cell.  The best score is that of
-    the first live agent in score order; only a triggered agent looks
-    among the entries of equal score for the lowest id.  ``cells``
-    gives a cell index's coordinates.  The pace cell itself may be
-    occupied or a wall (-1).
-
-    ``engine.step`` runs the two scans itself and calls this only for a
-    triggered agent; ``test_run_matches_the_tuple_keyed_reference`` pins
-    the step's copy of the scans to this decision.
+    The match is the live agent with the lowest id among the ranked
+    entries scoring ``best``; the pace heads for the free cone cell
+    nearest it, ties to the earlier cone cell.  ``cells`` gives a cell
+    index's coordinates.  At least one cone cell must be free.  The pace
+    cell itself may be occupied or a wall (-1).
     """
     cone, ranked = entries
-    for q, pace, _ in cone:
-        if occupancy[q] == FREE:
-            break
-    else:
-        return None
-    for match, _, best in ranked:
-        best_id = occupancy[match]
-        if best_id != FREE and not exited[best_id]:
-            break
-    else:
-        return pace
-    if best >= threshold:
-        return pace
-    for q, _, score in ranked:
-        other_id = occupancy[q]
-        if score == best and other_id != FREE and other_id < best_id and not exited[other_id]:
-            match, best_id = q, other_id
+    _, match = min((occupancy[q], q) for q, _, score in ranked
+                   if score == best and occupancy[q] != FREE and not exited[occupancy[q]])
     tx, ty = cells[match]
     return min(
         (entry for entry in cone if occupancy[entry[0]] == FREE),

@@ -90,8 +90,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.parallelism < 1:
-        return _fail("--parallelism must be >= 1")
     try:
         values = _load_config(args.config)
         sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)

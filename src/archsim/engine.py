@@ -12,10 +12,6 @@ the body keeps occupying the doorway until the agent's next activation,
 when it moves off the world — so exit cells are briefly blocked and the
 door is a real bottleneck.
 
-The step decides an untriggered pace inline, from the same two scans as
-``agent.choose_pace``, and calls that only for an agent whose best match
-scores below the trigger threshold.
-
 A run is a pure function of its config: identical configs (seed
 included) produce identical traces.  ``simulate`` yields the trace one
 StepRecord at a time, so a consumer such as the arch detector can stop
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import table
-from .agent import Crowd, choose_pace, neighbourhood
+from .agent import Crowd, neighbourhood, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import FREE, WorldGrid, build_floor, check_geometry
 
@@ -150,11 +146,7 @@ def step(
     config: SimConfig,
     t: int,
 ) -> StepRecord:
-    """Advance the simulation by one step and record the result.
-
-    An untriggered agent's pace is decided here, from ``choose_pace``'s
-    two scans; ``choose_pace`` decides a triggered agent's.
-    """
+    """Advance the simulation by one step and record the result."""
     floor, occupancy = grid.floor, grid.occupancy
     cell, exited = crowd.cell, crowd.exited
     table, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
@@ -177,7 +169,8 @@ def step(
             exits_this_step += 1
             continue
 
-        # choose_pace's two scans; only a triggered agent needs the rest
+        # the closest free cell, then the best live match in view: a match
+        # scoring below the threshold triggers a veer toward it
         entries = table[here]
         for q, pace, _ in entries[0]:
             if occupancy[q] == FREE:
@@ -188,7 +181,7 @@ def step(
             best_id = occupancy[match]
             if best_id != FREE and not exited[best_id]:
                 if best < threshold:
-                    pace = choose_pace(entries, occupancy, exited, cells, threshold)
+                    pace = steer(entries, occupancy, exited, cells, best)
                 break
         if occupancy[pace] == FREE:
             occupancy[pace], occupancy[here] = i, FREE

@@ -11,8 +11,9 @@ The tests require ``engine.run`` to give the same records.
 
 ``one_pass_choose_pace`` is the index-based pace decision as it was
 before the table ranked each cell's entries by score: one pass over the
-cone entries.  The tests require ``agent.choose_pace`` to return the
-same pace.
+cone entries.  ``step_pace`` is the decision as ``engine.step`` makes
+it: the step's two scans, copied line for line, and ``agent.steer`` for
+a triggered agent.  The tests require the two to return the same pace.
 
 ``heading_toward`` is the heading from one cell to another as a helper
 of its own; ``build_floor`` computes the same angle inline for its
@@ -30,6 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from archsim.agent import steer
 from archsim.engine import TRACE_HEADER, StepRecord
 from archsim.errors import ArchsimError, CrowdTooLargeError
 from archsim.table import write_table
@@ -200,6 +202,27 @@ def one_pass_choose_pace(entries, occupancy, exited, cells, threshold):
         key=lambda entry: (cells[entry[0]][0] - tx) ** 2 + (cells[entry[0]][1] - ty) ** 2,
     )[1]
 
+
+def step_pace(entries, occupancy, exited, cells, threshold):
+    """The next pace ``engine.step`` takes from a cell with these entries;
+    None when no cone cell is free.
+
+    The two scans are ``engine.step``'s, copied line for line: the first
+    free entry in cone order, then the first live agent in score order,
+    whose score below ``threshold`` hands the pace to ``agent.steer``.
+    """
+    for q, pace, _ in entries[0]:
+        if occupancy[q] == FREE:
+            break
+    else:
+        return None
+    for match, _, best in entries[1]:
+        best_id = occupancy[match]
+        if best_id != FREE and not exited[best_id]:
+            if best < threshold:
+                pace = steer(entries, occupancy, exited, cells, best)
+            break
+    return pace
 
 def _snapshot(t, agents, moved, exits):
     n = len(agents)

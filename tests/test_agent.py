@@ -11,10 +11,10 @@ import scalar_reference
 from conftest import cell_index, crowd_on as _crowd
 from scalar_reference import (
     Agent, build_neighbourhood, cone_offsets, heading_toward, is_free, one_pass_choose_pace,
-    signed_deviation, similarity, wrap_angle,
+    signed_deviation, similarity, step_pace, wrap_angle,
 )
 
-from archsim.agent import _build_neighbourhood, choose_pace, neighbourhood
+from archsim.agent import _build_neighbourhood, neighbourhood
 from archsim.engine import SimConfig
 from archsim.world import FREE, WALL, Floor, WorldGrid, build_floor
 
@@ -154,7 +154,7 @@ def _is_free(grid, cell):
 
 
 def _on_floor(floor, pace):
-    """A pace in choose_pace's terms: a floor cell as is, a wall as -1."""
+    """A pace in step_pace's terms: a floor cell as is, a wall as -1."""
     return pace if pace is None or pace in floor.heading else -1
 
 
@@ -164,12 +164,12 @@ def _floor_with(base, headings):
 
 
 def _pace(agent, grid, crowd, config):
-    """choose_pace on the agent's entries of the grid's floor table: the
+    """step_pace on the agent's entries of the grid's floor table: the
     pace cell, -1 for a wall, or None."""
     floor = grid.floor
     entries = neighbourhood(floor, config)[cell_index(floor)[agent.pos]]
-    pace = choose_pace(entries, grid.occupancy, crowd.exited, floor.cells,
-                       config.trigger_threshold)
+    pace = step_pace(entries, grid.occupancy, crowd.exited, floor.cells,
+                     config.trigger_threshold)
     return pace if pace is None or pace < 0 else floor.cells[pace]
 
 
@@ -215,7 +215,7 @@ _BOUNDARY_HEADINGS = _boundary_headings()
 def test_table_matches_scalar_reference_bit_for_bit(data):
     """The numpy build equals the scalar cone and similarity definitions:
     cell and entry order, cell indices (-1 for a pace onto a wall), float
-    bits and Python types (no numpy scalar reaches choose_pace's list
+    bits and Python types (no numpy scalar reaches the step's list
     lookups), one int object per index.  Each cell's ranked tuple is a
     stable descending-score sort of its cone tuple, holding the same entry
     objects.  Some cells face arbitrary headings, at times exactly onto a
@@ -535,7 +535,7 @@ def test_choose_pace_matches_scan_reference(data):
 @given(data=st.data())
 @settings(max_examples=400, deadline=None)
 def test_ranked_choose_pace_matches_one_pass(data):
-    """choose_pace's short scans over the cone and the ranked entries return
+    """The step's short scans over the cone and the ranked entries return
     the one-pass decision's pace: random free, live and exited occupants
     under random ids, exited bodies in the doorway, no free cell, nobody
     in view, triggered agents whose best matches share a score (with the
@@ -587,7 +587,7 @@ def test_ranked_choose_pace_matches_one_pass(data):
         thresholds = st.floats(best, 1.0, exclude_min=True)
     threshold = data.draw(thresholds)
 
-    assert choose_pace(entries, occupancy, exited, floor.cells, threshold) == \
+    assert step_pace(entries, occupancy, exited, floor.cells, threshold) == \
         one_pass_choose_pace(cone, occupancy, exited, floor.cells, threshold)
 
 
@@ -607,7 +607,7 @@ def test_ranked_choose_pace_equal_scores_in_both_id_orders():
             match = ids.index(2 if first_exited else 1)
             side = [(2, 4), (4, 4)][match]
             for threshold, pace in ((0.0, (3, 4)), (0.5, (3, 4)), (1.0, side)):
-                got = choose_pace(entries, occupancy, exited, floor.cells, threshold)
+                got = step_pace(entries, occupancy, exited, floor.cells, threshold)
                 assert got == one_pass_choose_pace(entries[0], occupancy, exited, floor.cells,
                                                    threshold)
                 assert floor.cells[got] == pace, (ids, first_exited, threshold)

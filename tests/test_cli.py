@@ -295,11 +295,11 @@ def test_sweep_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, para
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr("archsim.cli.run_sweep", no_cells)
+    monkeypatch.setattr("archsim.sweep.run_cell", no_cells)
     status, out = _sweep(tmp_path, "c_levels = 10\nw_levels = 3\nreplicates = 1\n",
                          extra=["--parallelism", parallelism])
     assert status == 1
-    assert capsys.readouterr().err == "error: --parallelism must be >= 1\n"
+    assert capsys.readouterr().err == f"error: parallelism={parallelism} must be >= 1\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Engine semantics: scheduling, movement, exits, traces, determinism."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -371,16 +372,123 @@ def test_run_matches_the_tuple_keyed_reference(cfg):
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_run_matches_the_reference_at_the_threshold_edges(edge, data):
-    """The step decides ``best < threshold`` itself for untriggered agents.
-    At a threshold equal to a score of the floor's own table, a best match
-    can score exactly the threshold; 0 triggers nobody, and 1 every agent
-    with a live match in view (no score reaches 1)."""
+    """The step decides ``best < threshold``.  At a threshold equal to a
+    score of the floor's own table, a best match can score exactly the
+    threshold; 0 triggers nobody, and 1 every agent with a live match in
+    view (no score reaches 1)."""
     cfg = data.draw(_reference_configs())
     if edge == "a table score":
         table = neighbourhood(build_floor(cfg.W, cfg.L, cfg.w), cfg)
         edge = data.draw(st.sampled_from([s for cone, _ in table for _, _, s in cone]))
     cfg.trigger_threshold = edge
     _assert_same_records(run(cfg), reference_run(cfg))
+
+
+class _FocalFirst:
+    """An rng stand-in whose permutation activates ``focal`` first, then
+    the others in id order."""
+
+    def __init__(self, focal):
+        self.focal = focal
+
+    def permutation(self, n):
+        return np.array([self.focal, *(i for i in range(n) if i != self.focal)])
+
+
+@st.composite
+def _focal_layouts(draw):
+    """A config and a focal agent off the exit among free cells, live
+    agents and exited bodies in its cone, under random ids: the layouts of
+    ``test_ranked_choose_pace_matches_one_pass`` (mixed, no free cell,
+    nobody in view, equal best scores), with exited bodies on exit cells
+    only, as the step's occupancy check requires.  The threshold is 0, 1,
+    or at or one ulp either side of the best live score in view.
+    Returns ``(config, cells, exited, focal)``: each agent's cell and
+    exited flag by id."""
+    W = draw(st.integers(1, 9))
+    L = draw(st.integers(W + 1, 12))
+    w = draw(st.just(W) | st.integers(1, W))
+    floor = build_floor(W, L, w)
+    radius = draw(st.integers(1, 4))
+    config = SimConfig(c=1, w=w, W=W, L=L, vision_radius=radius,
+                       d_max=draw(st.floats(0.5, 6.0)))
+    n, exits = len(floor.cells), len(floor.exit_cells)
+    beside_door = [k for k in range(exits, n) if floor.cells[k][1] <= radius]
+    k = draw(st.sampled_from(beside_door) | st.integers(exits, n - 1))
+    cone, _ = neighbourhood(floor, config)[k]
+    scores = [score for _, _, score in cone]
+    tied = [[i for i, other in enumerate(scores) if other == score] for score in set(scores)]
+    tied = [group for group in tied if len(group) > 1]
+    fills = ["mixed", "no free cell", "nobody in view"] + ["equal best scores"] * bool(tied)
+    fill = draw(st.sampled_from(fills))
+    choices = {
+        "mixed": ["free", "live", "exited"],
+        "no free cell": ["live", "exited"],
+        "nobody in view": ["free", "exited"],
+        "equal best scores": ["free", "exited"],
+    }[fill]
+    kinds = [draw(st.sampled_from([kind for kind in choices if kind != "exited" or q < exits]))
+             for q, _, _ in cone]
+    if fill == "equal best scores":  # the only live agents in view, beside exited bodies
+        group = draw(st.sampled_from(tied))
+        for i in group:
+            kinds[i] = draw(st.sampled_from(["live"] + ["exited"] * (cone[i][0] < exits)))
+        kinds[draw(st.sampled_from(group))] = "live"
+    taken = [(q, kind) for (q, _, _), kind in zip(cone, kinds) if kind != "free"]
+    focal, *ids = draw(st.permutations(range(len(taken) + 1)))
+    cells, exited = [None] * (len(taken) + 1), bytearray(len(taken) + 1)
+    cells[focal] = floor.cells[k]
+    for (q, kind), agent_id in zip(taken, ids):
+        cells[agent_id] = floor.cells[q]
+        exited[agent_id] = kind == "exited"
+    thresholds = [0.0, 1.0]
+    live = [score for score, kind in zip(scores, kinds) if kind == "live"]
+    if live:
+        best = max(live)
+        thresholds += [best, math.nextafter(best, -1.0), math.nextafter(best, 2.0)]
+    config.c, config.trigger_threshold = len(cells), draw(st.sampled_from(thresholds))
+    return config, cells, exited, focal
+
+
+def _mirrored_at_best():
+    """Agents 1 and 2 on mirrored cells ahead of agent 0, which faces
+    straight down: they score equal, and the threshold is that score."""
+    config = SimConfig(c=3, w=7, W=7, L=12)
+    floor = build_floor(7, 12, 7)
+    _, ranked = neighbourhood(floor, config)[cell_index(floor)[(3, 5)]]
+    config.trigger_threshold = next(s for q, _, s in ranked if floor.cells[q] == (2, 3))
+    return config, [(3, 5), (2, 3), (4, 3)], bytearray(3), 0
+
+
+def _in_line_beyond_d_max():
+    """Agents 1 and 2 straight ahead of agent 0, three and two cells
+    away, both beyond ``d_max``: they score equal, so agent 1 is the match.
+    Triggered, agent 0 heads for (2, 3), the free cell nearest agent 1 by
+    Euclidean distance; (3, 4) is as near in taxicab steps and comes
+    earlier in the cone."""
+    config = SimConfig(c=3, w=7, W=7, L=12, d_max=1.5, trigger_threshold=1.0)
+    return config, [(3, 5), (3, 2), (3, 3)], bytearray(3), 0
+
+
+@given(case=_focal_layouts())
+@example(case=_mirrored_at_best())  # a best match scoring the threshold triggers nobody
+@example(case=_in_line_beyond_d_max())
+@settings(max_examples=200, deadline=None)
+def test_step_paces_the_agent_it_activates_first_as_the_one_pass_decides(case):
+    """The step's own scans, one activation at a time: the agent activated
+    first ends on the one-pass decision's pace when that cell was free
+    before the step, and otherwise stays where it was."""
+    config, cells, exited, focal = case
+    grid = WorldGrid(build_floor(config.W, config.L, config.w))
+    crowd = crowd_on(grid, cells)
+    crowd.exited[:] = exited
+    floor, here = grid.floor, crowd.cell[focal]
+    cone, _ = neighbourhood(floor, config)[here]
+    pace = scalar_reference.one_pass_choose_pace(cone, grid.occupancy, crowd.exited,
+                                                 floor.cells, config.trigger_threshold)
+    moves = pace is not None and grid.occupancy[pace] == FREE
+    step(grid, crowd, _FocalFirst(focal), config, 1)
+    assert crowd.cell[focal] == (pace if moves else here)
 
 
 @given(
