@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     CrowdTooLargeError,
     DegenerateInputError,
-    EmptyClusterError,
     InvalidDimensionsError,
 )
 from .metrics import ArchMeasurement, clog_cluster, detect_arch_onset, measure_axes
@@ -31,7 +30,6 @@ __all__ = [
     "Crowd",
     "CrowdTooLargeError",
     "DegenerateInputError",
-    "EmptyClusterError",
     "Floor",
     "InvalidDimensionsError",
     "RegressionFit",

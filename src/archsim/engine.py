@@ -33,11 +33,10 @@ import numpy as np
 from . import table
 from .agent import Crowd, neighbourhood, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import FREE, WorldGrid, build_floor, check_geometry
+from .world import COORD_MAX, FREE, WorldGrid, build_floor, check_geometry
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
-COORD_MAX = int(np.iinfo(np.int16).max)  # a StepRecord holds coordinates as int16
 
 
 @dataclass(kw_only=True)

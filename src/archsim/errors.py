@@ -19,7 +19,3 @@ class ConfigError(ArchsimError):
 
 class DegenerateInputError(ArchsimError):
     """Statistical input has no usable variation (all-equal x, zero variance)."""
-
-
-class EmptyClusterError(ArchsimError):
-    """Axis measurement requested on an empty cluster."""

@@ -12,13 +12,12 @@ the corridor, m is how wide it spans the exit wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import dist, sqrt
+from math import dist
 
-from .errors import ArchsimError, EmptyClusterError
+from .errors import ArchsimError
 from .world import Cell, Floor, nearest_exit_coordinate
 
 _NEIGHBORS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
-_UPSTREAM = [(-1, 1), (0, 1), (1, 1)]
 
 THRESHOLD_FACTOR = 3.0  # an onset cluster holds at least 3 agents per exit cell
 PERSISTENCE = 3  # ... and stays nonempty for the next 3 steps
@@ -119,44 +118,11 @@ def measure_axes(cluster: set[Cell]) -> tuple[int, int]:
     """(M, m): depth into the corridor and span along the exit wall.
 
     M is the maximal longitudinal coordinate (the exit wall sits at 0);
-    m is the transverse extent, max - min + 1.
+    m is the transverse extent, max - min + 1.  The cluster is nonempty:
+    the detector measures only clusters of at least threshold_factor * w.
     """
-    if not cluster:
-        raise EmptyClusterError("cannot measure an empty cluster")
     M = max(y for _, y in cluster)
     xs = [x for x, _ in cluster]
     m = max(xs) - min(xs) + 1
     return M, m
 
-
-def cluster_frontier(cluster: set[Cell]) -> set[Cell]:
-    """Cluster cells with at least one upstream 8-neighbor outside the
-    cluster — the boundary facing into the corridor."""
-    if not cluster:
-        raise EmptyClusterError("cannot take the frontier of an empty cluster")
-    return {
-        (x, y)
-        for x, y in cluster
-        if any((x + dx, y + dy) not in cluster for dx, dy in _UPSTREAM)
-    }
-
-
-def exit_centered(cells, floor: Floor) -> list[tuple[float, float]]:
-    """Shift positions so x is measured from the exit segment's center."""
-    cx = sum(x for x, _ in floor.exit_cells) / len(floor.exit_cells)
-    return [(x - cx, float(y)) for x, y in cells]
-
-
-def ellipse_fit_residual(frontier, M: float, m: float) -> float:
-    """RMS deviation of frontier points from a half-ellipse.
-
-    Points are exit-centered (x from the exit midpoint, y from the
-    wall); the ellipse has semi-axes m/2 along the wall and M into the
-    corridor.  0 means the frontier lies exactly on it.
-    """
-    points = list(frontier)
-    if not points:
-        raise EmptyClusterError("cannot fit an ellipse to an empty frontier")
-    a = m / 2.0
-    residuals = [(x / a) ** 2 + (y / M) ** 2 - 1.0 for x, y in points]
-    return sqrt(sum(r * r for r in residuals) / len(residuals))

@@ -80,8 +80,7 @@ def svg_frame(record, floor: Floor) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks over [lo, hi], ``lo < hi``."""
     raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
@@ -98,14 +97,8 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def svg_scatter(
-    points,
-    fit=None,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-) -> str:
-    """Scatter plot with an optional fitted line y = slope*x + intercept.
+def svg_scatter(points, fit, title: str, xlabel: str, ylabel: str) -> str:
+    """Scatter plot with its fitted line y = slope*x + intercept.
 
     `fit` is anything with slope/intercept attributes, e.g. a RegressionFit.
     """
@@ -148,28 +141,21 @@ def svg_scatter(
         parts.append(
             f'<text x="{ml - 7}" y="{y + 3.5:.1f}" text-anchor="end">{_fmt(ty)}</text>'
         )
-    if fit is not None:
-        slope, intercept = fit.slope, fit.intercept
-        x1, x2 = xlo + xpad * 0.25, xhi - xpad * 0.25
-        parts.append(
-            f'<line x1="{px(x1):.1f}" y1="{py(slope * x1 + intercept):.1f}" '
-            f'x2="{px(x2):.1f}" y2="{py(slope * x2 + intercept):.1f}" '
-            f'stroke="#4878b0" stroke-width="1.5"/>'
-        )
+    slope, intercept = fit.slope, fit.intercept
+    x1, x2 = xlo + xpad * 0.25, xhi - xpad * 0.25
+    parts.append(
+        f'<line x1="{px(x1):.1f}" y1="{py(slope * x1 + intercept):.1f}" '
+        f'x2="{px(x2):.1f}" y2="{py(slope * x2 + intercept):.1f}" '
+        f'stroke="#4878b0" stroke-width="1.5"/>'
+    )
     for x, y in points:
         parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3.5" fill="#c03830"/>')
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{(ml + width - mr) / 2:.0f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{(mt + height - mb) / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {(mt + height - mb) / 2:.0f})">{ylabel}</text>'
-        )
-    parts.append("</svg>")
+    ymid = (mt + height - mb) / 2
+    parts += [
+        f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        f'<text x="{(ml + width - mr) / 2:.0f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="14" y="{ymid:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {ymid:.0f})">{ylabel}</text>',
+        "</svg>",
+    ]
     return "\n".join(parts)

@@ -25,6 +25,7 @@ Cell = tuple[int, int]
 
 FREE = -1  # occupancy value of a floor cell nobody stands on
 WALL = -2  # occupancy value of the slot past the floor, where index -1 lands
+COORD_MAX = int(np.iinfo(np.int16).max)  # coordinates are held as int16
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,11 +66,15 @@ class Floor:
 
 
 def check_geometry(W: int, L: int, w: int) -> None:
-    """Raise InvalidDimensionsError unless ``1 <= w <= W < L``."""
+    """Raise InvalidDimensionsError unless ``1 <= w <= W < L <= COORD_MAX + 1``."""
     if w < 1 or w > W:
         raise InvalidDimensionsError(f"exit width w={w} must satisfy 1 <= w <= W={W}")
     if L <= W:
         raise InvalidDimensionsError(f"corridor length L={L} must exceed width W={W}")
+    if L > COORD_MAX + 1:
+        raise InvalidDimensionsError(
+            f"corridor length L={L} must be at most {COORD_MAX + 1} (coordinates are int16)"
+        )
 
 
 @lru_cache(maxsize=1)  # consecutive runs of one geometry share it; one floor alive
@@ -79,7 +84,7 @@ def build_floor(W: int, L: int, w: int) -> Floor:
     When ``W - w`` is odd the segment sits one cell closer to the low-index
     side.  A cell's heading is the angle in [0, 2*pi) toward its nearest
     exit coordinate, 0 on an exit cell.  Raises InvalidDimensionsError
-    unless ``1 <= w <= W < L``.
+    unless ``1 <= w <= W < L <= COORD_MAX + 1``.
     """
     check_geometry(W, L, w)
     x0, x1 = (W - w) // 2, (W - w) // 2 + w - 1

@@ -64,6 +64,16 @@ def test_run_rejects_oversized_crowd(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_run_rejects_corridor_longer_than_int16(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("W = 1\nL = 40000\nw = 1\nc = 5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "L=40000" in err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("c = 2000\nw = 3\n")
@@ -290,12 +300,13 @@ def test_sweep_parallelism_does_not_change_bytes(tmp_path):
         (wide / "measurements.csv").read_bytes()
 
 
+def _no_cells(*args, **kwargs):
+    raise AssertionError("a cell ran")
+
+
 @pytest.mark.parametrize("parallelism", ["0", "-3"])
 def test_sweep_rejects_parallelism_below_one(tmp_path, capsys, monkeypatch, parallelism):
-    def no_cells(*args, **kwargs):
-        raise AssertionError("a cell ran")
-
-    monkeypatch.setattr("archsim.sweep.run_cell", no_cells)
+    monkeypatch.setattr("archsim.sweep.run_cell", _no_cells)
     status, out = _sweep(tmp_path, "c_levels = 10\nw_levels = 3\nreplicates = 1\n",
                          extra=["--parallelism", parallelism])
     assert status == 1
@@ -318,6 +329,17 @@ def test_sweep_partial_failure(tmp_path, capsys, parallelism):
     # the healthy cells, its chunk-mate among them, are still measured
     rows = (out / "measurements.csv").read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [["10", "3"], ["20", "3"], ["30", "3"]]
+
+
+def test_sweep_rejects_corridor_longer_than_int16(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("archsim.sweep.run_cell", _no_cells)
+    status, out = _sweep(
+        tmp_path, "W = 1\nL = 40000\nc_levels = 5\nw_levels = 1\nreplicates = 1\n"
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "L=40000" in err
+    assert not (out / "errors.csv").exists()
 
 
 def test_sweep_bad_shared_setting_fails_before_any_cell(tmp_path, capsys):
@@ -507,6 +529,8 @@ def test_analyze_missing_file(tmp_path, capsys):
 
 
 def test_analyze_default_sweep(default_sweep, tmp_path):
+    """The analysis of the default sweep, byte for byte: the regression and
+    trend tables and one scatter plot per crowd size."""
     out = tmp_path / "analysis"
     assert main(["analyze", str(default_sweep.out / "measurements.csv"),
                  "--out", str(out)]) == 0
@@ -514,6 +538,17 @@ def test_analyze_default_sweep(default_sweep, tmp_path):
     assert len(table) == 36  # header + one row per factorial cell
     fits = (out / "regression.csv").read_text().splitlines()[1:]
     assert len(list(out.glob("T_vs_w_c*.svg"))) == len(fits)
+    pinned = {
+        "regression.csv": "648e368546ab477f527c3cd2cb8157c6777fcdaf407bccd8e12445a6dd846412",
+        "trends.csv": "d6a50f839758376cca7b48867186ecd2c255cb5c80fcbf857cd9d9430ed9c638",
+        "T_vs_w_c200.svg": "46911a36c52a89a8d0c50a3017c8a64eaaf97136d66c011df66082707631ac42",
+        "T_vs_w_c300.svg": "67be1f1b5b6ead22885f962f3df3562330c657d34fea61afad5b2d8dfd53d319",
+        "T_vs_w_c350.svg": "2590b8faaa751b0521c7036f89ca50d7b5afe53a2ed6a1fe0b6c821a5041639c",
+        "T_vs_w_c400.svg": "acb05a9e27a5a229c3ef010f450e6eb9279a223d17c4b8c68fa1915c6f750657",
+        "T_vs_w_c450.svg": "4da7754cd23d68fe11e5bac462054e513ad9b7e81aa525ef44595e0e28572da7",
+    }
+    for name, sha256 in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
 
 
 def test_default_sweep_bytes_are_pinned(default_sweep):

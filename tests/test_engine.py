@@ -470,9 +470,19 @@ def _in_line_beyond_d_max():
     return config, [(3, 5), (3, 2), (3, 3)], bytearray(3), 0
 
 
+def _exited_body_at_best():
+    """An exited body (agent 1) and a live agent (agent 2) on mirrored exit
+    cells ahead of agent 0: they score equal, the body has the lower id,
+    and the threshold triggers.  Only agent 2 is a match, so agent 0 veers
+    toward (4, 0), not toward the body at (2, 0)."""
+    config = SimConfig(c=3, w=7, W=7, L=12, trigger_threshold=1.0)
+    return config, [(3, 2), (2, 0), (4, 0)], bytearray([0, 1, 0]), 0
+
+
 @given(case=_focal_layouts())
 @example(case=_mirrored_at_best())  # a best match scoring the threshold triggers nobody
 @example(case=_in_line_beyond_d_max())
+@example(case=_exited_body_at_best())
 @settings(max_examples=200, deadline=None)
 def test_step_paces_the_agent_it_activates_first_as_the_one_pass_decides(case):
     """The step's own scans, one activation at a time: the agent activated

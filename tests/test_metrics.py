@@ -1,20 +1,12 @@
-"""Clog-cluster detection, arch onset, axis measurement, ellipse residual."""
+"""Clog-cluster detection, arch onset and axis measurement."""
 
-import math
 import random
 
 import pytest
 
 from archsim.engine import SimConfig, read_trace_csv, run, write_trace_csv
-from archsim.errors import ArchsimError, EmptyClusterError
-from archsim.metrics import (
-    clog_cluster,
-    cluster_frontier,
-    detect_arch_onset,
-    ellipse_fit_residual,
-    exit_centered,
-    measure_axes,
-)
+from archsim.errors import ArchsimError
+from archsim.metrics import clog_cluster, detect_arch_onset, measure_axes
 from archsim.world import build_floor
 
 from conftest import make_record, reading
@@ -368,60 +360,3 @@ def test_half_ellipse_extents_recovered_exactly():
     }
     assert measure_axes(cells) == (b, 2 * a + 1)
 
-
-def test_empty_cluster_errors():
-    with pytest.raises(EmptyClusterError):
-        measure_axes(set())
-    with pytest.raises(EmptyClusterError):
-        cluster_frontier(set())
-    with pytest.raises(EmptyClusterError):
-        ellipse_fit_residual([], 2.0, 4.0)
-
-
-# ------------------------------------------------------ frontier / residual
-
-def test_frontier_of_block():
-    cluster = {(x, y) for x in (8, 9, 10) for y in (1, 2)}
-    # upstream = deeper into the corridor (y+1 side, diagonals included)
-    assert cluster_frontier(cluster) == {(8, 1), (10, 1), (8, 2), (9, 2), (10, 2)}
-
-
-def test_frontier_of_singleton():
-    assert cluster_frontier({(9, 1)}) == {(9, 1)}
-
-
-def test_exit_centered_coordinates():
-    floor = build_floor(19, 60, 7)  # exit center x = 9.0
-    assert exit_centered([(9, 1), (6, 0)], floor) == [(0.0, 1.0), (-3.0, 0.0)]
-    floor2 = build_floor(19, 60, 2)  # exit cells x = 8, 9: center 8.5
-    assert exit_centered([(8, 1)], floor2) == [(-0.5, 1.0)]
-
-
-def test_residual_zero_on_exact_ellipse():
-    pts = [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (math.sqrt(2), math.sqrt(2))]
-    assert ellipse_fit_residual(pts, M=2.0, m=4.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_residual_of_flat_line_at_depth():
-    # (x/2)^2 + (2/2)^2 - 1 over x = -2..2: squares (1, 1/16, 0, 1/16, 1)
-    pts = [(x, 2.0) for x in (-2, -1, 0, 1, 2)]
-    expected = math.sqrt((1 + 1 / 16 + 0 + 1 / 16 + 1) / 5)
-    assert ellipse_fit_residual(pts, M=2.0, m=4.0) == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.6519202405202649)
-
-
-def test_rectangle_less_ellipse_like_than_half_disk():
-    floor = build_floor(19, 60, 7)
-
-    def residual(cluster):
-        M, m = measure_axes(cluster)
-        return ellipse_fit_residual(exit_centered(cluster_frontier(cluster), floor), M, m)
-
-    half_disk = _half_disk_cells()
-    rect = {
-        (x, y)
-        for x in range(5, 14)
-        for y in range(0, 5)
-        if (x, y) in floor.heading
-    }
-    assert residual(rect) > residual(half_disk)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from archsim.errors import InvalidDimensionsError
 from archsim.world import (
+    COORD_MAX,
     FREE,
     WALL,
     Floor,
@@ -54,13 +55,14 @@ def test_odd_leftover_biases_low_index():
 
 @pytest.mark.parametrize(
     "W,L,w",
-    [(19, 60, 0), (19, 60, 20), (19, 19, 7), (19, 10, 7), (0, 60, 0)],
+    [(19, 60, 0), (19, 60, 20), (19, 19, 7), (19, 10, 7), (0, 60, 0), (1, 32769, 1)],
 )
 def test_invalid_dimensions(W, L, w):
     with pytest.raises(InvalidDimensionsError):
         check_geometry(W, L, w)
-    with pytest.raises(InvalidDimensionsError):
-        build_floor(W, L, w)
+    if L <= COORD_MAX + 1:  # never build a floor longer than int16 holds
+        with pytest.raises(InvalidDimensionsError):
+            build_floor(W, L, w)
 
 
 def test_wall_predicate():
