@@ -17,8 +17,7 @@ from .sweep import SweepConfig
 
 def _int_list(raw: str) -> tuple:
     try:
-        parts = (part.strip() for part in raw.split(","))
-        return tuple(table.parse_int(part) for part in parts if part)
+        return tuple(table.parse_int(part.strip()) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
 

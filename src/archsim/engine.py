@@ -305,12 +305,15 @@ def write_summary_csv(records: list[StepRecord], path) -> None:
 def read_trace_csv(path) -> list[StepRecord]:
     """Rebuild StepRecords from a trace CSV (inverse of write_trace_csv).
 
-    Every row holds five decimal integers.  Steps must run 0, 1, 2, ...
-    in file order.  Every step must list agent ids 0..n-1 exactly once,
-    in any order, with the n of the first step, each with an exited flag
-    of 0 or 1 that never returns from 1 to 0 and coordinates in
-    0..COORD_MAX; a malformed row or step raises ConfigError naming the
-    line.  The body is parsed once, as one integer array, and checked there.
+    Every row holds five decimal integers and has its place in the
+    writer's layout: body row k is agent k mod n of step k div n, where n
+    is the first step's size, and the body holds whole steps.  Each
+    exited flag is 0 or 1 and never returns from 1 to 0, and each
+    coordinate lies in 0..COORD_MAX.  A malformed row or step raises
+    ConfigError naming the line: a wrong step field or value by its own
+    line, a wrong id, an un-exit or a short last step by the first line
+    of its step.  The body is parsed once, as one integer array, and
+    checked there.
     """
     width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
@@ -342,52 +345,39 @@ def read_trace_csv(path) -> list[StepRecord]:
                     break
             raise ConfigError(f"{path}: line {line}: expected {width} integers, got {row}")
 
-    # row checks, in file order: a line is line 2 + its row index.  Read as
+    # body row k, on line k + 2, is agent k mod n of step k div n.  Read as
     # uint32 a negative field lies above any bound, so one compare per
-    # column checks both ends.  The step rises by 0 or 1 from row to row,
-    # and by exactly 1 from the -1 before the first row.
+    # column checks both ends.  The rows of whole steps form an array of
+    # shape (steps, n, 5); any rows after them are a short last step.
     t, fields = rows[:, 0], rows.view(np.uint32)
+    n = int(np.argmax(t != t[0])) or len(rows)  # the first step's size
     bad_value = (fields[:, 2] > COORD_MAX) | (fields[:, 3] > COORD_MAX) | (fields[:, 4] > 1)
-    rise = np.diff(t, prepend=np.int32(-1))
-    bad_order = rise.view(np.uint32) > 1
-    bad_order[0] = rise[0] != 1
-    bad = np.flatnonzero(bad_value | bad_order)
+    bad = np.flatnonzero(bad_value | (t != np.arange(len(rows), dtype=np.int32) // n))
     if bad.size:
-        i = int(bad[0])
-        if bad_value[i]:
+        k = int(bad[0])
+        if bad_value[k]:
             raise ConfigError(
-                f"{path}: line {i + 2}: exited must be 0 or 1 and coordinates "
-                f"within 0..{COORD_MAX}, got {rows[i].tolist()}"
+                f"{path}: line {k + 2}: exited must be 0 or 1 and coordinates "
+                f"within 0..{COORD_MAX}, got {rows[k].tolist()}"
             )
         raise ConfigError(
-            f"{path}: line {i + 2}: step {t[i]} follows step {t[i - 1] if i else -1}; "
-            f"steps must run 0, 1, 2, ... in order"
+            f"{path}: line {k + 2}: step {t[k]} where step {k // n} belongs; "
+            f"steps must run 0, 1, 2, ... in order, each as long as the first"
         )
-
-    # step checks, in step order: the steps that have the first step's size
-    # are columns of shape (steps, n).  A written step lists ids 0..n-1 in
-    # order; only the steps that do not are reordered by id and checked again.
-    starts = np.flatnonzero(rise)
-    sizes = np.diff(starts, append=len(rows))
-    n = int(sizes[0])
-    whole = len(sizes) if (sizes == n).all() else int(np.argmax(sizes != n))
+    whole = len(rows) // n
     steps = rows[: whole * n].reshape(whole, n, width)
-    ids = np.arange(n)
-    unordered = np.flatnonzero((steps[:, :, 1] != ids).any(axis=1))
-    by_id = np.argsort(steps[unordered, :, 1], axis=1, kind="stable")
-    steps[unordered] = np.take_along_axis(steps[unordered], by_id[:, :, None], axis=1)
-    bad_ids = (steps[:, :, 1] != ids).any(axis=1)
     exited = steps[:, :, 4].astype(bool)
     returned = exited[:-1] & ~exited[1:]
+    bad_ids = (steps[:, :, 1] != np.arange(n)).any(axis=1)
     unexit = np.concatenate(([False], returned.any(axis=1)))
     failing = np.flatnonzero(bad_ids | unexit)
     s = int(failing[0]) if failing.size else whole
-    if s < len(sizes):
-        line = starts[s] + 2
+    if s * n < len(rows):
+        line = s * n + 2
         if s == whole or bad_ids[s]:
             raise ConfigError(
                 f"{path}: line {line}: step {s} does not list agent ids "
-                f"0..{n - 1} exactly once"
+                f"0..{n - 1} in order"
             )
         raise ConfigError(
             f"{path}: line {line}: step {s} marks exited agent "

@@ -79,9 +79,9 @@ def detect_arch_onset(
 ) -> ArchMeasurement:
     """Find the arch onset in a trace and measure the arch there.
 
-    The onset T is the first step whose clog cluster holds at least
-    threshold_factor * w agents and whose cluster stays nonempty for the
-    next `persistence` steps.  Returns a no-arch measurement when no
+    The onset T is the first step whose clog cluster is nonempty, holds at
+    least threshold_factor * w agents and stays nonempty for the next
+    `persistence` steps.  Returns a no-arch measurement when no
     step qualifies (or the trace ends before persistence can be
     confirmed).
 
@@ -98,7 +98,7 @@ def detect_arch_onset(
         cluster = clog_cluster(record, floor)
         if pending is not None and cluster:
             confirmed += 1
-        elif len(cluster) >= threshold:  # an empty cluster ends any pending window
+        elif cluster and len(cluster) >= threshold:  # an empty one ends any pending window
             pending, confirmed = (record, cluster), 0
         else:
             pending = None
@@ -119,7 +119,7 @@ def measure_axes(cluster: set[Cell]) -> tuple[int, int]:
 
     M is the maximal longitudinal coordinate (the exit wall sits at 0);
     m is the transverse extent, max - min + 1.  The cluster is nonempty:
-    the detector measures only clusters of at least threshold_factor * w.
+    the detector takes no empty cluster as an onset candidate.
     """
     M = max(y for _, y in cluster)
     xs = [x for x, _ in cluster]

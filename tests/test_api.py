@@ -1,5 +1,6 @@
 """The public API: every name the package exports has a caller inside it,
-and so does every public name a module defines."""
+and so does every public name a module defines.  No module checks an
+invariant with ``assert``, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,11 @@ def test_every_public_module_level_name_is_used_inside_the_package():
         and not any(name in loaded and name not in other for other, loaded in reads)
     )
     assert unused == []
+
+
+def test_no_module_holds_an_assert_statement():
+    """Invariants are checks that raise, so they survive ``python -O``."""
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -188,7 +188,8 @@ def test_render_rejects_ragged_trace(run_dir, tmp_path, capsys):
     assert main(["render", str(ragged),
                  "--config", str(run_dir / "effective_config.txt")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "ragged.csv: line 7:" in err
+    # step 2's first row, on line 11, takes the place of step 1's last
+    assert err.startswith("error:") and "ragged.csv: line 11: step 2 where step 1" in err
 
 
 def test_render_rejects_trace_that_is_not_utf8(run_dir, tmp_path, capsys):

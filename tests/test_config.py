@@ -62,6 +62,8 @@ def test_parse_errors_are_located(text, needle, tmp_path):
         ("max_steps = 1_000\n", "bad value '1_000' for 'max_steps'"),
         ("c_levels = 2_00, \u0663\u0660\u0660\n", "comma-separated"),
         ("w_levels = 1, +3\n", "comma-separated"),
+        ("c_levels = 200,,300\n", "comma-separated"),
+        ("w_levels = 1,3,\n", "comma-separated"),
     ],
 )
 def test_config_ints_take_the_measurement_grammar(text, needle):

@@ -559,18 +559,22 @@ def _assert_same_records(a, b):
             assert np.array_equal(getattr(x, name), getattr(y, name))
 
 
-def test_trace_csv_ids_may_come_in_any_order_within_a_step(tmp_path):
+def test_trace_csv_refuses_ids_out_of_order_within_a_step(tmp_path):
+    """Ids permuted within a step are refused at that step's first line,
+    not sorted: the writer lists every step's ids in order."""
     records = run(SimConfig(c=12, w=3, seed=2))
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     header, *rows = path.read_text().splitlines(keepends=True)
     n = records[0].agent_count
     rng = np.random.default_rng(0)
-    shuffled = [rows[i] for s in range(0, len(rows), n) for i in s + rng.permutation(n)]
-    assert shuffled != rows
-    permuted = tmp_path / "permuted.csv"
-    permuted.write_text(header + "".join(shuffled))
-    _assert_same_records(read_trace_csv(permuted), read_trace_csv(path))
+    for s in (0, 3):
+        order = rng.permutation(n)
+        assert (order != np.arange(n)).any()
+        permuted = rows[: s * n] + [rows[s * n + i] for i in order] + rows[(s + 1) * n:]
+        path.write_text(header + "".join(permuted))
+        with pytest.raises(ConfigError, match=rf": line {s * n + 2}: step {s} does not list"):
+            read_trace_csv(path)
 
 
 def test_trace_csv_reads_crlf_and_a_missing_final_newline(tmp_path):
@@ -622,6 +626,11 @@ MALFORMED_STEPS = [
     pytest.param("-1,0,1,5,0\n0,0,1,5,0\n1,0,1,4,0\n", 2, id="first-step-negative"),
     pytest.param("0,0,1,5,0\n0,1,2,0,1\n1,0,1,4,0\n1,1,2,0,0\n", 4, id="un-exit"),
     pytest.param("0,0,1,5,0\n1,0,1,4,0\n0,1,2,5,0\n", 4, id="step-revisited"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n1,1,2,4,0\n1,0,1,4,0\n", 4, id="ids-out-of-order"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n1,1,2,4,0\n1,2,3,4,0\n", 6,
+                 id="long-step"),
+    pytest.param("0,0,1,5,0\n0,1,2,5,0\n1,0,1,4,0\n2,0,1,3,0\n2,1,2,3,0\n", 5,
+                 id="short-middle-step"),
 ]
 
 
@@ -781,9 +790,10 @@ def test_trace_bytes_equal_the_reference_when_few_rows_change(tmp_path_factory, 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_trace_csv_reads_shuffled_steps_as_the_ordered_file(tmp_path_factory, data):
-    """Ids shuffled within any subset of the steps read back as the file
-    with every step in id order."""
+def test_trace_csv_refuses_a_shuffled_step_at_its_first_line(tmp_path_factory, data):
+    """Ids shuffled within any subset of the steps are refused at the first
+    line of the first step whose ids moved; a file whose shuffles moved no
+    id reads back as the ordered file."""
     n, steps = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
     xs, ys = (data.draw(arrays(np.int16, (steps, n), elements=_COORDS)) for _ in "xy")
     exited = np.logical_or.accumulate(data.draw(arrays(bool, (steps, n))), axis=0)
@@ -792,11 +802,17 @@ def test_trace_csv_reads_shuffled_steps_as_the_ordered_file(tmp_path_factory, da
     write_trace_csv(records, out / "trace.csv")
     header, *rows = (out / "trace.csv").read_text().splitlines(keepends=True)
     shuffled = data.draw(st.sets(st.integers(0, steps - 1)))
-    body = [row for s in range(steps)
-            for row in (data.draw(st.permutations(rows[s * n:(s + 1) * n])) if s in shuffled
-                        else rows[s * n:(s + 1) * n])]
+    orders = [data.draw(st.permutations(range(n))) if s in shuffled else list(range(n))
+              for s in range(steps)]
+    body = [rows[s * n + i] for s in range(steps) for i in orders[s]]
     (out / "shuffled.csv").write_text(header + "".join(body))
-    _assert_same_records(read_trace_csv(out / "shuffled.csv"), read_trace_csv(out / "trace.csv"))
+    moved = [s for s in range(steps) if orders[s] != list(range(n))]
+    if not moved:
+        _assert_same_records(read_trace_csv(out / "shuffled.csv"),
+                             read_trace_csv(out / "trace.csv"))
+        return
+    with pytest.raises(ConfigError, match=rf": line {moved[0] * n + 2}: step {moved[0]} "):
+        read_trace_csv(out / "shuffled.csv")
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,15 @@ def test_streaming_detector_matches_reference_on_random_traces():
         assert got == expected, (trial, sizes, threshold_factor, persistence)
 
 
+def test_zero_threshold_takes_no_empty_cluster_as_onset():
+    """At threshold_factor 0 every cluster is large enough, but an empty
+    one is no candidate: the onset is the first nonempty cluster."""
+    floor = build_floor(19, 60, 1)
+    frames = _column_frames([0, 1, 1, 1, 1])
+    result = detect_arch_onset(frames, floor, threshold_factor=0.0)
+    assert (result.T, result.M, result.m, result.cluster_size) == (1, 1, 1, 1)
+
+
 def test_onset_threshold_scales_with_exit_width():
     floor = build_floor(19, 60, 7)
     small = [(x, 1) for x in range(6, 13)]  # 7 cells: below the 3*7 threshold
