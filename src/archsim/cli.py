@@ -6,11 +6,12 @@
     archsim render results/trace.csv --config results/effective_config.txt \
         --step 30 --format ascii
 
-Every command returns 0 on success and 1 with a message on stderr
-otherwise.  A run directory holds the trace, the per-step summary, the
-single-row measurement CSV, and an effective-config sidecar that can be
-fed back through --config to reproduce the run exactly.  Every CSV goes
-through ``table``, in one dialect and one value format.
+Every command returns 0 on success; ``main`` reports any failure as one
+``error:`` line on stderr and returns 1.  A run directory holds the
+trace, the per-step summary, the single-row measurement CSV, and an
+effective-config sidecar that can be fed back through --config to
+reproduce the run exactly.  Every CSV goes through ``table``, in one
+dialect and one value format.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import analysis, config as configmod, render, table
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
-from .errors import ArchsimError
+from .errors import ArchsimError, DegenerateInputError
 from .sweep import (
     measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
 )
@@ -31,15 +32,6 @@ from .world import build_floor
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _load_config(path):
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ArchsimError(f"config file not found: {p}")
-    return configmod.load_config_file(p)
 
 
 def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
@@ -61,128 +53,116 @@ def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
 def cmd_run(args) -> int:
     if args.step is not None and args.format is None:
         return _fail("--step needs --format")
-    try:
-        values = _load_config(args.config)
-        sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
-        records = run(sim_config)
-        row = measure(sim_config, records)
-        if args.format is not None:
-            step, text = _draw_frame(records, sim_config, args.step, args.format)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    values = configmod.load_config_file(args.config)
+    sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
+    records = run(sim_config)
+    row = measure(sim_config, records)
+    if args.format is not None:
+        step, text = _draw_frame(records, sim_config, args.step, args.format)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-        write_trace_csv(records, out / "trace.csv")
-        write_summary_csv(records, out / "summary.csv")
-        write_measurements_csv([row], out / "measurement.csv")
-        (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
-        if args.format is not None:
-            suffix = "txt" if args.format == "ascii" else "svg"
-            (out / f"frame_{step}.{suffix}").write_text(text)
-        last = records[-1]
-        print(
-            f"run finished: {last.exited_count}/{last.agent_count} exited "
-            f"in {last.t} steps; arch_detected={int(row.arch_detected)}"
-            + (f" T={row.T} M={row.M} m={row.m}" if row.arch_detected else "")
-        )
-        return 0
-    except (ArchsimError, OSError) as exc:
-        return _fail(str(exc))
+    write_trace_csv(records, out / "trace.csv")
+    write_summary_csv(records, out / "summary.csv")
+    write_measurements_csv([row], out / "measurement.csv")
+    (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
+    if args.format is not None:
+        suffix = "txt" if args.format == "ascii" else "svg"
+        (out / f"frame_{step}.{suffix}").write_text(text)
+    last = records[-1]
+    print(
+        f"run finished: {last.exited_count}/{last.agent_count} exited "
+        f"in {last.t} steps; arch_detected={int(row.arch_detected)}"
+        + (f" T={row.T} M={row.M} m={row.m}" if row.arch_detected else "")
+    )
+    return 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        values = _load_config(args.config)
-        sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)
+    values = {} if args.config is None else configmod.load_config_file(args.config)
+    sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)
 
-        def progress(done, total, task):
-            c, w, rep = task
-            print(f"[{done}/{total}] c={c} w={w} replicate={rep}", flush=True)
+    def progress(done, total, task):
+        c, w, rep = task
+        print(f"[{done}/{total}] c={c} w={w} replicate={rep}", flush=True)
 
-        rows, errors = run_sweep(
-            sweep_config, parallelism=args.parallelism,
-            progress=progress if args.verbose else None,
-        )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_measurements_csv(rows, out / "measurements.csv")
-        table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
-                          map(table.row, analysis.aggregate(rows)))
-        sidecar = configmod.dump_config(sweep_config)
-        sidecar += "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')\n"
-        (out / "effective_config.txt").write_text(sidecar)
-        if errors:
-            write_errors_csv(errors, out / "errors.csv")
-            return _fail(f"{len(errors)} of {len(rows) + len(errors)} cells failed "
-                         f"(see {out / 'errors.csv'})")
-        print(f"sweep finished: {len(rows)} runs -> {out / 'measurements.csv'}")
-        return 0
-    except (ArchsimError, OSError) as exc:
-        return _fail(str(exc))
+    rows, errors = run_sweep(
+        sweep_config, parallelism=args.parallelism,
+        progress=progress if args.verbose else None,
+    )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_measurements_csv(rows, out / "measurements.csv")
+    table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
+                      map(table.row, analysis.aggregate(rows)))
+    sidecar = configmod.dump_config(sweep_config)
+    sidecar += "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')\n"
+    (out / "effective_config.txt").write_text(sidecar)
+    if errors:
+        write_errors_csv(errors, out / "errors.csv")
+        return _fail(f"{len(errors)} of {len(rows) + len(errors)} cells failed "
+                     f"(see {out / 'errors.csv'})")
+    print(f"sweep finished: {len(rows)} runs -> {out / 'measurements.csv'}")
+    return 0
 
 
 def cmd_analyze(args) -> int:
+    rows = read_measurements_csv(args.measurements)
+    if not rows:
+        return _fail(f"{args.measurements}: no measurement rows")
+    stats = analysis.aggregate(rows)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
+                      map(table.row, stats))
+
+    means = [(s.c, s.w, s.T_mean) for s in stats if s.n_detected]
+    fits = analysis.regression_by_c(
+        [(r.c, r.w, r.T) for r in rows if r.arch_detected] if args.per_replicate else means
+    )
+    table.write_table(
+        out / "regression.csv", ["c", *table.columns(analysis.RegressionFit)],
+        ([c, *table.row(fit)] for c, fit in sorted(fits.items())),
+    )
+
     try:
-        rows = read_measurements_csv(args.measurements)
-        if not rows:
-            return _fail(f"{args.measurements}: no measurement rows")
-        stats = analysis.aggregate(rows)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        trends = analysis.compute_trends(stats)
+        trend_rows = [
+            [name, table.value(getattr(trends, name)), trends.n_cells,
+             trends.n_saturated_excluded]
+            for name in ("T_vs_inverse_cw", "M_vs_c_over_w", "m_vs_cw")
+        ]
+    except DegenerateInputError:
+        trend_rows = []  # too few usable cells: leave header-only trends file
+    table.write_table(
+        out / "trends.csv", ["trend", "pearson_r", "n_cells", "n_saturated_excluded"],
+        trend_rows,
+    )
 
-        table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
-                          map(table.row, stats))
-
-        means = [(s.c, s.w, s.T_mean) for s in stats if s.n_detected]
-        fits = analysis.regression_by_c(
-            [(r.c, r.w, r.T) for r in rows if r.arch_detected] if args.per_replicate else means
+    for c, fit in sorted(fits.items()):
+        svg = render.svg_scatter(
+            [(w, T) for cell_c, w, T in means if cell_c == c], fit=fit,
+            title=f"mean onset time vs exit width, c={c}",
+            xlabel="exit width w (cells)", ylabel="mean T (steps)",
         )
-        table.write_table(
-            out / "regression.csv", ["c", *table.columns(analysis.RegressionFit)],
-            ([c, *table.row(fit)] for c, fit in sorted(fits.items())),
-        )
-
-        try:
-            trends = analysis.compute_trends(stats)
-            trend_rows = [
-                [name, table.value(getattr(trends, name)), trends.n_cells,
-                 trends.n_saturated_excluded]
-                for name in ("T_vs_inverse_cw", "M_vs_c_over_w", "m_vs_cw")
-            ]
-        except ArchsimError:
-            trend_rows = []  # too few usable cells: leave header-only trends file
-        table.write_table(
-            out / "trends.csv", ["trend", "pearson_r", "n_cells", "n_saturated_excluded"],
-            trend_rows,
-        )
-
-        for c, fit in sorted(fits.items()):
-            svg = render.svg_scatter(
-                [(w, T) for cell_c, w, T in means if cell_c == c], fit=fit,
-                title=f"mean onset time vs exit width, c={c}",
-                xlabel="exit width w (cells)", ylabel="mean T (steps)",
-            )
-            (out / f"T_vs_w_c{c}.svg").write_text(svg)
-        print(f"analysis written to {out} ({len(fits)} regression fits)")
-        return 0
-    except (ArchsimError, OSError) as exc:
-        return _fail(str(exc))
+        (out / f"T_vs_w_c{c}.svg").write_text(svg)
+    print(f"analysis written to {out} ({len(fits)} regression fits)")
+    return 0
 
 
 def cmd_render(args) -> int:
+    sim_config = configmod.sim_config_from_mapping(configmod.load_config_file(args.config))
+    records = read_trace_csv(args.trace)
     try:
-        sim_config = configmod.sim_config_from_mapping(_load_config(args.config))
-        records = read_trace_csv(args.trace)
-        try:
-            _, text = _draw_frame(records, sim_config, args.step, args.format)
-        except ArchsimError as exc:
-            raise ArchsimError(f"{args.trace}: {exc}") from None
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    except (ArchsimError, OSError) as exc:
-        return _fail(str(exc))
+        _, text = _draw_frame(records, sim_config, args.step, args.format)
+    except ArchsimError as exc:
+        raise ArchsimError(f"{args.trace}: {exc}") from None
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ArchsimError, OSError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -60,6 +60,8 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_config_text(fh.read())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     except ConfigError as exc:

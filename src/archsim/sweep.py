@@ -97,6 +97,9 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                     values[f.name] = table.parse_int(raw)
                 except ValueError as exc:
                     raise ValueError(f"{f.name}={exc}") from None
+                # analysis takes every field but seed as a float
+                if f.name != "seed" and values[f.name] >= 2**63:
+                    raise ValueError(f"{f.name}={raw} must be below 2**63")
         parsed = cls(**values)
         if not 1 <= parsed.w <= parsed.W:
             raise ValueError(f"w={parsed.w} must satisfy 1 <= w <= W={parsed.W}")
@@ -276,7 +279,7 @@ def read_measurements_csv(path) -> list[MeasurementRow]:
     for line, raw in table.read_table(path, MEASUREMENT_HEADER, "measurement"):
         try:
             rows.append(MeasurementRow.from_csv_row(raw))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: row {line}: {exc}") from None
     return rows
 

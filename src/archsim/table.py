@@ -100,11 +100,16 @@ def open_table(path, header, what):
             yield fh
         except UnicodeDecodeError:
             raise ConfigError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:  # read_table names a body row's line itself
+            raise ConfigError(f"{path}: {what} header: {exc}") from None
 
 
 def read_table(path, header, what):
     """Yield (line number, row) for each row below a header equal to ``header``."""
     with open_table(path, header, what) as fh:
         reader = csv.reader(fh, delimiter=SEPARATOR)
-        for values in reader:
-            yield reader.line_num + 1, values
+        try:
+            for values in reader:
+                yield reader.line_num + 1, values
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: line {reader.line_num + 1}: {exc}") from None

@@ -1,8 +1,13 @@
-"""The public API: every name the package exports has a caller inside it,
-and so does every public name a module defines.  No module checks an
-invariant with ``assert``, which ``python -O`` strips."""
+"""The public API is the modules: the package root only names the
+version, and every public name a module defines has a caller inside the
+package.  No module checks an invariant with ``assert``, which
+``python -O`` strips."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import archsim
@@ -33,20 +38,31 @@ def _defined_names(statement):
     return set()
 
 
-def test_every_exported_name_is_used_inside_the_package():
-    """An exported name whose only callers are tests is test-only API.  A
-    name's own ``def`` or ``class`` and the import lines that bring it in
-    read no name, so only a use in another module counts."""
-    used = set().union(*(_loaded_names(ast.parse(path.read_text())) for path in MODULES))
-    exported = set(archsim.__all__) - {"__version__"}
-    assert sorted(exported - used) == []
+def test_package_root_loads_no_module_and_defines_only_its_version():
+    """``import archsim`` runs no submodule and defines no public name but
+    ``__version__``: the modules are the API, so the root has nothing to
+    re-export and no import cost.  A fresh interpreter sees what importing
+    the root alone loads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, archsim; print(json.dumps(["
+         "sorted(m for m in sys.modules if m.startswith('archsim.')), "
+         "sorted(n for n in vars(archsim) if not n.startswith('_')), "
+         "hasattr(archsim, '__all__'), archsim.__version__]))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, public, has_all, version = json.loads(proc.stdout)
+    assert (modules, public, has_all) == ([], [], False)
+    assert version
 
 
 def test_every_public_module_level_name_is_used_inside_the_package():
     """Each public function, class and constant a module defines is read by
     some other module-level statement of the package; a read inside the
     name's own definition (recursion) does not count, nor does
-    ``__init__.py``, which only re-exports."""
+    ``__init__.py``, which holds only the version."""
     statements = [statement for path in MODULES
                   for statement in ast.parse(path.read_text(), str(path)).body]
     reads = [(_defined_names(statement), _loaded_names(statement)) for statement in statements]

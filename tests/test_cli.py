@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: artifacts, headers, reproducibility, exit codes."""
 
+import csv
+import errno
 import hashlib
 import os
 import subprocess
@@ -215,6 +217,15 @@ def test_render_rejects_out_of_range_coordinate(run_dir, tmp_path, capsys):
     assert err.startswith("error:") and "bad.csv: line 4:" in err
 
 
+def test_render_rejects_a_header_field_over_the_csv_limit(run_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text('t,agent_id,transverse,longitudinal,"' + "x" * 200_000 + '"\n0,0,1,5,0\n')
+    assert main(["render", str(bad),
+                 "--config", str(run_dir / "effective_config.txt")]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: trace header: field larger "
+                                       f"than field limit ({csv.field_size_limit()})\n")
+
+
 @pytest.mark.parametrize(
     "config_text,message",
     [(None, "config file not found: {cfg}"),
@@ -231,6 +242,29 @@ def test_render_checks_its_config_before_the_trace(tmp_path, capsys, config_text
         cfg.write_text(config_text)
     assert main(["render", str(trace), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze", "render"])
+def test_every_command_reports_an_os_error_as_one_line(run_dir, tmp_path, capsys, command):
+    """``main`` is the one error boundary: an OSError from any command is
+    one ``error:`` line on stderr and exit status 1.  ``--out`` names a
+    regular file, or a file in a missing directory for ``render``."""
+    cfg = run_dir / "effective_config.txt"
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text("c_levels = 5\nw_levels = 3\nreplicates = 1\nmax_steps = 300\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv, out, code = {
+        "run": (["run", "--config", str(cfg)], taken, errno.EEXIST),
+        "sweep": (["sweep", "--config", str(sweep_cfg)], taken, errno.EEXIST),
+        "analyze": (["analyze", str(run_dir / "measurement.csv")], taken, errno.EEXIST),
+        "render": (["render", str(run_dir / "trace.csv"), "--config", str(cfg)],
+                   tmp_path / "missing" / "frame.txt", errno.ENOENT),
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    problem = OSError(code, os.strerror(code), str(out))
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
 
 
 @pytest.mark.parametrize("value", ["1_0", "+7", "\u0662"])
@@ -506,6 +540,18 @@ def test_analyze_rejects_zero_exit_width(tmp_path, capsys):
     err = capsys.readouterr().err
     rows = PERFECT_LINE_CSV.count("\n") + 1
     assert err.startswith("error:") and f"measurements.csv: row {rows}: w=0" in err
+    assert not out.exists()
+
+
+def test_analyze_rejects_a_field_over_the_csv_limit(tmp_path, capsys):
+    status, out = _analyze(PERFECT_LINE_CSV + '"' + "9" * 200_000 + '",7,19,11,0,0,,,,\n',
+                           tmp_path)
+    assert status == 1
+    line = PERFECT_LINE_CSV.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'measurements.csv'}: line {line}: field larger than "
+        f"field limit ({csv.field_size_limit()})\n"
+    )
     assert not out.exists()
 
 

@@ -337,6 +337,9 @@ REJECTED_ROWS = [
     ("400,7,19,11,0,1, 19 ,6,11,30", "T=' 19 ' must be a decimal integer"),
     ("\u0664\u0660\u0660,7,19,11,0,0,,,,", "c='\u0664\u0660\u0660' must be"),
     ("400,+7,19,11,0,0,,,,", r"w='\+7' must be"),
+    # analysis takes these as floats: 2**63 and up is refused
+    (f"400,7,19,11,0,1,{2**63},6,11,30", f"T={2**63} must be below"),
+    (f"{2**63},7,19,11,0,0,,,,", f"c={2**63} must be below"),
 ]
 
 
@@ -351,3 +354,17 @@ def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row, problem):
     )
     with pytest.raises(ConfigError, match=rf"m\.csv: row 3: .*{problem}"):
         read_measurements_csv(path)
+
+
+def test_measurements_csv_reads_fields_below_2_63_and_any_seed(tmp_path):
+    """Every field but seed stays below 2**63; a seed, which no analysis
+    takes as a float, has no bound."""
+    top = 2**63 - 1
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size\n"
+        f"{top},7,{top},{10**400},{top},1,{top},{top},{top},{top}\n"
+    )
+    [row] = read_measurements_csv(path)
+    assert (row.c, row.W, row.seed, row.replicate, row.T, row.cluster_size) == (
+        top, top, 10**400, top, top, top)
