@@ -124,7 +124,8 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     comparisons, which IEEE arithmetic rounds correctly, so every score
     has the bits the formula gives one Python float at a time.
     """
-    radius = config.vision_radius
+    # no two floor cells lie W + L apart, so a longer radius adds no entry
+    radius = min(config.vision_radius, floor.width + floor.length)
     n = len(floor.cells)
     ints = list(range(n)) + [-1]  # entries share one int object per index
     xs, ys = floor.xs.astype(int), floor.ys.astype(int)

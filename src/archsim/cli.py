@@ -34,31 +34,11 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _draw_frame(records, sim_config, step, fmt) -> tuple[int, str]:
-    """(step, text) of the frame at ``step`` (default: the last), as ascii or svg."""
-    if step is None:
-        step = records[-1].t
-    frame = next((r for r in records if r.t == step), None)
-    if frame is None:
-        raise ArchsimError(f"step {step} outside trace 0..{records[-1].t}")
-    floor = build_floor(sim_config.W, sim_config.L, sim_config.w)
-    for agent_id, cell in enumerate(zip(frame.xs.tolist(), frame.ys.tolist())):
-        if not frame.exited[agent_id] and cell not in floor.heading:
-            raise ArchsimError(f"step {step}: agent {agent_id} stands off the floor at {cell}")
-    if fmt == "ascii":
-        return step, render.ascii_frame(frame, floor) + "\n"
-    return step, render.svg_frame(frame, floor)
-
-
 def cmd_run(args) -> int:
-    if args.step is not None and args.format is None:
-        return _fail("--step needs --format")
     values = configmod.load_config_file(args.config)
     sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
     records = run(sim_config)
     row = measure(sim_config, records)
-    if args.format is not None:
-        step, text = _draw_frame(records, sim_config, args.step, args.format)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -66,9 +46,6 @@ def cmd_run(args) -> int:
     write_summary_csv(records, out / "summary.csv")
     write_measurements_csv([row], out / "measurement.csv")
     (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
-    if args.format is not None:
-        suffix = "txt" if args.format == "ascii" else "svg"
-        (out / f"frame_{step}.{suffix}").write_text(text)
     last = records[-1]
     print(
         f"run finished: {last.exited_count}/{last.agent_count} exited "
@@ -154,8 +131,13 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     sim_config = configmod.sim_config_from_mapping(configmod.load_config_file(args.config))
     records = read_trace_csv(args.trace)
+    step = len(records) - 1 if args.step is None else args.step
+    floor = build_floor(sim_config.W, sim_config.L, sim_config.w)
     try:
-        _, text = _draw_frame(records, sim_config, args.step, args.format)
+        if not 0 <= step < len(records):
+            raise ArchsimError(f"step {step} outside trace 0..{len(records) - 1}")
+        text = (render.ascii_frame(records[step], floor) + "\n" if args.format == "ascii"
+                else render.svg_frame(records[step], floor))
     except ArchsimError as exc:
         raise ArchsimError(f"{args.trace}: {exc}") from None
     if args.out:
@@ -177,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run config file (key = value lines)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=table.parse_int, help="override the config seed")
-    p_run.add_argument("--format", choices=("ascii", "svg"),
-                       help="also render one frame in this format")
-    p_run.add_argument("--step", type=table.parse_int, help="step to render (default: last)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full c x w factorial experiment")

@@ -52,6 +52,8 @@ class RunSettings:
     d_max: float | None = None  # similarity reaches 0 at this distance; None: vision_radius
 
     def __post_init__(self):
+        if self.vision_radius >= 2**63:  # before float() can overflow
+            raise ConfigError(f"vision_radius={self.vision_radius} must be below 2**63")
         if self.d_max is None:
             self.d_max = float(self.vision_radius)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import ArchsimError
 from .world import Floor
 
 _SVG_COLORS = {
@@ -23,30 +24,37 @@ _PLOT_WIDTH, _PLOT_HEIGHT = 480, 360
 _TICKS = 5  # about this many ticks per plot axis
 
 
-def _live_agents(record) -> dict:
-    """cell -> moved flag for agents still in the corridor."""
+def _live_agents(record, floor: Floor) -> dict:
+    """cell -> id of the agent on it, for agents still in the corridor.
+
+    ArchsimError names the step and the agent if a live agent stands off
+    ``floor`` or on a cell that another one holds."""
     out = {}
-    for agent_id in range(record.agent_count):
-        if not record.exited[agent_id]:
-            pos = (int(record.xs[agent_id]), int(record.ys[agent_id]))
-            out[pos] = bool(record.moved[agent_id])
+    columns = zip(record.xs.tolist(), record.ys.tolist(), record.exited.tolist())
+    for agent_id, (x, y, exited) in enumerate(columns):
+        if exited:
+            continue
+        cell = (x, y)
+        if cell not in floor.heading:
+            problem = f"agent {agent_id} stands off the floor at {cell}"
+        elif cell in out:
+            problem = f"agents {out[cell]} and {agent_id} both stand on {cell}"
+        else:
+            out[cell] = agent_id
+            continue
+        raise ArchsimError(f"step {record.t}: {problem}")
     return out
 
 
 def ascii_frame(record, floor: Floor) -> str:
-    agents = _live_agents(record)
+    glyphs = {cell: "o" if record.moved[agent_id] else "x"
+              for cell, agent_id in _live_agents(record, floor).items()}
     exit_xs = {x for x, _ in floor.exit_cells}
-    lines = []
     top = "".join("=" if x in exit_xs else "#" for x in range(floor.width))
-    lines.append("#" + top + "#")
+    lines = ["#" + top + "#"]
     for y in range(1, floor.length):
-        row = []
-        for x in range(floor.width):
-            if (x, y) in agents:
-                row.append("o" if agents[(x, y)] else "x")
-            else:
-                row.append(".")
-        lines.append("#" + "".join(row) + "#")
+        row = "".join(glyphs.get((x, y), ".") for x in range(floor.width))
+        lines.append("#" + row + "#")
     lines.append("#" * (floor.width + 2))
     return "\n".join(lines)
 
@@ -73,8 +81,9 @@ def svg_frame(record, floor: Floor) -> str:
     ]
     for ex, _ in floor.exit_cells:
         parts.append(rect(ex + 1, 0, 1, 1, c["exit"]))
-    for (x, y), moved in sorted(_live_agents(record).items()):
-        parts.append(rect(x + 1, y, 1, 1, c["moving"] if moved else c["stationary"]))
+    for (x, y), agent_id in sorted(_live_agents(record, floor).items()):
+        color = c["moving"] if record.moved[agent_id] else c["stationary"]
+        parts.append(rect(x + 1, y, 1, 1, color))
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -251,6 +251,22 @@ def test_table_matches_scalar_reference_bit_for_bit(data):
             assert type(score) is float and score.hex() == ref_score.hex()
 
 
+@pytest.mark.parametrize("w", [1, 5])
+def test_radius_beyond_the_floor_adds_no_entry(w):
+    """No two floor cells lie W + L apart, so the table build clips the
+    radius there; the unclipped scalar reference agrees at longer radii."""
+    W, L = 5, 8
+    floor = build_floor(W, L, w)
+    index = cell_index(floor)
+    for radius in (W + L, 3 * (W + L)):
+        config = SimConfig(c=1, w=w, W=W, L=L, vision_radius=radius, d_max=4.0)
+        table = [[(floor.cells[q], pace, score) for q, pace, score in cone]
+                 for cone, _ in _build_neighbourhood(floor, config)]
+        expected = [[(q, index.get(pace, -1), score) for q, pace, score in entries]
+                    for entries in build_neighbourhood(floor, config).values()]
+        assert table == expected
+
+
 # ------------------------------------------------------------- the best match
 
 def test_most_similar_neighbor_tie_to_lowest_id():

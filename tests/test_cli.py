@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: artifacts, headers, reproducibility, exit codes."""
 
+import argparse
 import csv
 import errno
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import archsim
 from archsim import analysis, world
-from archsim.cli import main
+from archsim.cli import build_parser, main
 from archsim.engine import read_trace_csv
 from archsim.sweep import DEFAULT_W_LEVELS
 
@@ -81,10 +83,7 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     cfg.write_text("c = 2000\nw = 3\n")
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    cfg.write_text(RUN_CFG)
-    assert main(["run", "--config", str(cfg), "--out", str(out), "--step", "999999",
-                 "--format", "ascii"]) == 1
-    assert "outside trace" in capsys.readouterr().err
+    assert "exceeds" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -97,15 +96,33 @@ def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_step_without_format_fails_before_running(tmp_path, capsys):
+def test_run_takes_no_frame_flags(tmp_path, capsys):
+    """``run`` records and ``render`` draws: a frame flag given to ``run``
+    is an unrecognized argument, refused before anything runs."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
     out = tmp_path / "o"
-    # the config does not exist: the flag check comes before anything is read
-    assert main(["run", "--config", str(tmp_path / "no.cfg"), "--out", str(out),
-                 "--step", "99999"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "--step needs --format" in captured.err
+    for flag in (["--format", "ascii"], ["--step", "3"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", str(cfg), "--out", str(out), *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [str(2**63), "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_vision_radius_at_2_63_is_one_error_line(tmp_path, capsys, command, radius):
+    """A radius at or above 2**63 is refused by name before the d_max
+    default takes it as a float, where a 401-digit one overflowed."""
+    cfg = tmp_path / "big.cfg"
+    crowd = "c_levels = 5\nw_levels = 3\nreplicates = 1\n" if command == "sweep" else RUN_CFG
+    cfg.write_text(f"vision_radius = {radius}\nW = 5\nL = 8\n{crowd}")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: vision_radius={radius} must be below 2**63\n"
+    )
     assert not out.exists()
 
 
@@ -133,19 +150,11 @@ def test_sidecar_reproduces_run(run_dir, tmp_path):
     assert (out2 / "trace.csv").read_bytes() == (run_dir / "trace.csv").read_bytes()
 
 
-def test_run_frame_matches_render(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(RUN_CFG)
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg), "--out", str(out),
-                 "--format", "ascii", "--step", "0"]) == 0
+def test_render_step_zero_shows_the_spawned_crowd(run_dir, capsys):
     capsys.readouterr()  # drop the run banner
-
-    frame = (out / "frame_0.txt").read_text()
-    assert main(["render", str(out / "trace.csv"),
-                 "--config", str(out / "effective_config.txt"), "--step", "0"]) == 0
+    assert main(["render", str(run_dir / "trace.csv"),
+                 "--config", str(run_dir / "effective_config.txt"), "--step", "0"]) == 0
     stdout = capsys.readouterr().out
-    assert stdout == frame
     # t=0: all five agents present and nobody has moved yet
     assert stdout.count("x") == 5 and stdout.count("o") == 0
     assert stdout.startswith("#")
@@ -180,6 +189,19 @@ def test_render_rejects_agent_off_the_floor(run_dir, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"error: {trace}: step 0: agent {agent_id} stands off the floor at {cell}\n"
+    )
+
+
+def test_render_rejects_two_live_agents_on_one_cell(tmp_path, capsys):
+    """One cell holds one person: a frame with two live agents on a cell is
+    refused, not drawn as one."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 2\nw = 3\nW = 5\nL = 8\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,agent_id,transverse,longitudinal,exited\n0,0,2,5,0\n0,1,2,5,0\n")
+    assert main(["render", str(trace), "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {trace}: step 0: agents 0 and 1 both stand on (2, 5)\n"
     )
 
 
@@ -269,7 +291,7 @@ def test_every_command_reports_an_os_error_as_one_line(run_dir, tmp_path, capsys
 
 @pytest.mark.parametrize("value", ["1_0", "+7", "\u0662"])
 @pytest.mark.parametrize("command,flag", [
-    ("run", "--seed"), ("run", "--step"), ("sweep", "--seed"), ("sweep", "--parallelism"),
+    ("run", "--seed"), ("sweep", "--seed"), ("sweep", "--parallelism"),
     ("render", "--step"),
 ])
 def test_int_flags_take_the_config_grammar(tmp_path, capsys, command, flag, value):
@@ -279,7 +301,7 @@ def test_int_flags_take_the_config_grammar(tmp_path, capsys, command, flag, valu
     cfg.write_text("c_levels = 5\nw_levels = 3\nreplicates = 1\nmax_steps = 20\n"
                    if command == "sweep" else RUN_CFG)
     out = tmp_path / "o"
-    argv = {"run": ["run", "--format", "ascii"], "sweep": ["sweep"],
+    argv = {"run": ["run"], "sweep": ["sweep"],
             "render": ["render", str(tmp_path / "trace.csv")]}[command]
     with pytest.raises(SystemExit) as exit_:
         main([*argv, "--config", str(cfg), "--out", str(out), flag, value])
@@ -553,6 +575,27 @@ def test_analyze_rejects_a_field_over_the_csv_limit(tmp_path, capsys):
         f"field limit ({csv.field_size_limit()})\n"
     )
     assert not out.exists()
+
+
+README_SECTIONS = {"run": "Single run", "sweep": "Factorial sweep",
+                   "analyze": "Analysis", "render": "Frame rendering"}
+
+
+def test_readme_sections_match_the_parser():
+    """Each command's README section names every long flag the command
+    takes, and the section's code blocks use no flag it does not take."""
+    readme = (Path(archsim.__file__).parents[2] / "README.md").read_text()
+    sections = dict(re.findall(r"^### (.+?)\n(.*?)(?=^## |^### |\Z)", readme, re.M | re.S))
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    flag = re.compile(r"--[a-z][a-z-]*")
+    for command, title in README_SECTIONS.items():
+        takes = {option for action in commands[command]._actions
+                 for option in action.option_strings if flag.fullmatch(option)} - {"--help"}
+        text = sections[title]
+        blocks = "".join(re.findall(r"^```\n(.*?)^```", text, re.M | re.S))
+        assert sorted(takes - set(flag.findall(text))) == [], command
+        assert sorted(set(flag.findall(blocks)) - takes) == [], command
 
 
 def test_checks_survive_optimized_mode(tmp_path):

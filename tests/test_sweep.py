@@ -239,6 +239,23 @@ def test_crashed_worker_is_reported_once(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def _cell_whose_row_cannot_come_back(config, c, w, replicate):
+    row = run_cell(config, c, w, replicate)
+    return (lambda: row) if w == 3 else row  # a local lambda does not pickle
+
+
+def test_outcomes_that_never_came_back_fail_their_cells(monkeypatch):
+    """A chunk whose outcomes the worker cannot send back fails each of its
+    cells with the error the pool gave; the other chunk's rows arrive."""
+    monkeypatch.setattr(sweep, "run_cell", _cell_whose_row_cannot_come_back)
+    cfg = SweepConfig(c_levels=(20,), w_levels=(1, 3), replicates=2, max_steps=200)
+    rows, errors = run_sweep(cfg, parallelism=2)
+    assert rows == [run_cell(cfg, 20, 1, rep) for rep in (0, 1)]
+    assert [(e.c, e.w, e.replicate) for e in errors] == [(20, 3, 0), (20, 3, 1)]
+    assert all(e.error.startswith("AttributeError: Can't pickle local object")
+               for e in errors)
+
+
 def test_cli_import_leaves_the_pool_unloaded():
     """Only a parallel sweep imports concurrent.futures (and with it
     multiprocessing, socket and logging)."""
