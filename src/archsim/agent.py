@@ -10,6 +10,8 @@ pure functions of (cell, occupancy, run config):
   cone cells (the forward vision cone is a 100-degree wedge facing the
   heading) with the pace toward each and the similarity score of a
   neighbour standing there.
+* :func:`cone_holders` inverts that table: the cells whose cone holds
+  a given cell.
 * :func:`steer` is the veer of a triggered agent, one whose best match
   looks too dissimilar: it closes the gap by heading for the free cell
   nearest that match.  The step finds the closest free cell and the
@@ -108,6 +110,24 @@ def neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     if table is None:
         table = floor.tables[key] = _build_neighbourhood(floor, config)
     return table
+
+
+def cone_holders(floor: Floor, config: SimConfig) -> list[tuple[int, ...]]:
+    """For each floor cell index ``k``, the cells whose cone holds ``k``:
+    the cells that a freed ``k`` can give a free cone cell again.
+
+    Built from :func:`neighbourhood` on first use and kept on the floor
+    under the same key.
+    """
+    key = (config.vision_radius, config.d_max)
+    holders = floor.holders.get(key)
+    if holders is None:
+        found = [[] for _ in floor.cells]
+        for p, (cone, _) in enumerate(neighbourhood(floor, config)):
+            for q, _, _ in cone:
+                found[q].append(p)
+        holders = floor.holders[key] = list(map(tuple, found))
+    return holders
 
 
 def _deviation(d: np.ndarray) -> np.ndarray:

@@ -22,21 +22,22 @@ rendered a step at a time from per-value text tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import table
-from .agent import Crowd, neighbourhood, steer
+from .agent import Crowd, cone_holders, neighbourhood, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
 from .world import COORD_MAX, FREE, WorldGrid, build_floor, check_geometry
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
+_FULL = ((), ())  # the cone entries of a cell marked full: no cell, no match
 
 
 @dataclass(kw_only=True)
@@ -147,21 +148,48 @@ def step(
     config: SimConfig,
     t: int,
 ) -> StepRecord:
-    """Advance the simulation by one step and record the result."""
+    """Advance the simulation by one step and record the result.
+
+    Two skips drop only work whose result is known, so the record is the
+    same without them.  An exited agent whose body has left the doorway
+    is not visited: its activation does nothing.  And while the crowd is
+    mostly stuck (the last step's activations that found no free cone
+    cell outnumber its moves), a cell whose cone was found full is marked
+    in ``grid.marks`` and its next activations end without a scan, until
+    a cell of that cone is freed: a move's old cell, or a body leaving
+    the doorway.  Code that frees a cell of ``grid.occupancy`` between
+    steps must set ``grid.marks`` to None.
+    """
     floor, occupancy = grid.floor, grid.occupancy
     cell, exited = crowd.cell, crowd.exited
-    table, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
+    base, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
     w = len(floor.exit_cells)  # cell indices 0..w-1 are the exit segment
-    exits_this_step = 0
+    exits_this_step = jammed = 0
     moved = bytearray(len(crowd))
+    # while marking, ``table`` is the run's copy of the cone table in which
+    # a marked cell's entries are empty, so its scan ends at once
+    marking = grid.marks is not None and grid.marks[0] is base
+    table = grid.marks[1] if marking else base
+    holders = cone_holders(floor, config) if marking else None
 
-    for i in rng.permutation(len(crowd)).tolist():
+    order = rng.permutation(len(crowd))
+    if 1 in exited:
+        # an exited agent's body stands on an exit cell until its next
+        # activation clears it; every other exited agent's is a no-op
+        visit = np.frombuffer(exited, dtype=bool) == 0
+        visit[[i for i in occupancy[:w] if i != FREE]] = True
+        order = order[visit[order]]
+
+    for i in order.tolist():
         here = cell[i]
         if exited[i]:
             # a freshly exited body clears the doorway at its next
             # activation ("moves to the edge of the world")
             if occupancy[here] == i:
                 occupancy[here] = FREE
+                if marking:
+                    for p in holders[here]:
+                        table[p] = base[p]
             continue
 
         # spawned on an exit coordinate (possible with spawn_margin = 0)
@@ -177,7 +205,11 @@ def step(
             if occupancy[q] == FREE:
                 break
         else:
-            continue  # no free cone cell
+            # no free cone cell: nothing changes until one of them is freed
+            jammed += 1
+            if marking:
+                table[here] = _FULL
+            continue
         for match, _, best in entries[1]:
             best_id = occupancy[match]
             if best_id != FREE and not exited[best_id]:
@@ -188,10 +220,17 @@ def step(
             occupancy[pace], occupancy[here] = i, FREE
             cell[i] = pace
             moved[i] = 1
+            if marking:
+                for p in holders[here]:
+                    table[p] = base[p]
             if pace < w:  # distance < 1 to an exit cell means standing on it
                 exited[i] = 1
                 exits_this_step += 1
 
+    if jammed <= moved.count(1):
+        grid.marks = None
+    elif not marking:
+        grid.marks = (base, list(base))
     record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy(), exits_this_step)
     _check_occupancy(grid, crowd, t)
     return record
@@ -319,33 +358,11 @@ def read_trace_csv(path) -> list[StepRecord]:
     """
     width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
-        body = fh.tell()
-        # np.loadtxt takes the lines one at a time and fails on the last it
-        # took; compress draws a count after each line it hands over, so the
-        # counter names that line
-        counter = itertools.count(2)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a body of blank lines only
-                rows = np.loadtxt(itertools.compress(fh, counter), delimiter=table.SEPARATOR,
-                                  dtype=np.int32, ndmin=2, comments=None)
-        except UnicodeDecodeError:
-            raise  # open_table reports it
-        except ValueError:
-            rows = None
-        last = next(counter) - 1  # the last line handed over
-        if last == 1:
-            raise ConfigError(f"{path}: trace holds no rows")
-        if rows is None or rows.shape != (last - 1, width):
-            # the failing line, unless a blank line (which loadtxt skips) or
-            # a first row of another width comes before it
-            fh.seek(body)
-            for line, text in enumerate(fh, 2):
-                text = text.rstrip("\r\n")
-                row = text.split(table.SEPARATOR) if text else []
-                if line == last or len(row) != width:
-                    break
-            raise ConfigError(f"{path}: line {line}: expected {width} integers, got {row}")
+        rows = _load_rows(path, width)
+        if rows is None:
+            rows = _scan_rows(path, fh, width)
+    if not len(rows):
+        raise ConfigError(f"{path}: trace holds no rows")
 
     # body row k, on line k + 2, is agent k mod n of step k div n.  Read as
     # uint32 a negative field lies above any bound, so one compare per
@@ -393,3 +410,70 @@ def read_trace_csv(path) -> list[StepRecord]:
     new_exits[1:] &= ~exited[:-1]
     exits = new_exits.sum(axis=1).tolist()
     return [StepRecord(s, xs[s], ys[s], exited[s], moved[s], exits[s]) for s in range(whole)]
+
+
+_CHUNK = 1 << 20  # bytes per read of the trace body's check
+_FIELD_BYTES = b"0123456789-,"  # a body of -?[0-9]+ fields holds these and line ends
+# numpy reads a path with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
+
+
+def _load_rows(path, width: int) -> np.ndarray | None:
+    """The trace body, the lines below the header, as an int32 array with one
+    row of ``width`` fields per line, parsed by numpy's file reader.
+
+    None unless the body holds only ``0-9``, ``-``, ``,`` and line ends
+    and parses to exactly that shape: a blank line, which numpy skips,
+    also gives None.  numpy's reader streams in C only from a path, so the
+    body is checked and its lines counted in a binary pass first; the
+    count bounds the parse, which would otherwise over-allocate.
+    """
+    if str(path).endswith(_COMPRESSED):
+        return None
+    lines, last = 0, b"\n"
+    with open(path, "rb") as raw:
+        chunk = raw.read(_CHUNK)
+        chunk = chunk[_FIRST_LINE.match(chunk).end():]  # the header, which open_table checked
+        while chunk:
+            ends = chunk.translate(None, _FIELD_BYTES)
+            if ends.translate(None, b"\r\n"):
+                return None
+            # \n, \r and \r\n each end a line, also a \r\n split between two reads
+            lines += len(ends) - (b"\r" in ends and chunk.count(b"\r\n"))
+            if last == b"\r" and chunk.startswith(b"\n"):
+                lines -= 1
+            last = chunk[-1:]
+            chunk = raw.read(_CHUNK)
+    if last not in b"\r\n":
+        lines += 1  # the last line has no line end
+    if not lines:
+        return np.empty((0, width), np.int32)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a body of line ends only
+            rows = np.loadtxt(path, delimiter=table.SEPARATOR, dtype=np.int32, ndmin=2,
+                              comments=None, skiprows=1, max_rows=lines, encoding="utf-8")
+    except ValueError:  # a field that is not an int32, or rows of unequal width
+        return None
+    return rows if rows.shape == (lines, width) else None
+
+
+def _scan_rows(path, fh, width: int) -> np.ndarray:
+    """The rows left in the open table ``fh``, read line by line as
+    ``width`` ints each, every one ``-?[0-9]+`` within int32.
+
+    Raises ConfigError naming the first line that is not such a row.
+    """
+    rows = []
+    for line, text in enumerate(fh, 2):
+        text = text.rstrip("\r\n")
+        fields = text.split(table.SEPARATOR) if text else []
+        try:
+            row = [table.parse_int(field) for field in fields]
+        except ValueError:
+            row = []
+        if len(row) != width or not all(-(2**31) <= v < 2**31 for v in row):
+            raise ConfigError(f"{path}: line {line}: expected {width} integers, got {fields}")
+        rows.append(row)
+    return np.array(rows, dtype=np.int32).reshape(-1, width)

@@ -41,7 +41,8 @@ class Floor:
     order: ``cells[k]`` is cell ``k`` and ``xs``/``ys`` (read-only
     ``int16``) hold the coordinates, so indices ``0..w-1`` are the exit
     segment.  ``tables`` holds the agents' cone tables
-    (``agent.neighbourhood``), keyed on ``(vision_radius, d_max)``.
+    (``agent.neighbourhood``) and ``holders`` their reverse tables
+    (``agent.cone_holders``), both keyed on ``(vision_radius, d_max)``.
     """
 
     width: int
@@ -52,6 +53,7 @@ class Floor:
     xs: np.ndarray = field(init=False, repr=False)
     ys: np.ndarray = field(init=False, repr=False)
     tables: dict = field(init=False, default_factory=dict, repr=False)
+    holders: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         heading = dict(self.heading)
@@ -104,11 +106,15 @@ class WorldGrid:
     standing there or FREE.
 
     One more slot follows the floor cells and is never FREE: index -1, a
-    pace onto a wall, reads as taken.
+    pace onto a wall, reads as taken.  ``marks`` holds the cells whose
+    vision cone the step found full (``engine.step``): None, or the
+    floor's cone table and a copy of it in which each such cell's entries
+    are empty.
     """
 
     floor: Floor
     occupancy: list[int] = field(init=False)
+    marks: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.occupancy = [FREE] * len(self.floor.cells) + [WALL]

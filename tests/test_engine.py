@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import archsim
+from archsim import engine
 from archsim.agent import neighbourhood
 from archsim.engine import (
     COORD_MAX,
@@ -368,6 +369,24 @@ def test_run_matches_the_tuple_keyed_reference(cfg):
     assert len(expected) > 1 or cfg.c == 0
 
 
+@pytest.mark.parametrize("cfg", [SimConfig(c=60, w=1, W=7, L=20, seed=1),
+                                 SimConfig(c=450, w=1, seed=0)], ids=["small-floor", "c450"])
+def test_jammed_cell_marks_keep_the_reference_records(cfg):
+    """Clogged one-cell exits keep the step marking full cones on most
+    steps; the skipped scans and the unvisited departed agents leave the
+    tuple-keyed kernel's records, record for record."""
+    grid, crowd, rng = initialize(cfg)
+    records = [next(simulate(cfg))]  # the t=0 snapshot
+    marked = 0
+    for t in range(1, cfg.max_steps + 1):
+        records.append(step(grid, crowd, rng, cfg, t))
+        marked += grid.marks is not None
+        if records[-1].exited_count == len(crowd):
+            break
+    assert marked > len(records) // 2
+    _assert_same_records(records, reference_run(cfg))
+
+
 @pytest.mark.parametrize("edge", ["a table score", 0.0, 1.0])
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
@@ -588,18 +607,49 @@ def test_trace_csv_reads_crlf_and_a_missing_final_newline(tmp_path):
         _assert_same_records(read_trace_csv(path), expected)
 
 
-def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path):
-    """A \\r\\n that straddles a 64 KiB boundary of the file still ends one
-    line; one of these paddings puts it across the first boundary."""
-    header = "t,agent_id,transverse,longitudinal,exited\r\n"
-    rows = "".join(f"0,{i},1,5,0\r\n" for i in range(6000))
+def _scan_raises(*args):
+    raise AssertionError("the line scan ran")
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", "none"])
+def test_written_traces_are_parsed_without_the_line_scan(tmp_path, monkeypatch, ending):
+    """A trace archsim wrote is read by the array parse under any line
+    ending and without a final one: the line scan, a slow fallback that
+    would read it just as well, is never reached."""
+    records = run(SimConfig(c=30, w=3, seed=4))
     path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    text = path.read_text()
+    text = text.rstrip("\n") if ending == "none" else text.replace("\n", ending)
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(engine, "_scan_rows", _scan_raises)
+    _assert_same_records(read_trace_csv(path), records)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_trace_named_like_a_compressed_file_reads_as_text(tmp_path, suffix):
+    """numpy's file reader decompresses a path by its suffix; a plain-text
+    trace under such a name is still read as text."""
+    records = run(SimConfig(c=10, w=3, seed=1))
+    path = tmp_path / f"trace{suffix}"
+    write_trace_csv(records, path)
+    _assert_same_records(read_trace_csv(path), records)
+
+
+def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path, monkeypatch):
+    """A \\r\\n that straddles the 1 MiB boundary of the file's first read
+    still ends one line, so the array parse reads the file; one of these
+    zero paddings of the first row's x puts it across the boundary."""
+    header = "t,agent_id,transverse,longitudinal,exited\r\n"
+    rows = "".join(f"0,{i},1,5,0\r\n" for i in range(1, 90000))
+    path = tmp_path / "trace.csv"
+    monkeypatch.setattr(engine, "_scan_rows", _scan_raises)
     split = False
     for pad in range(16):
-        body = " " * pad + rows
-        split |= body[(1 << 16) - 1:(1 << 16) + 1] == "\r\n"
-        path.write_bytes((header + body).encode())
-        assert read_trace_csv(path)[0].agent_count == 6000
+        text = header + "0,0," + "0" * pad + "1,5,0\r\n" + rows
+        split |= text[(1 << 20) - 1:(1 << 20) + 1] == "\r\n"
+        path.write_bytes(text.encode())
+        assert read_trace_csv(path)[0].agent_count == 90000
     assert split
 
 
@@ -658,6 +708,11 @@ UNREADABLE_ROWS = [
     pytest.param("0,0,1,5,0,1\n0,1,2,5,0,1\n", 2, id="six-fields-throughout"),
     pytest.param("0,0,1,5,0,1\n0,1,2,5,0\n", 2, id="six-fields-then-five"),
     pytest.param("\n0,0,1,5,0,1\n0,1,2,5,0,1\n", 2, id="blank-line-before-six-fields"),
+    # fields int() would read as 2: only -?[0-9]+ is an int
+    *(pytest.param(f"0,0,1,5,0\n0,1,{field},5,0\n1,0,1,4,0\n1,1,2,4,0\n", 3, id=name)
+      for name, field in [("plus-sign", "+2"), ("leading-space", " 2"),
+                          ("trailing-space", "2 "), ("leading-tab", "\t2"),
+                          ("trailing-vertical-tab", "2\x0b"), ("trailing-nbsp", "2\xa0")]),
 ]
 
 
