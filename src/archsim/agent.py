@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 HALF_CONE = math.radians(50.0)  # half of the 100-degree vision field
 _ANGLE_EPS = 1e-9  # a cell exactly on the cone boundary counts as inside
-_BLOCK = 128  # floor cells per block of the table build: keeps its arrays small
+_PAIRS = 1 << 12  # (cell, offset) pairs per block of the table build: keeps its arrays small
 
 
 class AgentView(NamedTuple):
@@ -68,16 +68,12 @@ class Crowd:
 
 @lru_cache(maxsize=None)
 def _disc_offsets(radius: int) -> tuple[tuple[int, int, float, float], ...]:
-    """All nonzero integer offsets within Euclidean ``radius``: ``(ox, oy, dist, angle)``."""
-    out = []
-    for oy in range(-radius, radius + 1):
-        for ox in range(-radius, radius + 1):
-            if ox == 0 and oy == 0:
-                continue
-            d2 = ox * ox + oy * oy
-            if d2 <= radius * radius:
-                out.append((ox, oy, math.sqrt(d2), math.atan2(oy, ox)))
-    return tuple(out)
+    """All nonzero integer offsets within Euclidean ``radius``, ``(ox, oy,
+    dist, angle)``, ordered by (dist, ox, oy)."""
+    span = range(-radius, radius + 1)
+    offsets = [(ox, oy, math.sqrt(d2), math.atan2(oy, ox)) for ox in span for oy in span
+               if 0 < (d2 := ox * ox + oy * oy) <= radius * radius]
+    return tuple(sorted(offsets, key=lambda o: o[2]))  # stable: ties keep (ox, oy) order
 
 
 Entry = tuple[int, int, float]  # (cone cell q, pace toward q, similarity score)
@@ -137,7 +133,7 @@ def _deviation(d: np.ndarray) -> np.ndarray:
 
 
 def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
-    """The table, computed with numpy a block of ``_BLOCK`` cells at a time.
+    """The table, computed with numpy a block of ``_PAIRS`` (cell, offset) pairs at a time.
 
     The angles come from ``math.atan2`` (the heading field's and
     ``_disc_offsets``'); the rest is fmod, abs, +, -, *, /, max and
@@ -154,48 +150,38 @@ def _build_neighbourhood(floor: Floor, config: SimConfig) -> list[Entries]:
     rows = np.full((floor.length + 2 * radius, floor.width + 2 * radius), -1)
     rows[ys + radius, xs + radius] = np.arange(n)
     ox, oy, dist, angle = map(np.array, zip(*_disc_offsets(radius)))
+    distance_rank = np.unique(dist, return_inverse=True)[1]
     by_distance = np.maximum(0.0, 1.0 - dist / config.d_max)
+    cells_per_block = max(1, _PAIRS // len(ox))
     table = []
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    for lo in range(0, n, cells_per_block):
+        block = slice(lo, lo + cells_per_block)
         x, y, h = xs[block], ys[block], headings[block]
         dev = _deviation(angle - h[:, None])
-        adev = np.abs(dev)
-        # the (cell, offset) pairs in the cone and on the floor, in cone
-        # order within each cell; clockwise (negative rotation) wins ties
-        # on |deviation|
         on_floor = rows[y[:, None] + oy + radius, x[:, None] + ox + radius] >= 0
-        cell_of, off = np.nonzero((adev <= HALF_CONE + _ANGLE_EPS) & on_floor)
-        dev, adev = dev[cell_of, off], adev[cell_of, off]
-        order = np.lexsort((oy[off], ox[off], dev >= 0, adev, dist[off], cell_of))
-        cell_of, off = cell_of[order], off[order]
-        x, y, h = x[cell_of], y[cell_of], h[cell_of]
-        cx, cy = ox[off], oy[off]
+        cell, off = np.nonzero((np.abs(dev) <= HALF_CONE + _ANGLE_EPS) & on_floor)
+        # the in-cone floor pairs in cone order within each cell: the
+        # stable sort keeps the offsets' (ox, oy) order for the last tie
+        # break, and clockwise (negative rotation) wins ties on |deviation|
+        dev = dev[cell, off]
+        order = np.lexsort((dev >= 0, np.abs(dev), cell * len(ox) + distance_rank[off]))
+        cell, off = cell[order], off[order]
+        x, y, h, cx, cy = x[cell], y[cell], h[cell], ox[off], oy[off]
         q = rows[y + cy + radius, x + cx + radius]
         pace = rows[y + np.sign(cy) + radius, x + np.sign(cx) + radius]
         apart = _deviation(h - headings[q])
         score = by_distance[off] * 0.5 + (1.0 - np.abs(apart) / math.pi) * 0.5
         entries = list(zip(map(ints.__getitem__, q.tolist()),
                            map(ints.__getitem__, pace.tolist()), score.tolist()))
-        # most cells' cone order is already by descending score: those
-        # share the cone tuple, and only the rest are ranked, by a stable
-        # lexsort so that equal scores keep cone order
-        rises = (score[1:] > score[:-1]) & (cell_of[1:] == cell_of[:-1])
-        unsorted = np.zeros(len(on_floor), bool)
-        unsorted[cell_of[1:][rises]] = True
-        picked = np.flatnonzero(unsorted[cell_of])
-        by_score = picked[np.lexsort((-score[picked], cell_of[picked]))]
-        ranked = list(map(entries.__getitem__, by_score.tolist()))
-        sizes = np.bincount(cell_of, minlength=len(on_floor))
-        start = at = 0
-        for end, rank in zip(accumulate(sizes.tolist()), unsorted.tolist()):
-            cone = tuple(entries[start:end])
-            if rank:
-                table.append((cone, tuple(ranked[at:at + end - start])))
-                at += end - start
-            else:
-                table.append((cone, cone))
-            start = end
+        ends = np.cumsum(np.bincount(cell, minlength=len(on_floor))).tolist()
+        cones = [tuple(entries[a:b]) for a, b in zip([0, *ends], ends)]
+        # most cones already run by descending score and are their own
+        # ranking; the rest are ranked by a stable sort, so equal scores
+        # keep cone order
+        rises = np.zeros(len(on_floor), bool)
+        rises[cell[1:][(score[1:] > score[:-1]) & (cell[1:] == cell[:-1])]] = True
+        table += [(cone, tuple(sorted(cone, key=lambda e: -e[2])) if rise else cone)
+                  for cone, rise in zip(cones, rises.tolist())]
     return table
 
 

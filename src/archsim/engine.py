@@ -23,7 +23,6 @@ rendered a step at a time from per-value text tables.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -114,7 +113,7 @@ class StepRecord:
 
 
 def _snapshot(t: int, crowd: Crowd, moved: np.ndarray, exits: int) -> StepRecord:
-    where = np.array(crowd.cell, dtype=np.intp)
+    where = np.fromiter(crowd.cell, np.intp, len(crowd))
     floor = crowd.floor
     exited = np.frombuffer(crowd.exited, dtype=bool).copy()
     return StepRecord(t, floor.xs[where], floor.ys[where], exited, moved, exits)
@@ -248,7 +247,7 @@ def _check_occupancy(grid: WorldGrid, crowd: Crowd, t: int) -> None:
     live = len(crowd) - exited.count(1)
     dwelling = sum(1 for k in range(len(grid.floor.exit_cells))
                    if (i := occupancy[k]) != FREE and exited[i] and cell[i] == k)
-    occupied = len(occupancy) - operator.countOf(occupancy, FREE) - 1  # the wall slot
+    occupied = len(occupancy) - occupancy.count(FREE) - 1  # the wall slot
     if occupied != live + dwelling:
         raise ArchsimError(
             f"step {t}: {occupied} occupied cells for {live} live agents "

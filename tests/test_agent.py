@@ -14,7 +14,8 @@ from scalar_reference import (
     signed_deviation, similarity, step_pace, wrap_angle,
 )
 
-from archsim.agent import _build_neighbourhood, neighbourhood
+from archsim import agent as agent_module
+from archsim.agent import _build_neighbourhood, cone_holders, neighbourhood
 from archsim.engine import SimConfig
 from archsim.world import FREE, WALL, Floor, WorldGrid, build_floor
 
@@ -265,6 +266,42 @@ def test_radius_beyond_the_floor_adds_no_entry(w):
         expected = [[(q, index.get(pace, -1), score) for q, pace, score in entries]
                     for entries in build_neighbourhood(floor, config).values()]
         assert table == expected
+
+
+@pytest.mark.parametrize("pairs", [1, 997])
+@pytest.mark.parametrize("W, L, w", [(9, 20, 3), (5, 8, 1)])
+def test_pair_budget_never_changes_the_table(monkeypatch, pairs, W, L, w):
+    """A block of one cell, or an odd budget that splits the floor
+    unevenly, builds the default table: the same entries and float bits,
+    and ranked tuples that are the cone tuple exactly where they are at
+    the default budget."""
+    floor = build_floor(W, L, w)
+    for radius in (1, 3, 5, W + L):
+        config = SimConfig(c=1, w=w, W=W, L=L, vision_radius=radius, d_max=2.5)
+        expected = _build_neighbourhood(floor, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(agent_module, "_PAIRS", pairs)
+            table = _build_neighbourhood(floor, config)
+        assert len(table) == len(expected)
+        for (cone, ranked), (ref_cone, ref_ranked) in zip(table, expected):
+            assert [(q, pace, score.hex()) for q, pace, score in cone] \
+                == [(q, pace, score.hex()) for q, pace, score in ref_cone]
+            assert ranked == ref_ranked and (ranked is cone) == (ref_ranked is ref_cone)
+
+
+@pytest.mark.parametrize("W, L, w, radius", [(5, 8, 1, 1), (9, 20, 3, 3), (19, 60, 7, 3),
+                                             (7, 12, 7, 5), (5, 8, 2, 13)])
+def test_cone_holders_match_the_scalar_cones(W, L, w, radius):
+    """Each cell's holders are the ascending cells whose scalar-reference
+    cone holds it."""
+    floor = build_floor(W, L, w)
+    config = SimConfig(c=1, w=w, W=W, L=L, vision_radius=radius, d_max=3.0)
+    index = cell_index(floor)
+    expected = [[] for _ in floor.cells]
+    for p, entries in build_neighbourhood(floor, config).items():
+        for q, _, _ in entries:
+            expected[index[q]].append(index[p])
+    assert cone_holders(floor, config) == [tuple(sorted(cells)) for cells in expected]
 
 
 # ------------------------------------------------------------- the best match
