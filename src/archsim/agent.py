@@ -21,6 +21,7 @@ pure functions of (cell, occupancy, run config):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -48,15 +49,19 @@ class AgentView(NamedTuple):
 
 @dataclass(eq=False)
 class Crowd:
-    """The crowd as columns indexed by agent id: the index of the floor
-    cell each agent stands on, and its exited flag (0 or 1).
+    """The crowd as typed columns indexed by agent id: the index of the
+    floor cell each agent stands on (``array("q")``, from any sequence of
+    ints), and its exited flag (0 or 1).
 
     ``len()`` is the crowd size; iterating yields an AgentView per agent.
     """
 
     floor: Floor
-    cell: list[int]
+    cell: array
     exited: bytearray
+
+    def __post_init__(self):
+        self.cell = array("q", self.cell)
 
     def __len__(self) -> int:
         return len(self.cell)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import analysis, config as configmod, render, table
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
-from .errors import ArchsimError, DegenerateInputError
+from .errors import ArchsimError, ConfigError, DegenerateInputError
 from .sweep import (
     measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
 )
@@ -34,9 +34,26 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _config(build, path, **overrides):
+    """``build`` over the keys of the config file at ``path`` (None: no
+    file) and the flags' ``overrides``.  When the file's keys alone are
+    refused, that refusal is reported with the file's name, as a line the
+    file cannot parse is; otherwise a flag's value is at fault."""
+    values = {} if path is None else configmod.load_config_file(path)
+    try:
+        return build(values, **overrides)
+    except ArchsimError:
+        if path is None:
+            raise
+        try:
+            build(values)
+        except ArchsimError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        raise
+
+
 def cmd_run(args) -> int:
-    values = configmod.load_config_file(args.config)
-    sim_config = configmod.sim_config_from_mapping(values, seed=args.seed)
+    sim_config = _config(configmod.sim_config_from_mapping, args.config, seed=args.seed)
     records = run(sim_config)
     row = measure(sim_config, records)
     out = Path(args.out)
@@ -56,8 +73,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = {} if args.config is None else configmod.load_config_file(args.config)
-    sweep_config = configmod.sweep_config_from_mapping(values, base_seed=args.seed)
+    sweep_config = _config(configmod.sweep_config_from_mapping, args.config, base_seed=args.seed)
 
     def progress(done, total, task):
         c, w, rep = task
@@ -87,7 +103,10 @@ def cmd_analyze(args) -> int:
     rows = read_measurements_csv(args.measurements)
     if not rows:
         return _fail(f"{args.measurements}: no measurement rows")
-    stats = analysis.aggregate(rows)
+    try:
+        stats = analysis.aggregate(rows)
+    except ConfigError as exc:  # rows that do not form one sweep
+        raise ConfigError(f"{args.measurements}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -129,7 +148,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
-    sim_config = configmod.sim_config_from_mapping(configmod.load_config_file(args.config))
+    sim_config = _config(configmod.sim_config_from_mapping, args.config)
     records = read_trace_csv(args.trace)
     step = len(records) - 1 if args.step is None else args.step
     floor = build_floor(sim_config.W, sim_config.L, sim_config.w)

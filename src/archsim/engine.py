@@ -113,7 +113,7 @@ class StepRecord:
 
 
 def _snapshot(t: int, crowd: Crowd, moved: np.ndarray, exits: int) -> StepRecord:
-    where = np.fromiter(crowd.cell, np.intp, len(crowd))
+    where = np.frombuffer(crowd.cell, np.int64)
     floor = crowd.floor
     exited = np.frombuffer(crowd.exited, dtype=bool).copy()
     return StepRecord(t, floor.xs[where], floor.ys[where], exited, moved, exits)
@@ -154,10 +154,10 @@ def step(
     is not visited: its activation does nothing.  And while the crowd is
     mostly stuck (the last step's activations that found no free cone
     cell outnumber its moves), a cell whose cone was found full is marked
-    in ``grid.marks`` and its next activations end without a scan, until
-    a cell of that cone is freed: a move's old cell, or a body leaving
-    the doorway.  Code that frees a cell of ``grid.occupancy`` between
-    steps must set ``grid.marks`` to None.
+    in ``grid.marks`` and its next activations end before anything else
+    is read, until a cell of that cone is freed: a move's old cell, or a
+    body leaving the doorway.  Code that frees a cell of
+    ``grid.occupancy`` between steps must set ``grid.marks`` to None.
     """
     floor, occupancy = grid.floor, grid.occupancy
     cell, exited = crowd.cell, crowd.exited
@@ -166,7 +166,7 @@ def step(
     exits_this_step = jammed = 0
     moved = bytearray(len(crowd))
     # while marking, ``table`` is the run's copy of the cone table in which
-    # a marked cell's entries are empty, so its scan ends at once
+    # a marked cell's entries are ``_FULL``
     marking = grid.marks is not None and grid.marks[0] is base
     table = grid.marks[1] if marking else base
     holders = cone_holders(floor, config) if marking else None
@@ -181,6 +181,12 @@ def step(
 
     for i in order.tolist():
         here = cell[i]
+        entries = table[here]
+        if entries is _FULL:
+            # a marked cell holds its live, jammed agent (exit cells are
+            # never scanned, so never marked): nothing else need be read
+            jammed += 1
+            continue
         if exited[i]:
             # a freshly exited body clears the doorway at its next
             # activation ("moves to the edge of the world")
@@ -199,7 +205,6 @@ def step(
 
         # the closest free cell, then the best live match in view: a match
         # scoring below the threshold triggers a veer toward it
-        entries = table[here]
         for q, pace, _ in entries[0]:
             if occupancy[q] == FREE:
                 break
@@ -262,13 +267,11 @@ def simulate(config: SimConfig):
     consumer that stops reading stops the simulation there.
     """
     grid, crowd, rng = initialize(config)
-    record = _snapshot(0, crowd, np.zeros(len(crowd), dtype=bool), 0)
-    yield record
+    yield _snapshot(0, crowd, np.zeros(len(crowd), dtype=bool), 0)
     t = 0
-    while record.exited_count < len(crowd) and t < config.max_steps:
+    while crowd.exited.count(1) < len(crowd) and t < config.max_steps:
         t += 1
-        record = step(grid, crowd, rng, config, t)
-        yield record
+        yield step(grid, crowd, rng, config, t)
 
 
 def run(config: SimConfig) -> list[StepRecord]:

@@ -8,9 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import archsim
 from archsim import analysis, world
@@ -121,7 +126,7 @@ def test_vision_radius_at_2_63_is_one_error_line(tmp_path, capsys, command, radi
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr() == (
-        "", f"error: vision_radius={radius} must be below 2**63\n"
+        "", f"error: {cfg}: vision_radius={radius} must be below 2**63\n"
     )
     assert not out.exists()
 
@@ -133,6 +138,22 @@ def test_run_seed_flag_overrides_config(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
     assert "seed = 9" in (out / "effective_config.txt").read_text()
     assert (out / "measurement.csv").read_text().splitlines()[1].startswith("5,3,19,9,0,")
+
+
+@pytest.mark.parametrize("config_text,message", [
+    (RUN_CFG, "seed=-1 must be nonnegative"),
+    ("c = 5\nw = 0\n", "{cfg}: exit width w=0 must satisfy 1 <= w <= W=19"),
+], ids=["flag", "file"])
+def test_a_refused_config_names_the_file_only_at_its_fault(tmp_path, capsys, config_text,
+                                                           message):
+    """A refused ``--seed`` is the flag's fault, not the file's; a refused
+    file value is named with the file even when a flag is given."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical(run_dir, tmp_path):
@@ -251,7 +272,7 @@ def test_render_rejects_a_header_field_over_the_csv_limit(run_dir, tmp_path, cap
 @pytest.mark.parametrize(
     "config_text,message",
     [(None, "config file not found: {cfg}"),
-     ("c = 5\nw = 0\n", "exit width w=0 must satisfy 1 <= w <= W=19")],
+     ("c = 5\nw = 0\n", "{cfg}: exit width w=0 must satisfy 1 <= w <= W=19")],
     ids=["missing", "invalid"],
 )
 def test_render_checks_its_config_before_the_trace(tmp_path, capsys, config_text, message):
@@ -534,7 +555,9 @@ MIXED_W_CSV = MEASUREMENTS_HEADER + "\n200,1,19,5,0,1,9,2,2,3\n200,3,35,5,0,1,9,
 def test_analyze_rejects_mixed_corridor_widths(tmp_path, capsys):
     status, out = _analyze(MIXED_W_CSV, tmp_path)
     assert status == 1
-    assert "W=[19, 35]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'measurements.csv'}: rows mix corridor widths W=[19, 35]\n"
+    )
     assert not out.exists()
 
 
@@ -662,3 +685,84 @@ def test_default_sweep_shape(default_sweep):
         for w in (1, 3, 5, 7, 9, 11, 13)
         for rep in range(3)
     )
+
+
+# what a byte edit inserts: a sign, an int64 overflow, a line end, a NUL,
+# a byte that is not UTF-8, float spellings, a CSV quote and a key separator
+_TOKENS = [b"-1", b"9" * 20, b"\r", b"\x00", b"\xff", b"nan", b"1e999", b'"', b"="]
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data`` after one to three byte edits, each a deleted span, an
+    inserted token, a flipped bit or a duplicated span.  Half the edits
+    start on a digit, where the readers check values, not just syntax."""
+    for _ in range(draw(st.integers(1, 3))):
+        digits = [k for k, byte in enumerate(data) if byte in b"0123456789"]
+        anywhere = st.integers(0, len(data))
+        at = draw(st.sampled_from(digits) | anywhere if digits else anywhere)
+        kind = draw(st.sampled_from(["delete", "insert", "flip", "duplicate"]))
+        if kind == "insert" or at == len(data):
+            data = data[:at] + draw(st.sampled_from(_TOKENS)) + data[at:]
+            continue
+        if kind == "flip":
+            data = data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+            continue
+        end = draw(st.integers(at + 1, min(len(data), at + 12)))
+        span = data[at:end]
+        data = data[:at] + data[end:] if kind == "delete" else data[:end] + span + data[end:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """The bytes of every file a command reads, from a small run and sweep."""
+    root = tmp_path_factory.mktemp("inputs")
+    run_cfg, sweep_cfg = root / "run.cfg", root / "sweep.cfg"
+    run_cfg.write_text("c = 5\nw = 3\nW = 5\nL = 12\nseed = 4\nmax_steps = 60\n")
+    sweep_cfg.write_text("c_levels = 30,60\nw_levels = 1,3\nW = 7\nL = 20\n"
+                         "replicates = 2\nmax_steps = 300\n")
+    assert main(["run", "--config", str(run_cfg), "--out", str(root / "run")]) == 0
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(root / "sweep")]) == 0
+    return {"trace.csv": (root / "run" / "trace.csv").read_bytes(),
+            "effective_config.txt": (root / "run" / "effective_config.txt").read_bytes(),
+            "measurements.csv": (root / "sweep" / "measurements.csv").read_bytes(),
+            "sweep.cfg": sweep_cfg.read_bytes()}
+
+
+# the command that reads each file; a sweep's cells are not run (a mutated
+# level or replicate count may ask for any number of them), so its config
+# is read and built, and the sweep's files are written
+_READERS = {
+    "trace.csv": ["render", "trace.csv", "--config", "effective_config.txt", "--out", "frame"],
+    "effective_config.txt": ["render", "trace.csv", "--config", "effective_config.txt",
+                             "--out", "frame"],
+    "measurements.csv": ["analyze", "measurements.csv", "--out", "analysis"],
+    "sweep.cfg": ["sweep", "--config", "sweep.cfg", "--out", "sweep"],
+}
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+@given(data=st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_a_mutated_input_is_read_or_named_in_one_error_line(reader_inputs, name, data):
+    """Every reader takes a file with deleted, inserted, flipped or
+    duplicated bytes either whole (exit 0) or refuses it with one
+    ``error:`` line that names it (exit 1); it never raises."""
+    mutated = data.draw(_mutated(reader_inputs[name]), label="mutated")
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, content in reader_inputs.items():
+            Path(tmp, file).write_bytes(mutated if file == name else content)
+        argv = [str(Path(tmp, arg)) if i > 0 and not arg.startswith("--") else arg
+                for i, arg in enumerate(_READERS[name])]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                mock.patch("archsim.cli.run_sweep", return_value=([], [])):
+            status = main(argv)
+    err = err.getvalue()
+    if status == 0:
+        assert err == ""
+    else:
+        assert status == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert str(Path(tmp, name)) in err, err

@@ -374,13 +374,21 @@ def test_run_matches_the_tuple_keyed_reference(cfg):
 def test_jammed_cell_marks_keep_the_reference_records(cfg):
     """Clogged one-cell exits keep the step marking full cones on most
     steps; the skipped scans and the unvisited departed agents leave the
-    tuple-keyed kernel's records, record for record."""
+    tuple-keyed kernel's records, record for record.  After every step
+    the marks hold what lets an activation end on a mark alone: no exit
+    cell is marked, and each marked cell holds a live agent."""
     grid, crowd, rng = initialize(cfg)
     records = [next(simulate(cfg))]  # the t=0 snapshot
     marked = 0
     for t in range(1, cfg.max_steps + 1):
         records.append(step(grid, crowd, rng, cfg, t))
-        marked += grid.marks is not None
+        if grid.marks is not None:
+            marked += 1
+            full = [k for k, entries in enumerate(grid.marks[1]) if entries is engine._FULL]
+            assert min(full, default=cfg.w) >= cfg.w, f"step {t}: exit cell marked"
+            for k in full:
+                i = grid.occupancy[k]
+                assert i != FREE and not crowd.exited[i] and crowd.cell[i] == k, (t, k)
         if records[-1].exited_count == len(crowd):
             break
     assert marked > len(records) // 2
