@@ -290,23 +290,31 @@ def write_trace_csv(records: list[StepRecord], path) -> None:
     table.write_rendered(path, TRACE_HEADER, _trace_text(records, n, top))
 
 
+_EXTENT_BLOCK = 64  # records per coordinate check: no slower than one block of all of them
+
+
 def _trace_extent(records: list[StepRecord]) -> tuple[int, int]:
-    """The agent count of every record and the largest coordinate in them."""
+    """The agent count of every record and the largest coordinate in them,
+    checked _EXTENT_BLOCK records at a time so that the copies stay small."""
     n = records[0].agent_count if records else 0
     for rec in records:
         if rec.agent_count != n:
             raise ArchsimError(f"step {rec.t}: {rec.agent_count} agents where step 0 has {n}")
     if not n:
         return 0, 0
-    coords = np.concatenate([(rec.xs, rec.ys) for rec in records], axis=1)  # (2, steps * n)
-    bad = np.flatnonzero(((coords < 0) | (coords > COORD_MAX)).any(axis=0))
-    if bad.size:
-        s, i = divmod(int(bad[0]), n)
-        raise ArchsimError(
-            f"step {records[s].t}: agent {i} at {tuple(coords[:, bad[0]].tolist())} "
-            f"outside 0..{COORD_MAX}"
-        )
-    return n, int(coords.max())
+    top = 0
+    for b in range(0, len(records), _EXTENT_BLOCK):
+        block = records[b:b + _EXTENT_BLOCK]
+        coords = np.concatenate([(rec.xs, rec.ys) for rec in block], axis=1)  # (2, len(block) * n)
+        bad = np.flatnonzero(((coords < 0) | (coords > COORD_MAX)).any(axis=0))
+        if bad.size:
+            s, i = divmod(int(bad[0]), n)
+            raise ArchsimError(
+                f"step {block[s].t}: agent {i} at {tuple(coords[:, bad[0]].tolist())} "
+                f"outside 0..{COORD_MAX}"
+            )
+        top = max(top, int(coords.max()))
+    return n, top
 
 
 def _trace_text(records: list[StepRecord], n: int, top: int):
@@ -355,8 +363,8 @@ def read_trace_csv(path) -> list[StepRecord]:
     coordinate lies in 0..COORD_MAX.  A malformed row or step raises
     ConfigError naming the line: a wrong step field or value by its own
     line, a wrong id, an un-exit or a short last step by the first line
-    of its step.  The body is parsed once, as one integer array, and
-    checked there.
+    of its step.  The body is parsed once, into one array of the records'
+    own int16 (int32 where a field lies beyond it), and checked there.
     """
     width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
@@ -366,16 +374,21 @@ def read_trace_csv(path) -> list[StepRecord]:
     if not len(rows):
         raise ConfigError(f"{path}: trace holds no rows")
 
-    # body row k, on line k + 2, is agent k mod n of step k div n.  Read as
-    # uint32 a negative field lies above any bound, so one compare per
+    # body row k, on line k + 2, is agent k mod n of step k div n.  Read
+    # unsigned, a negative field lies above any bound, so one compare per
     # column checks both ends.  The rows of whole steps form an array of
     # shape (steps, n, 5); any rows after them are a short last step.
-    t, fields = rows[:, 0], rows.view(np.uint32)
+    t, fields = rows[:, 0], rows.view(f"u{rows.itemsize}")
     n = int(np.argmax(t != t[0])) or len(rows)  # the first step's size
+    whole = len(rows) // n
+    steps = rows[: whole * n].reshape(whole, n, width)
     bad_value = (fields[:, 2] > COORD_MAX) | (fields[:, 3] > COORD_MAX) | (fields[:, 4] > 1)
-    bad = np.flatnonzero(bad_value | (t != np.arange(len(rows), dtype=np.int32) // n))
-    if bad.size:
-        k = int(bad[0])
+    bad = bad_value | np.concatenate([  # a step field out of its place
+        (steps[:, :, 0] != np.arange(whole)[:, None]).ravel(),
+        t[whole * n:] != whole,
+    ])
+    if bad.any():
+        k = int(bad.argmax())
         if bad_value[k]:
             raise ConfigError(
                 f"{path}: line {k + 2}: exited must be 0 or 1 and coordinates "
@@ -385,12 +398,11 @@ def read_trace_csv(path) -> list[StepRecord]:
             f"{path}: line {k + 2}: step {t[k]} where step {k // n} belongs; "
             f"steps must run 0, 1, 2, ... in order, each as long as the first"
         )
-    whole = len(rows) // n
-    steps = rows[: whole * n].reshape(whole, n, width)
+    del bad_value, bad  # before the records' copies are made
     exited = steps[:, :, 4].astype(bool)
-    returned = exited[:-1] & ~exited[1:]
     bad_ids = (steps[:, :, 1] != np.arange(n)).any(axis=1)
-    unexit = np.concatenate(([False], returned.any(axis=1)))
+    unexit = np.zeros(whole, dtype=bool)
+    unexit[1:] = (exited[:-1] > exited[1:]).any(axis=1)  # exited, then not
     failing = np.flatnonzero(bad_ids | unexit)
     s = int(failing[0]) if failing.size else whole
     if s * n < len(rows):
@@ -402,10 +414,11 @@ def read_trace_csv(path) -> list[StepRecord]:
             )
         raise ConfigError(
             f"{path}: line {line}: step {s} marks exited agent "
-            f"{np.flatnonzero(returned[s - 1])[0]} as not exited"
+            f"{np.flatnonzero(exited[s - 1] > exited[s])[0]} as not exited"
         )
 
     xs, ys = steps[:, :, 2].astype(np.int16), steps[:, :, 3].astype(np.int16)
+    del rows, t, fields, steps  # every field the records keep is copied out
     moved = np.zeros_like(exited)  # before the first step nobody has moved or exited
     moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
     new_exits = exited.copy()
@@ -422,8 +435,9 @@ _FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
 
 
 def _load_rows(path, width: int) -> np.ndarray | None:
-    """The trace body, the lines below the header, as an int32 array with one
-    row of ``width`` fields per line, parsed by numpy's file reader.
+    """The trace body, the lines below the header, as an array with one row
+    of ``width`` fields per line, parsed by numpy's file reader: int16, or
+    int32 where a field lies beyond int16, as a long run's step does.
 
     None unless the body holds only ``0-9``, ``-``, ``,`` and line ends
     and parses to exactly that shape: a blank line, which numpy skips,
@@ -450,15 +464,17 @@ def _load_rows(path, width: int) -> np.ndarray | None:
     if last not in b"\r\n":
         lines += 1  # the last line has no line end
     if not lines:
-        return np.empty((0, width), np.int32)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a body of line ends only
-            rows = np.loadtxt(path, delimiter=table.SEPARATOR, dtype=np.int32, ndmin=2,
-                              comments=None, skiprows=1, max_rows=lines, encoding="utf-8")
-    except ValueError:  # a field that is not an int32, or rows of unequal width
-        return None
-    return rows if rows.shape == (lines, width) else None
+        return np.empty((0, width), np.int16)
+    for dtype in (np.int16, np.int32):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body of line ends only
+                rows = np.loadtxt(path, delimiter=table.SEPARATOR, dtype=dtype, ndmin=2,
+                                  comments=None, skiprows=1, max_rows=lines, encoding="utf-8")
+        except ValueError:  # a field that is not of this type, or rows of unequal width
+            continue
+        return rows if rows.shape == (lines, width) else None
+    return None
 
 
 def _scan_rows(path, fh, width: int) -> np.ndarray:

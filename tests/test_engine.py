@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -659,6 +660,74 @@ def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path, monkeypatch
         path.write_bytes(text.encode())
         assert read_trace_csv(path)[0].agent_count == 90000
     assert split
+
+
+def _records_of(xs, ys, exited):
+    """StepRecords of per-step coordinates and exited flags, each of shape
+    (steps, n), with moved and exits_this_step derived as a read derives them."""
+    moved = np.zeros_like(exited)
+    moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    new_exits = exited.copy()
+    new_exits[1:] &= ~exited[:-1]
+    return [StepRecord(t, xs[t], ys[t], exited[t], moved[t], int(new_exits[t].sum()))
+            for t in range(len(xs))]
+
+
+@pytest.mark.parametrize("steps,n", [(32770, 1), (1, 32770)], ids=["long-run", "large-crowd"])
+def test_traces_past_int16_are_parsed_as_int32(tmp_path, monkeypatch, steps, n):
+    """A step or an agent id past 32767 is valid, since max_steps has no
+    upper bound: such a trace is read by the array parse at int32, not by
+    the line scan."""
+    t = np.arange(steps)[:, None]
+    i = np.arange(n)
+    xs = ((t + i) % 19).astype(np.int16)
+    ys = ((t * 7 + i) % 60).astype(np.int16)
+    exited = np.maximum.accumulate((t + i) % 5 == 4, axis=0)  # once exited, always
+    records = _records_of(xs, ys, exited)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    monkeypatch.setattr(engine, "_scan_rows", _scan_raises)
+    assert engine._load_rows(path, 5).dtype == np.int32
+    _assert_same_records(read_trace_csv(path), records)
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)``, in bytes above what was
+    traced when it was called."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_read_peaks_at_20_bytes_per_row(tmp_path):
+    """The reader parses the body as int16, the records' own type, and
+    copies no full-length index: on the 262,800-row trace of c=450, w=1,
+    its peak, the records included, stays within 20 bytes per row
+    (15.3 measured)."""
+    records = run(SimConfig(c=450, w=1, seed=0))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    rows = len(records) * records[0].agent_count
+    assert rows == 262_800
+    assert _traced_peak(read_trace_csv, path) <= 20 * rows
+    assert engine._load_rows(path, 5).dtype == np.int16
+
+
+def test_trace_write_peak_does_not_grow_with_the_record_count(tmp_path):
+    """The writer checks coordinates a bounded block of records at a
+    time: ten times the records do not double its peak."""
+    rng = np.random.default_rng(0)
+    shape = (600, 450)
+    xs = rng.integers(0, 19, shape, dtype=np.int16)
+    ys = rng.integers(0, 60, shape, dtype=np.int16)
+    records = _records_of(xs, ys, np.zeros(shape, dtype=bool))
+    short, long = (_traced_peak(write_trace_csv, records[:count], tmp_path / f"{count}.csv")
+                   for count in (60, 600))
+    assert long < 2 * short
 
 
 def test_trace_csv_header_checked(tmp_path):
