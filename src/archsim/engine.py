@@ -26,6 +26,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -368,11 +369,7 @@ def read_trace_csv(path) -> list[StepRecord]:
     """
     width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
-        rows = _load_rows(path, width)
-        if rows is None:
-            rows = _scan_rows(path, fh, width)
-    if not len(rows):
-        raise ConfigError(f"{path}: trace holds no rows")
+        rows = _load_rows(path, fh, width)
 
     # body row k, on line k + 2, is agent k mod n of step k div n.  Read
     # unsigned, a negative field lies above any bound, so one compare per
@@ -428,62 +425,63 @@ def read_trace_csv(path) -> list[StepRecord]:
 
 
 _CHUNK = 1 << 20  # bytes per read of the trace body's check
-_FIELD_BYTES = b"0123456789-,"  # a body of -?[0-9]+ fields holds these and line ends
+_FIELD_BYTES = b"0123456789-" + table.SEPARATOR.encode()  # a row's bytes but its line end
 # numpy reads a path with one of these suffixes through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
 
 
-def _load_rows(path, width: int) -> np.ndarray | None:
-    """The trace body, the lines below the header, as an array with one row
-    of ``width`` fields per line, parsed by numpy's file reader: int16, or
-    int32 where a field lies beyond int16, as a long run's step does.
+def _load_rows(path, fh, width: int) -> np.ndarray:
+    """The trace body, the lines below the header of the open table ``fh``,
+    as an array with one row of ``width`` fields per line, parsed by
+    numpy's file reader: int16, or int32 where a field lies beyond int16.
 
-    None unless the body holds only ``0-9``, ``-``, ``,`` and line ends
-    and parses to exactly that shape: a blank line, which numpy skips,
-    also gives None.  numpy's reader streams in C only from a path, so the
-    body is checked and its lines counted in a binary pass first; the
-    count bounds the parse, which would otherwise over-allocate.
+    A body that holds anything but ``0-9``, ``-``, ``,`` and line ends, or
+    does not parse to one row per line (numpy skips a blank line), raises
+    ConfigError naming its first bad line (``_scan_rows``).  numpy streams
+    in C only from a path, so the body is checked and its lines counted in
+    a binary pass first; the count bounds the parse.  A name numpy would
+    decompress is parsed from ``fh``.
     """
-    if str(path).endswith(_COMPRESSED):
-        return None
-    lines, last = 0, b"\n"
+    body, lines, last = fh.tell(), 0, b"\n"
     with open(path, "rb") as raw:
         chunk = raw.read(_CHUNK)
         chunk = chunk[_FIRST_LINE.match(chunk).end():]  # the header, which open_table checked
         while chunk:
             ends = chunk.translate(None, _FIELD_BYTES)
             if ends.translate(None, b"\r\n"):
-                return None
+                break  # a byte no row holds
             # \n, \r and \r\n each end a line, also a \r\n split between two reads
             lines += len(ends) - (b"\r" in ends and chunk.count(b"\r\n"))
             if last == b"\r" and chunk.startswith(b"\n"):
                 lines -= 1
             last = chunk[-1:]
             chunk = raw.read(_CHUNK)
-    if last not in b"\r\n":
-        lines += 1  # the last line has no line end
-    if not lines:
-        return np.empty((0, width), np.int16)
-    for dtype in (np.int16, np.int32):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a body of line ends only
-                rows = np.loadtxt(path, delimiter=table.SEPARATOR, dtype=dtype, ndmin=2,
-                                  comments=None, skiprows=1, max_rows=lines, encoding="utf-8")
-        except ValueError:  # a field that is not of this type, or rows of unequal width
-            continue
-        return rows if rows.shape == (lines, width) else None
-    return None
+    if not chunk:  # the byte check read the whole body
+        lines += last not in b"\r\n"  # the last line has no line end
+        if not lines:
+            raise ConfigError(f"{path}: trace holds no rows")
+        source, skip = (fh, 0) if str(path).endswith(_COMPRESSED) else (path, 1)
+        for dtype in (np.int16, np.int32):
+            fh.seek(body)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a blank line, which numpy skips
+                    rows = np.loadtxt(source, dtype, delimiter=table.SEPARATOR, ndmin=2,
+                                      comments=None, skiprows=skip, max_rows=lines,
+                                      encoding="utf-8")
+            except ValueError:  # a field that is not of this type, or rows of unequal width
+                continue
+            if rows.shape == (lines, width):
+                return rows
+            break
+    fh.seek(body)
+    _scan_rows(path, fh, width)
 
 
-def _scan_rows(path, fh, width: int) -> np.ndarray:
-    """The rows left in the open table ``fh``, read line by line as
-    ``width`` ints each, every one ``-?[0-9]+`` within int32.
-
-    Raises ConfigError naming the first line that is not such a row.
-    """
-    rows = []
+def _scan_rows(path, fh, width: int) -> NoReturn:
+    """Raise ConfigError naming the first line left in the open table ``fh``
+    that is not ``width`` ints, each ``-?[0-9]+`` within int32."""
     for line, text in enumerate(fh, 2):
         text = text.rstrip("\r\n")
         fields = text.split(table.SEPARATOR) if text else []
@@ -493,5 +491,4 @@ def _scan_rows(path, fh, width: int) -> np.ndarray:
             row = []
         if len(row) != width or not all(-(2**31) <= v < 2**31 for v in row):
             raise ConfigError(f"{path}: line {line}: expected {width} integers, got {fields}")
-        rows.append(row)
-    return np.array(rows, dtype=np.int32).reshape(-1, width)
+    raise ConfigError(f"{path}: trace body does not parse as rows of {width} integers")

@@ -114,12 +114,13 @@ class MeasurementRow(ArchMeasurement, _RunKey):
                 f"cluster_size {state}"
             )
         if parsed.arch_detected and not (
-            min(parsed.T, parsed.M, parsed.m) >= 0 and 1 <= parsed.cluster_size <= parsed.c
+            min(parsed.T, parsed.M) >= 0 and 1 <= parsed.m <= parsed.W
+            and 1 <= parsed.cluster_size <= parsed.c
         ):
             got = ", ".join(f"{k}={v}" for k, v in measured.items())
             raise ValueError(
-                f"arch_detected=1 needs T, M, m >= 0 and 1 <= cluster_size <= c={parsed.c}, "
-                f"got {got}"
+                f"arch_detected=1 needs T, M >= 0, 1 <= m <= W={parsed.W} and "
+                f"1 <= cluster_size <= c={parsed.c}, got {got}"
             )
         return parsed
 

@@ -724,7 +724,8 @@ def reader_inputs(tmp_path_factory):
                          "replicates = 2\nmax_steps = 300\n")
     assert main(["run", "--config", str(run_cfg), "--out", str(root / "run")]) == 0
     assert main(["sweep", "--config", str(sweep_cfg), "--out", str(root / "sweep")]) == 0
-    return {"trace.csv": (root / "run" / "trace.csv").read_bytes(),
+    trace = (root / "run" / "trace.csv").read_bytes()
+    return {"trace.csv": trace, "trace.csv.gz": trace,
             "effective_config.txt": (root / "run" / "effective_config.txt").read_bytes(),
             "measurements.csv": (root / "sweep" / "measurements.csv").read_bytes(),
             "sweep.cfg": sweep_cfg.read_bytes()}
@@ -732,9 +733,12 @@ def reader_inputs(tmp_path_factory):
 
 # the command that reads each file; a sweep's cells are not run (a mutated
 # level or replicate count may ask for any number of them), so its config
-# is read and built, and the sweep's files are written
+# is read and built, and the sweep's files are written.  The trace is read
+# under a name numpy would decompress too, which is parsed from the open file
 _READERS = {
     "trace.csv": ["render", "trace.csv", "--config", "effective_config.txt", "--out", "frame"],
+    "trace.csv.gz": ["render", "trace.csv.gz", "--config", "effective_config.txt",
+                     "--out", "frame"],
     "effective_config.txt": ["render", "trace.csv", "--config", "effective_config.txt",
                              "--out", "frame"],
     "measurements.csv": ["analyze", "measurements.csv", "--out", "analysis"],

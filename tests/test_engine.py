@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import archsim
-from archsim import engine
+from archsim import engine, table
 from archsim.agent import neighbourhood
 from archsim.engine import (
     COORD_MAX,
@@ -635,14 +635,38 @@ def test_written_traces_are_parsed_without_the_line_scan(tmp_path, monkeypatch, 
     _assert_same_records(read_trace_csv(path), records)
 
 
-@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-def test_trace_named_like_a_compressed_file_reads_as_text(tmp_path, suffix):
+@pytest.mark.parametrize("suffix,ending", [
+    pytest.param(suffix, ending, id=suffix + tag)
+    for suffix in (".gz", ".bz2", ".xz", ".lzma")
+    for ending, tag in [("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"), ("none", "-no-final-end")]
+])
+def test_trace_named_like_a_compressed_file_reads_as_text(tmp_path, monkeypatch, suffix, ending):
     """numpy's file reader decompresses a path by its suffix; a plain-text
-    trace under such a name is still read as text."""
+    trace under such a name is still read as text, by the array parse of
+    the open file under any line ending, not by the line scan."""
     records = run(SimConfig(c=10, w=3, seed=1))
     path = tmp_path / f"trace{suffix}"
     write_trace_csv(records, path)
+    text = path.read_text()
+    text = text.rstrip("\n") if ending == "none" else text.replace("\n", ending)
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(engine, "_scan_rows", _scan_raises)
     _assert_same_records(read_trace_csv(path), records)
+
+
+def test_the_line_scan_reads_no_rows(tmp_path, monkeypatch):
+    """Only the array parse produces rows: where it refuses a body whose
+    every line the scan would take, the read still fails, naming the file."""
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(SimConfig(c=10, w=3, seed=1)), path)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    with pytest.raises(ConfigError, match="does not parse as rows of 5 integers") as err:
+        read_trace_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path, monkeypatch):
@@ -673,6 +697,12 @@ def _records_of(xs, ys, exited):
             for t in range(len(xs))]
 
 
+def _parsed_dtype(path):
+    """The type the array parse reads the trace body at ``path`` as."""
+    with table.open_table(path, engine.TRACE_HEADER, "trace") as fh:
+        return engine._load_rows(path, fh, len(engine.TRACE_HEADER)).dtype
+
+
 @pytest.mark.parametrize("steps,n", [(32770, 1), (1, 32770)], ids=["long-run", "large-crowd"])
 def test_traces_past_int16_are_parsed_as_int32(tmp_path, monkeypatch, steps, n):
     """A step or an agent id past 32767 is valid, since max_steps has no
@@ -687,7 +717,7 @@ def test_traces_past_int16_are_parsed_as_int32(tmp_path, monkeypatch, steps, n):
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     monkeypatch.setattr(engine, "_scan_rows", _scan_raises)
-    assert engine._load_rows(path, 5).dtype == np.int32
+    assert _parsed_dtype(path) == np.int32
     _assert_same_records(read_trace_csv(path), records)
 
 
@@ -707,14 +737,28 @@ def test_trace_read_peaks_at_20_bytes_per_row(tmp_path):
     """The reader parses the body as int16, the records' own type, and
     copies no full-length index: on the 262,800-row trace of c=450, w=1,
     its peak, the records included, stays within 20 bytes per row
-    (15.3 measured)."""
+    (15.3 measured).  So it does under a name numpy would decompress,
+    and when one blank line after the last row is refused: the line scan
+    that names it keeps no row."""
     records = run(SimConfig(c=450, w=1, seed=0))
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     rows = len(records) * records[0].agent_count
     assert rows == 262_800
     assert _traced_peak(read_trace_csv, path) <= 20 * rows
-    assert engine._load_rows(path, 5).dtype == np.int16
+    assert _parsed_dtype(path) == np.int16
+    named_gz = tmp_path / "trace.csv.gz"
+    named_gz.write_bytes(path.read_bytes())
+    assert _traced_peak(read_trace_csv, named_gz) <= 20 * rows
+    blank_last = tmp_path / "blank.csv"
+    blank_last.write_bytes(path.read_bytes() + b"\n")
+
+    def refused():
+        with pytest.raises(ConfigError) as err:
+            read_trace_csv(blank_last)
+        assert str(err.value).startswith(f"{blank_last}: line 262802:")
+
+    assert _traced_peak(refused) <= 20 * rows
 
 
 def test_trace_write_peak_does_not_grow_with_the_record_count(tmp_path):

@@ -349,6 +349,8 @@ REJECTED_ROWS = [
     ("400,7,19,11,-1,0,,,,", "replicate=-1"),
     ("0,7,19,11,0,1,21,6,11,30", "cluster_size=30"),  # a cluster at c = 0
     ("400,7,19,11,0,1,21,6,11,0", "cluster_size=0"),  # an empty onset cluster
+    ("400,7,19,11,0,1,21,6,20,30", "m=20"),  # an arch wider than the corridor
+    ("400,7,19,11,0,1,21,6,0,30", "m=0"),  # an arch that spans no column
     # a field int() reads, but not a decimal integer
     ("4_00,7,19,11,0,1,2_1,6,11,30", "c='4_00' must be a decimal integer"),
     ("400,7,19,11,0,1, 19 ,6,11,30", "T=' 19 ' must be a decimal integer"),
