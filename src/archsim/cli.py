@@ -23,9 +23,7 @@ from pathlib import Path
 from . import analysis, config as configmod, render, table
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
 from .errors import ArchsimError, ConfigError, DegenerateInputError
-from .sweep import (
-    measure, read_measurements_csv, run_sweep, write_errors_csv, write_measurements_csv
-)
+from .sweep import MeasurementRow, SweepError, measure, read_measurements_csv, run_sweep
 from .world import build_floor
 
 
@@ -61,7 +59,7 @@ def cmd_run(args) -> int:
 
     write_trace_csv(records, out / "trace.csv")
     write_summary_csv(records, out / "summary.csv")
-    write_measurements_csv([row], out / "measurement.csv")
+    table.write_records(out / "measurement.csv", MeasurementRow, [row])
     (out / "effective_config.txt").write_text(configmod.dump_config(sim_config))
     last = records[-1]
     print(
@@ -85,16 +83,16 @@ def cmd_sweep(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_measurements_csv(rows, out / "measurements.csv")
-    table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
-                      map(table.row, analysis.aggregate(rows)))
+    table.write_records(out / "measurements.csv", MeasurementRow, rows)
+    table.write_records(out / "sweep_table.csv", analysis.CellStats, analysis.aggregate(rows))
     sidecar = configmod.dump_config(sweep_config)
     sidecar += "# per-run seed = first 8 bytes of sha256('base_seed:c:w:replicate')\n"
     (out / "effective_config.txt").write_text(sidecar)
     if errors:
-        write_errors_csv(errors, out / "errors.csv")
+        table.write_records(out / "errors.csv", SweepError, errors)
         return _fail(f"{len(errors)} of {len(rows) + len(errors)} cells failed "
                      f"(see {out / 'errors.csv'})")
+    (out / "errors.csv").unlink(missing_ok=True)  # an earlier sweep's, into the same --out
     print(f"sweep finished: {len(rows)} runs -> {out / 'measurements.csv'}")
     return 0
 
@@ -110,8 +108,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    table.write_table(out / "sweep_table.csv", table.columns(analysis.CellStats),
-                      map(table.row, stats))
+    table.write_records(out / "sweep_table.csv", analysis.CellStats, stats)
 
     means = [(s.c, s.w, s.T_mean) for s in stats if s.n_detected]
     fits = analysis.regression_by_c(

@@ -283,9 +283,10 @@ def run(config: SimConfig) -> list[StepRecord]:
 def write_trace_csv(records: list[StepRecord], path) -> None:
     """One row per (step, agent): positions and exited flags over time.
 
-    Writes what read_trace_csv reads back: raises ArchsimError naming the
-    step, before the file is opened, if a record's agent count differs
-    from the first record's or a coordinate lies outside 0..COORD_MAX.
+    Writes what read_trace_csv reads back, but an empty crowd's header-only
+    trace, which it refuses: raises ArchsimError naming the step, before the
+    file is opened, if a record's agent count differs from the first
+    record's or a coordinate lies outside 0..COORD_MAX.
     """
     n, top = _trace_extent(records)
     table.write_rendered(path, TRACE_HEADER, _trace_text(records, n, top))
@@ -367,9 +368,8 @@ def read_trace_csv(path) -> list[StepRecord]:
     of its step.  The body is parsed once, into one array of the records'
     own int16 (int32 where a field lies beyond it), and checked there.
     """
-    width = len(TRACE_HEADER)
     with table.open_table(path, TRACE_HEADER, "trace") as fh:
-        rows = _load_rows(path, fh, width)
+        rows = _load_rows(path, fh)
 
     # body row k, on line k + 2, is agent k mod n of step k div n.  Read
     # unsigned, a negative field lies above any bound, so one compare per
@@ -378,7 +378,7 @@ def read_trace_csv(path) -> list[StepRecord]:
     t, fields = rows[:, 0], rows.view(f"u{rows.itemsize}")
     n = int(np.argmax(t != t[0])) or len(rows)  # the first step's size
     whole = len(rows) // n
-    steps = rows[: whole * n].reshape(whole, n, width)
+    steps = rows[: whole * n].reshape(whole, n, len(TRACE_HEADER))
     bad_value = (fields[:, 2] > COORD_MAX) | (fields[:, 3] > COORD_MAX) | (fields[:, 4] > 1)
     bad = bad_value | np.concatenate([  # a step field out of its place
         (steps[:, :, 0] != np.arange(whole)[:, None]).ravel(),
@@ -429,11 +429,13 @@ _FIELD_BYTES = b"0123456789-" + table.SEPARATOR.encode()  # a row's bytes but it
 # numpy reads a path with one of these suffixes through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _FIRST_LINE = re.compile(rb"[^\r\n]*(\r\n|\r|\n)?")
+_ROW = re.compile(table.SEPARATOR.join([table.INT] * len(TRACE_HEADER)))  # one trace row
+_TEN_DIGITS = re.compile(r"[0-9]{10}")  # only a field with ten digits can pass int32
 
 
-def _load_rows(path, fh, width: int) -> np.ndarray:
+def _load_rows(path, fh) -> np.ndarray:
     """The trace body, the lines below the header of the open table ``fh``,
-    as an array with one row of ``width`` fields per line, parsed by
+    as an array with one row of TRACE_HEADER's fields per line, parsed by
     numpy's file reader: int16, or int32 where a field lies beyond int16.
 
     A body that holds anything but ``0-9``, ``-``, ``,`` and line ends, or
@@ -472,23 +474,22 @@ def _load_rows(path, fh, width: int) -> np.ndarray:
                                       encoding="utf-8")
             except ValueError:  # a field that is not of this type, or rows of unequal width
                 continue
-            if rows.shape == (lines, width):
+            if rows.shape == (lines, len(TRACE_HEADER)):
                 return rows
             break
     fh.seek(body)
-    _scan_rows(path, fh, width)
+    _scan_rows(path, fh)
 
 
-def _scan_rows(path, fh, width: int) -> NoReturn:
+def _scan_rows(path, fh) -> NoReturn:
     """Raise ConfigError naming the first line left in the open table ``fh``
-    that is not ``width`` ints, each ``-?[0-9]+`` within int32."""
+    that is not one ``_ROW`` match with every field within int32."""
+    width = len(TRACE_HEADER)
     for line, text in enumerate(fh, 2):
         text = text.rstrip("\r\n")
-        fields = text.split(table.SEPARATOR) if text else []
-        try:
-            row = [table.parse_int(field) for field in fields]
-        except ValueError:
-            row = []
-        if len(row) != width or not all(-(2**31) <= v < 2**31 for v in row):
+        if not _ROW.fullmatch(text) or _TEN_DIGITS.search(text) and not all(
+            -(2**31) <= int(v) < 2**31 for v in text.split(table.SEPARATOR)
+        ):
+            fields = text.split(table.SEPARATOR) if text else []
             raise ConfigError(f"{path}: line {line}: expected {width} integers, got {fields}")
     raise ConfigError(f"{path}: trace body does not parse as rows of {width} integers")

@@ -271,19 +271,14 @@ def run_sweep(
     return rows, errors
 
 
-def write_measurements_csv(rows, path) -> None:
-    table.write_table(path, MEASUREMENT_HEADER, map(table.row, rows))
-
-
 def read_measurements_csv(path) -> list[MeasurementRow]:
-    rows = []
+    rows, first = [], {}  # the line of each (c, w, replicate)
     for line, raw in table.read_table(path, MEASUREMENT_HEADER, "measurement"):
         try:
             rows.append(MeasurementRow.from_csv_row(raw))
         except ValueError as exc:
             raise ConfigError(f"{path}: row {line}: {exc}") from None
+        key = f"c={rows[-1].c}, w={rows[-1].w}, replicate={rows[-1].replicate}"
+        if first.setdefault(key, line) != line:
+            raise ConfigError(f"{path}: row {line}: {key} repeats row {first[key]}")
     return rows
-
-
-def write_errors_csv(errors, path) -> None:
-    table.write_table(path, table.columns(SweepError), map(table.row, errors))

@@ -7,7 +7,7 @@ anything else is written as is.  An int is read back only from an
 optional ``-`` and ASCII digits (``parse_int``), in a table or a config
 file alike; a config file's float only from such an int with an optional
 fraction and exponent (``parse_float``).  A table backed by a dataclass
-takes its header from the field names.
+takes its header from the field names and is written by ``write_records``.
 
 A table of ints alone, such as the trace, may be written as text rendered
 ahead: ``int_field`` gives the text of one int in a row, and
@@ -36,19 +36,19 @@ def value(v):
 
 
 def parse_int(text: str) -> int:
-    """The int ``text`` spells as ``-?[0-9]+``; ValueError for anything else,
+    """The int ``text`` spells as ``INT``; ValueError for anything else,
     such as ``+7``, ``4_00``, padding or non-ASCII digits, which int() takes."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not re.fullmatch(INT, text):
         raise ValueError(f"{text!r} must be a decimal integer")
     return int(text)
 
 
 def parse_float(text: str) -> float:
-    """The float ``text`` spells as ``-?[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?``,
-    which covers every float ``str`` gives but inf and nan; ValueError for
-    anything else, such as ``+3``, ``1_0.5``, ``.5`` or non-ASCII digits,
-    which float() takes."""
-    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
+    """The float ``text`` spells as ``INT`` with an optional fraction
+    ``(\\.[0-9]+)?`` and exponent ``([eE][-+]?[0-9]+)?``, which covers every
+    float ``str`` gives but inf and nan; ValueError for anything else, such
+    as ``+3``, ``1_0.5``, ``.5`` or non-ASCII digits, which float() takes."""
+    if not re.fullmatch(INT + r"(\.[0-9]+)?([eE][-+]?[0-9]+)?", text):
         raise ValueError(f"{text!r} must be a decimal number")
     return float(text)
 
@@ -65,6 +65,7 @@ def row(record) -> list:
 
 SEPARATOR = ","
 LINE_END = "\n"
+INT = r"-?[0-9]+"  # the one spelling of an int that a table or config file holds
 
 
 def int_field(v: int, *, last: bool = False) -> str:
@@ -78,6 +79,11 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh, delimiter=SEPARATOR, lineterminator=LINE_END)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_records(path, cls, records) -> None:
+    """The dataclass table: the header ``columns(cls)``, one ``row`` per record."""
+    write_table(path, columns(cls), map(row, records))
 
 
 def write_rendered(path, header, blocks) -> None:

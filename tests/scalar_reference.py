@@ -22,18 +22,25 @@ heading field, and the tests require the two to agree bit for bit.
 rows were rendered from per-value text tables: one ``csv.writer`` row
 per (step, agent).  The tests require ``engine.write_trace_csv`` to
 write the same bytes.
+
+``_scan_rows`` is the trace reader's line scan as it was before it
+matched each line against one compiled row pattern: every field parsed
+by ``table.parse_int``.  The tests require ``engine._scan_rows`` to
+raise the same message.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from typing import NoReturn
 
 import numpy as np
 
+from archsim import table
 from archsim.agent import steer
 from archsim.engine import TRACE_HEADER, StepRecord
-from archsim.errors import ArchsimError, CrowdTooLargeError
+from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError
 from archsim.table import write_table
 from archsim.world import FREE, TWO_PI, build_floor
 
@@ -316,3 +323,20 @@ def write_trace_csv(records, path):
         for rec in records
     )
     write_table(path, TRACE_HEADER, chain.from_iterable(steps))
+
+
+# ------------------------------------------------------------ the trace line scan
+
+def _scan_rows(path, fh, width: int) -> NoReturn:
+    """Raise ConfigError naming the first line left in the open table ``fh``
+    that is not ``width`` ints, each ``-?[0-9]+`` within int32."""
+    for line, text in enumerate(fh, 2):
+        text = text.rstrip("\r\n")
+        fields = text.split(table.SEPARATOR) if text else []
+        try:
+            row = [table.parse_int(field) for field in fields]
+        except ValueError:
+            row = []
+        if len(row) != width or not all(-(2**31) <= v < 2**31 for v in row):
+            raise ConfigError(f"{path}: line {line}: expected {width} integers, got {fields}")
+    raise ConfigError(f"{path}: trace body does not parse as rows of {width} integers")

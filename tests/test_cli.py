@@ -409,6 +409,18 @@ def test_sweep_partial_failure(tmp_path, capsys, parallelism):
     assert [row.split(",")[:2] for row in rows] == [["10", "3"], ["20", "3"], ["30", "3"]]
 
 
+def test_a_clean_sweep_removes_a_stale_errors_csv(tmp_path, capsys):
+    """A clean sweep into a reused --out leaves no earlier sweep's failed
+    cells listed beside its own measurements."""
+    status, out = _sweep(
+        tmp_path, "c_levels = 10,1100\nw_levels = 3\nreplicates = 1\nmax_steps = 200\n"
+    )
+    assert status == 1 and (out / "errors.csv").exists()
+    status, out = _sweep(tmp_path, "c_levels = 10\nw_levels = 3\nreplicates = 1\n")
+    assert status == 0
+    assert not (out / "errors.csv").exists()
+
+
 def test_sweep_rejects_corridor_longer_than_int16(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("archsim.sweep.run_cell", _no_cells)
     status, out = _sweep(
@@ -662,6 +674,19 @@ def test_analyze_default_sweep(default_sweep, tmp_path):
     }
     for name, sha256 in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256, name
+
+
+def test_analyze_refuses_a_repeated_run(default_sweep, tmp_path, capsys):
+    """A default sweep's row 2 appended again would be counted as a fourth
+    replicate of its cell; the repeat is refused, naming both rows."""
+    lines = (default_sweep.out / "measurements.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "measurements.csv"
+    path.write_text("".join(lines) + lines[1])
+    assert main(["analyze", str(path), "--out", str(tmp_path / "analysis")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: row 107: c=200, w=1, replicate=0 repeats row 2\n"
+    )
+    assert not (tmp_path / "analysis").exists()
 
 
 def test_default_sweep_bytes_are_pinned(default_sweep):

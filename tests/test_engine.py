@@ -654,19 +654,103 @@ def test_trace_named_like_a_compressed_file_reads_as_text(tmp_path, monkeypatch,
     _assert_same_records(read_trace_csv(path), records)
 
 
+# rows whose x is a value at an edge of int32: the array parse reads
+# each at int32, and the coordinate bound refuses it
+INT32_EDGES_READ = ["2147483647", "-2147483648", "0002147483647"]
+# one past an edge: the line scan refuses each as no integer
+INT32_EDGES_SCANNED = ["2147483648", "-2147483649", "0002147483648"]
+
+
+def _x_at_line_3(x):
+    return f"0,0,1,5,0\n0,1,{x},5,0\n1,0,1,4,0\n1,1,2,5,0\n"
+
+
 def test_the_line_scan_reads_no_rows(tmp_path, monkeypatch):
     """Only the array parse produces rows: where it refuses a body whose
-    every line the scan would take, the read still fails, naming the file."""
+    every line the scan would take, under any line ending and with int32's
+    edges among its fields, the read still fails, naming the file."""
     path = tmp_path / "trace.csv"
     write_trace_csv(run(SimConfig(c=10, w=3, seed=1)), path)
+    header = "t,agent_id,transverse,longitudinal,exited\n"
+    texts = [path.read_text(), *(header + _x_at_line_3(x) for x in INT32_EDGES_READ)]
 
     def refuse(*args, **kwargs):
         raise ValueError("refused")
 
     monkeypatch.setattr(np, "loadtxt", refuse)
-    with pytest.raises(ConfigError, match="does not parse as rows of 5 integers") as err:
+    for text in texts:
+        for ending in ("\n", "\r\n", "\r", "none"):
+            variant = text.rstrip("\n") if ending == "none" else text.replace("\n", ending)
+            path.write_bytes(variant.encode())
+            with pytest.raises(ConfigError, match="does not parse as rows of 5 integers") as err:
+                read_trace_csv(path)
+            assert str(err.value).startswith(f"{path}: "), (text[:60], ending)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("x", INT32_EDGES_READ + INT32_EDGES_SCANNED)
+def test_int32_edges_are_read_or_refused_by_the_scan(tmp_path, x, ending):
+    """A field of ten or more digits is the only one that can pass int32:
+    one within it is read and then refused by the coordinate bound, one
+    beyond it is refused by the line scan."""
+    path = tmp_path / "trace.csv"
+    text = "t,agent_id,transverse,longitudinal,exited\n" + _x_at_line_3(x)
+    path.write_bytes(text.replace("\n", ending).encode())
+    with pytest.raises(ConfigError) as err:
         read_trace_csv(path)
-    assert str(err.value).startswith(f"{path}: ")
+    if x in INT32_EDGES_READ:
+        assert str(err.value) == (
+            f"{path}: line 3: exited must be 0 or 1 and coordinates within "
+            f"0..{COORD_MAX}, got [0, 1, {int(x)}, 5, 0]"
+        )
+    else:
+        assert str(err.value) == (
+            f"{path}: line 3: expected 5 integers, got ['0', '1', '{x}', '5', '0']"
+        )
+
+
+def _ints(max_digits):
+    return st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-"]),
+                     st.text("0123456789", min_size=1, max_size=max_digits))
+
+
+# 2**31 - 1, 2**31 and 2**31 + 1, signed or not, with leading zeros or not
+_EDGE_INTS = st.sampled_from([sign + pad + str(2**31 + d) for sign in ("", "-")
+                              for pad in ("", "00") for d in (-1, 0, 1)])
+_FIELD_TOKENS = _ints(12) | _EDGE_INTS | st.sampled_from(
+    ["-", "--1", "1-", "+1", " 1", "1_0", "\xa0", ""]
+)
+
+
+def _rows_of(fields, min_size=5, max_size=5):
+    return st.lists(fields, min_size=min_size, max_size=max_size).map(",".join)
+
+
+_SCAN_LINES = st.one_of(
+    _rows_of(_ints(9)), _rows_of(_ints(9)),  # rows the scan takes, drawn most often
+    _rows_of(_ints(9) | _EDGE_INTS),  # within int32 or just past it
+    _rows_of(_FIELD_TOKENS, 4, 6),
+    st.just(""),  # a blank line
+)
+
+
+@given(lines=st.lists(_SCAN_LINES, min_size=2, max_size=6), final_end=st.booleans())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_the_line_scan_matches_the_per_field_scan(tmp_path_factory, lines, final_end):
+    """The one-pattern line scan names the same line with the same message
+    as the per-field scan it replaced, under every line ending."""
+    path = tmp_path_factory.mktemp("scan") / "trace.csv"
+    for ending in ("\n", "\r\n", "\r"):
+        body = ending.join(lines) + (ending if final_end else "")
+        path.write_bytes(("t,agent_id,transverse,longitudinal,exited" + ending + body).encode())
+        messages = []
+        for scan in (engine._scan_rows,
+                     lambda path, fh: scalar_reference._scan_rows(path, fh, 5)):
+            with table.open_table(path, engine.TRACE_HEADER, "trace") as fh:
+                with pytest.raises(ConfigError) as err:
+                    scan(path, fh)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], ending
 
 
 def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path, monkeypatch):
@@ -700,7 +784,7 @@ def _records_of(xs, ys, exited):
 def _parsed_dtype(path):
     """The type the array parse reads the trace body at ``path`` as."""
     with table.open_table(path, engine.TRACE_HEADER, "trace") as fh:
-        return engine._load_rows(path, fh, len(engine.TRACE_HEADER)).dtype
+        return engine._load_rows(path, fh).dtype
 
 
 @pytest.mark.parametrize("steps,n", [(32770, 1), (1, 32770)], ids=["long-run", "large-crowd"])

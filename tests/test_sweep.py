@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import archsim
-from archsim import agent, config as configmod, engine, sweep, world
+from archsim import agent, config as configmod, engine, sweep, table, world
 from archsim.cli import main
 from archsim.engine import run
 from archsim.errors import ArchsimError, ConfigError, InvalidDimensionsError
@@ -19,14 +19,13 @@ from archsim.sweep import (
     DEFAULT_W_LEVELS,
     MeasurementRow,
     SweepConfig,
+    SweepError,
     derive_seed,
     measure,
     plan_chunks,
     read_measurements_csv,
     run_cell,
     run_sweep,
-    write_errors_csv,
-    write_measurements_csv,
 )
 
 TINY = SweepConfig(
@@ -211,7 +210,7 @@ def test_failing_cells_become_error_rows(tmp_path, parallelism):
     assert [r.c for r in rows] == [10, 20, 30]
     assert [(e.c, e.w, e.replicate) for e in errors] == [(1100, 3, 0)]
     assert "1100" in errors[0].error  # names the oversized crowd
-    write_errors_csv(errors, tmp_path / "errors.csv")
+    table.write_records(tmp_path / "errors.csv", SweepError, errors)
     lines = (tmp_path / "errors.csv").read_text().splitlines()
     assert lines[0] == "c,w,replicate,error"
     assert lines[1].startswith("1100,3,0,")
@@ -310,7 +309,7 @@ def test_measurements_csv_round_trip(tmp_path):
                        arch_detected=False),  # None fields -> empty cells
     ]
     path = tmp_path / "m.csv"
-    write_measurements_csv(rows, path)
+    table.write_records(path, MeasurementRow, rows)
     text = path.read_text()
     assert text.splitlines()[0] == "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size"
     assert "200,13,19,12,1,0,,,," in text
@@ -373,6 +372,22 @@ def test_measurements_csv_rejects_inconsistent_rows(tmp_path, row, problem):
     )
     with pytest.raises(ConfigError, match=rf"m\.csv: row 3: .*{problem}"):
         read_measurements_csv(path)
+
+
+@pytest.mark.parametrize("seed", [11, 12], ids=["repeated-row", "same-key-other-seed"])
+def test_measurements_csv_rejects_a_repeated_run(tmp_path, seed):
+    """A sweep measures each (c, w, replicate) once: a second row for one,
+    under its seed or another, would count as one more replicate."""
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size\n"
+        "400,7,19,11,0,1,21,6,11,30\n"
+        "200,13,19,12,1,0,,,,\n"
+        f"400,7,19,{seed},0,1,21,6,11,30\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        read_measurements_csv(path)
+    assert str(err.value) == f"{path}: row 4: c=400, w=7, replicate=0 repeats row 2"
 
 
 def test_measurements_csv_reads_fields_below_2_63_and_any_seed(tmp_path):
