@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError
+from .errors import DegenerateInputError
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,10 @@ def aggregate(rows) -> list[CellStats]:
     """Collapse per-replicate measurements to per-(c, w) statistics.
 
     T/M/m statistics are over the replicates where an arch was detected;
-    cells with no detection keep them as None.  Sorted by (c, w).
+    cells with no detection keep them as None.  Sorted by (c, w).  The
+    rows share one corridor width W, as a sweep's and those
+    ``sweep.read_measurements_csv`` returns do.
     """
-    widths = sorted({row.W for row in rows})
-    if len(widths) > 1:
-        raise ConfigError(f"rows mix corridor widths W={widths}")
     by_cell: dict[tuple[int, int], list] = {}
     for row in rows:
         by_cell.setdefault((row.c, row.w), []).append(row)

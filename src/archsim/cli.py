@@ -20,7 +20,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import analysis, config as configmod, render, table
+# analysis and render are imported by the commands that use them: a cold
+# start of any other command skips them
+from . import config as configmod, table
 from .engine import read_trace_csv, run, write_summary_csv, write_trace_csv
 from .errors import ArchsimError, ConfigError, DegenerateInputError
 from .sweep import MeasurementRow, SweepError, measure, read_measurements_csv, run_sweep
@@ -52,6 +54,9 @@ def _config(build, path, **overrides):
 
 def cmd_run(args) -> int:
     sim_config = _config(configmod.sim_config_from_mapping, args.config, seed=args.seed)
+    if sim_config.c == 0:
+        raise ConfigError(f"{args.config}: crowd size c=0 must be positive: "
+                          "an empty crowd's trace holds no rows to render")
     records = run(sim_config)
     row = measure(sim_config, records)
     out = Path(args.out)
@@ -71,6 +76,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis
+
     sweep_config = _config(configmod.sweep_config_from_mapping, args.config, base_seed=args.seed)
 
     def progress(done, total, task):
@@ -98,13 +105,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, render
+
     rows = read_measurements_csv(args.measurements)
     if not rows:
         return _fail(f"{args.measurements}: no measurement rows")
-    try:
-        stats = analysis.aggregate(rows)
-    except ConfigError as exc:  # rows that do not form one sweep
-        raise ConfigError(f"{args.measurements}: {exc}") from None
+    stats = analysis.aggregate(rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -145,6 +151,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render
+
     sim_config = _config(configmod.sim_config_from_mapping, args.config)
     records = read_trace_csv(args.trace)
     step = len(records) - 1 if args.step is None else args.step

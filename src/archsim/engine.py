@@ -284,7 +284,8 @@ def write_trace_csv(records: list[StepRecord], path) -> None:
     """One row per (step, agent): positions and exited flags over time.
 
     Writes what read_trace_csv reads back, but an empty crowd's header-only
-    trace, which it refuses: raises ArchsimError naming the step, before the
+    trace, which it refuses (so ``archsim run`` refuses an empty crowd
+    before it simulates): raises ArchsimError naming the step, before the
     file is opened, if a record's agent count differs from the first
     record's or a coordinate lies outside 0..COORD_MAX.
     """

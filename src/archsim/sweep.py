@@ -8,7 +8,6 @@ order the cells finish.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
@@ -61,6 +60,10 @@ class SweepConfig(RunSettings):
 
 def derive_seed(base_seed: int, c: int, w: int, replicate: int) -> int:
     """Stable per-cell seed: first 8 bytes of sha256('base:c:w:rep')."""
+    # imported here: OpenSSL's hashlib costs every cold start that imports
+    # this module, and only a sweep derives seeds
+    import hashlib
+
     digest = hashlib.sha256(f"{base_seed}:{c}:{w}:{replicate}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -272,13 +275,19 @@ def run_sweep(
 
 
 def read_measurements_csv(path) -> list[MeasurementRow]:
+    """The rows of one sweep: each row checked, no (c, w, replicate) twice and
+    one corridor width W; a refused row is named in a ConfigError."""
     rows, first = [], {}  # the line of each (c, w, replicate)
     for line, raw in table.read_table(path, MEASUREMENT_HEADER, "measurement"):
         try:
-            rows.append(MeasurementRow.from_csv_row(raw))
+            row = MeasurementRow.from_csv_row(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: row {line}: {exc}") from None
-        key = f"c={rows[-1].c}, w={rows[-1].w}, replicate={rows[-1].replicate}"
+        key = f"c={row.c}, w={row.w}, replicate={row.replicate}"
         if first.setdefault(key, line) != line:
             raise ConfigError(f"{path}: row {line}: {key} repeats row {first[key]}")
+        if rows and row.W != rows[0].W:
+            top = next(iter(first.values()))
+            raise ConfigError(f"{path}: row {line}: W={row.W} where row {top} has W={rows[0].W}")
+        rows.append(row)
     return rows

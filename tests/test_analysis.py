@@ -13,7 +13,7 @@ from archsim.analysis import (
     regression_by_c,
     trend_correlation,
 )
-from archsim.errors import ConfigError, DegenerateInputError
+from archsim.errors import DegenerateInputError
 from archsim.sweep import MeasurementRow
 
 
@@ -216,12 +216,6 @@ def test_aggregate_sorted_and_order_invariant():
     shuffled = list(reversed(rows))
     assert aggregate(shuffled) == stats
     assert regression_by_c(_cell_means(shuffled)) == regression_by_c(_cell_means(rows))
-
-
-def test_aggregate_rejects_mixed_corridor_widths():
-    rows = [_row(200, 1, 0, T=5, M=2, m=2), _row(200, 3, 0, T=5, M=2, m=2, W=35)]
-    with pytest.raises(ConfigError):
-        aggregate(rows)
 
 
 def test_saturation_flag():

@@ -92,6 +92,20 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_refuses_an_empty_crowd(tmp_path, capsys):
+    """A crowd of none would write a trace of no rows, which render refuses:
+    the run is refused before it simulates, naming the config file."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 0\nw = 3\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: crowd size c=0 must be positive: "
+        "an empty crowd's trace holds no rows to render\n"
+    )
+    assert not out.exists()
+
+
 def test_run_rejects_config_that_is_not_utf8(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(RUN_CFG.encode() + b"# caf\xff\n")
@@ -568,7 +582,7 @@ def test_analyze_rejects_mixed_corridor_widths(tmp_path, capsys):
     status, out = _analyze(MIXED_W_CSV, tmp_path)
     assert status == 1
     assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'measurements.csv'}: rows mix corridor widths W=[19, 35]\n"
+        f"error: {tmp_path / 'measurements.csv'}: row 3: W=35 where row 2 has W=19\n"
     )
     assert not out.exists()
 
@@ -644,7 +658,7 @@ def test_checks_survive_optimized_mode(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error:") and "W=[19, 35]" in proc.stderr
+    assert proc.stderr.startswith("error:") and "row 3: W=35 where row 2 has W=19" in proc.stderr
 
 
 def test_analyze_missing_file(tmp_path, capsys):

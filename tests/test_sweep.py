@@ -255,17 +255,60 @@ def test_outcomes_that_never_came_back_fail_their_cells(monkeypatch):
                for e in errors)
 
 
-def test_cli_import_leaves_the_pool_unloaded():
-    """Only a parallel sweep imports concurrent.futures (and with it
-    multiprocessing, socket and logging)."""
+def _in_a_fresh_interpreter(code, *argv, cwd=None):
+    """The last line ``code`` prints, run in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(archsim.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, archsim.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "module", ["concurrent.futures", "archsim.analysis", "archsim.render", "hashlib"]
+)
+def test_cli_import_leaves_command_modules_unloaded(module):
+    """A command imports what only it runs: a parallel sweep the pool (and
+    with it multiprocessing, socket and logging), sweep and analyze the
+    analysis, analyze and render the renderer, a sweep's seeds hashlib."""
+    code = f"import sys, archsim.cli; print({module!r} in sys.modules)"
+    assert _in_a_fresh_interpreter(code) == "False"
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A tiny run's and sweep's files, for the commands that read them."""
+    root = tmp_path_factory.mktemp("commands")
+    (root / "run.cfg").write_text("c = 5\nw = 3\nW = 5\nL = 12\nseed = 4\nmax_steps = 60\n")
+    (root / "sweep.cfg").write_text("c_levels = 5\nw_levels = 3\nW = 5\nL = 12\n"
+                                    "replicates = 1\nmax_steps = 60\n")
+    for command in ("run", "sweep"):
+        argv = [command, "--config", str(root / f"{command}.cfg"), "--out", str(root / command)]
+        assert main(argv) == 0
+    return root
+
+
+# each command's argv, and what its cold start must not load; a run's first
+# generator loads hashlib, which numpy.random imports through secrets
+COMMANDS = {
+    "run": (["run", "--config", "run.cfg", "--out", "run2"],
+            {"archsim.analysis", "archsim.render"}),
+    "sweep": (["sweep", "--config", "sweep.cfg", "--out", "sweep2"], {"archsim.render"}),
+    "analyze": (["analyze", "sweep/measurements.csv", "--out", "analysis"], {"hashlib"}),
+    "render": (["render", "run/trace.csv", "--config", "run/effective_config.txt",
+                "--out", "frame.txt"], {"hashlib", "archsim.analysis"}),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_command_loads_only_what_it_runs(command_inputs, command):
+    argv, unloaded = COMMANDS[command]
+    unloaded = sorted(unloaded | {"concurrent.futures"})
+    code = ("import sys; from archsim.cli import main; status = main(sys.argv[1:]); "
+            f"print(status, [m for m in {unloaded!r} if m in sys.modules])")
+    assert _in_a_fresh_interpreter(code, *argv, cwd=command_inputs) == "0 []"
 
 
 def test_invalid_sweep_configs():
@@ -388,6 +431,22 @@ def test_measurements_csv_rejects_a_repeated_run(tmp_path, seed):
     with pytest.raises(ConfigError) as err:
         read_measurements_csv(path)
     assert str(err.value) == f"{path}: row 4: c=400, w=7, replicate=0 repeats row 2"
+
+
+def test_measurements_csv_refuses_mixed_corridor_widths_at_their_row(tmp_path):
+    """A sweep's runs share one corridor: the first row whose W differs
+    from the first row's is refused, naming both rows."""
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "c,w,W,seed,replicate,arch_detected,T,M,m,cluster_size\n"
+        "400,7,19,11,0,1,21,6,11,30\n"
+        "200,13,19,12,1,0,,,,\n"
+        "200,3,35,13,0,1,9,2,2,9\n"
+        "200,5,21,14,0,0,,,,\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        read_measurements_csv(path)
+    assert str(err.value) == f"{path}: row 4: W=35 where row 2 has W=19"
 
 
 def test_measurements_csv_reads_fields_below_2_63_and_any_seed(tmp_path):
