@@ -36,20 +36,17 @@ def _fail(message: str) -> int:
 
 def _config(build, path, **overrides):
     """``build`` over the keys of the config file at ``path`` (None: no
-    file) and the flags' ``overrides``.  When the file's keys alone are
-    refused, that refusal is reported with the file's name, as a line the
-    file cannot parse is; otherwise a flag's value is at fault."""
-    values = {} if path is None else configmod.load_config_file(path)
+    file), then over them and the flags' ``overrides``.  A refusal of the
+    file's keys alone names the file, as an unparsable line does, even
+    where a flag overrides the faulty key; a later refusal is a flag's."""
+    if path is None:
+        return build({}, **overrides)
+    values = configmod.load_config_file(path)
     try:
-        return build(values, **overrides)
-    except ArchsimError:
-        if path is None:
-            raise
-        try:
-            build(values)
-        except ArchsimError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-        raise
+        build(values)
+    except ArchsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return build(values, **overrides)
 
 
 def cmd_run(args) -> int:
@@ -139,6 +136,8 @@ def cmd_analyze(args) -> int:
         trend_rows,
     )
 
+    for stale in out.glob("T_vs_w_c*.svg"):  # an earlier analysis's, into the same --out
+        stale.unlink()
     for c, fit in sorted(fits.items()):
         svg = render.svg_scatter(
             [(w, T) for cell_c, w, T in means if cell_c == c], fit=fit,

@@ -33,7 +33,7 @@ import numpy as np
 from . import table
 from .agent import Crowd, cone_holders, neighbourhood, steer
 from .errors import ArchsimError, ConfigError, CrowdTooLargeError
-from .world import COORD_MAX, FREE, WorldGrid, build_floor, check_geometry
+from .world import COORD_MAX, FREE, WorldGrid, build_floor
 
 TRACE_HEADER = ["t", "agent_id", "transverse", "longitudinal", "exited"]
 SUMMARY_HEADER = ["t", "exits_this_step", "stationary_count"]
@@ -85,7 +85,10 @@ class SimConfig(RunSettings):
             raise ConfigError(f"crowd size c={self.c} must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be nonnegative")
-        check_geometry(self.W, self.L, self.w)
+        floor = build_floor(self.W, self.L, self.w)  # checks the geometry first
+        spawnable = np.count_nonzero(floor.ys >= self.spawn_margin)
+        if self.c > spawnable:
+            raise CrowdTooLargeError(f"crowd size c={self.c} exceeds {spawnable} spawnable cells")
 
 
 @dataclass
@@ -131,10 +134,6 @@ def initialize(config: SimConfig) -> tuple[WorldGrid, Crowd, np.random.Generator
     grid = WorldGrid(floor)
     rng = np.random.default_rng(config.seed)
     spawn = np.flatnonzero(floor.ys >= config.spawn_margin)  # in the floor's cell order
-    if config.c > len(spawn):
-        raise CrowdTooLargeError(
-            f"crowd size c={config.c} exceeds {len(spawn)} spawnable cells"
-        )
     cell = spawn[rng.choice(len(spawn), size=config.c, replace=False)].tolist()
     for agent_id, k in enumerate(cell):
         grid.occupancy[k] = agent_id
@@ -150,13 +149,12 @@ def step(
 ) -> StepRecord:
     """Advance the simulation by one step and record the result.
 
-    Two skips drop only work whose result is known, so the record is the
-    same without them.  An exited agent whose body has left the doorway
-    is not visited: its activation does nothing.  And while the crowd is
-    mostly stuck (the last step's activations that found no free cone
-    cell outnumber its moves), a cell whose cone was found full is marked
-    in ``grid.marks`` and its next activations end before anything else
-    is read, until a cell of that cone is freed: a move's old cell, or a
+    An exited agent is visited only while its body stands in the doorway,
+    and that activation frees its exit cell.  While the crowd is mostly
+    stuck (the last step's activations that found no free cone cell
+    outnumber its moves), a cell whose cone was found full is marked in
+    ``grid.marks``, and its next activations end unread, their result
+    known, until a cell of that cone is freed: a move's old cell, or a
     body leaving the doorway.  Code that frees a cell of
     ``grid.occupancy`` between steps must set ``grid.marks`` to None.
     """
@@ -175,7 +173,7 @@ def step(
     order = rng.permutation(len(crowd))
     if 1 in exited:
         # an exited agent's body stands on an exit cell until its next
-        # activation clears it; every other exited agent's is a no-op
+        # activation clears it; every other exited agent is done
         visit = np.frombuffer(exited, dtype=bool) == 0
         visit[[i for i in occupancy[:w] if i != FREE]] = True
         order = order[visit[order]]
@@ -190,12 +188,12 @@ def step(
             continue
         if exited[i]:
             # a freshly exited body clears the doorway at its next
-            # activation ("moves to the edge of the world")
-            if occupancy[here] == i:
-                occupancy[here] = FREE
-                if marking:
-                    for p in holders[here]:
-                        table[p] = base[p]
+            # activation ("moves to the edge of the world"): the visit
+            # mask admits an exited agent only while its body stands there
+            occupancy[here] = FREE
+            if marking:
+                for p in holders[here]:
+                    table[p] = base[p]
             continue
 
         # spawned on an exit coordinate (possible with spawn_margin = 0)

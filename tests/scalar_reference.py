@@ -40,7 +40,7 @@ import numpy as np
 from archsim import table
 from archsim.agent import steer
 from archsim.engine import TRACE_HEADER, StepRecord
-from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError
+from archsim.errors import ArchsimError, ConfigError
 from archsim.table import write_table
 from archsim.world import FREE, TWO_PI, build_floor
 
@@ -244,10 +244,6 @@ def initialize(config):
     grid = WorldGrid(build_floor(config.W, config.L, config.w))
     rng = np.random.default_rng(config.seed)
     spawn = [cell for cell in grid.occupancy if cell[1] >= config.spawn_margin]
-    if config.c > len(spawn):
-        raise CrowdTooLargeError(
-            f"crowd size c={config.c} exceeds {len(spawn)} spawnable cells"
-        )
     picks = rng.choice(len(spawn), size=config.c, replace=False)
     agents = []
     for agent_id, i in enumerate(picks):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import archsim
 from archsim import analysis, world
 from archsim.cli import build_parser, main
-from archsim.engine import read_trace_csv
+from archsim.engine import read_trace_csv, simulate
 from archsim.sweep import DEFAULT_W_LEVELS
 
 RUN_CFG = "c = 5\nw = 3\nseed = 4\nmax_steps = 500\n"
@@ -67,10 +67,14 @@ def test_run_missing_config(tmp_path, capsys):
 
 
 def test_run_rejects_oversized_crowd(tmp_path, capsys):
+    """A crowd the corridor cannot hold is refused as the config is built,
+    in one line naming the file: 19 columns x 55 rows past the margin."""
     cfg = tmp_path / "big.cfg"
     cfg.write_text("c = 2000\nw = 3\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "exceeds" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}: crowd size c=2000 exceeds 1045 spawnable cells\n"
+    )
 
 
 def test_run_rejects_corridor_longer_than_int16(tmp_path, capsys):
@@ -167,6 +171,17 @@ def test_a_refused_config_names_the_file_only_at_its_fault(tmp_path, capsys, con
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
+    assert not out.exists()
+
+
+def test_a_file_refused_alone_is_refused_under_a_flag_for_its_fault(tmp_path, capsys):
+    """The file's keys are built before the flags: a faulty seed in the
+    file is named even when --seed would replace it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 5\nw = 3\nseed = -1\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: seed=-1 must be nonnegative\n")
     assert not out.exists()
 
 
@@ -286,8 +301,9 @@ def test_render_rejects_a_header_field_over_the_csv_limit(run_dir, tmp_path, cap
 @pytest.mark.parametrize(
     "config_text,message",
     [(None, "config file not found: {cfg}"),
-     ("c = 5\nw = 0\n", "{cfg}: exit width w=0 must satisfy 1 <= w <= W=19")],
-    ids=["missing", "invalid"],
+     ("c = 5\nw = 0\n", "{cfg}: exit width w=0 must satisfy 1 <= w <= W=19"),
+     ("c = 2000\nw = 3\n", "{cfg}: crowd size c=2000 exceeds 1045 spawnable cells")],
+    ids=["missing", "invalid", "overfull"],
 )
 def test_render_checks_its_config_before_the_trace(tmp_path, capsys, config_text, message):
     """A bad --config is reported as such, before the trace is read, even
@@ -514,6 +530,19 @@ def test_analyze_perfect_lines(tmp_path):
     assert sorted(p.name for p in out.glob("*.svg")) == [
         "T_vs_w_c200.svg", "T_vs_w_c400.svg",
     ]
+
+
+def test_analyze_replaces_the_plots_of_an_earlier_analysis(tmp_path):
+    """An analysis into a reused --out leaves only its own per-c plots,
+    each with the bytes it has in a fresh --out."""
+    status, out = _analyze(PERFECT_LINE_CSV, tmp_path)
+    assert status == 0
+    c400 = (out / "T_vs_w_c400.svg").read_bytes()
+    rows = [line for line in PERFECT_LINE_CSV.splitlines() if line.startswith("400,")]
+    status, out = _analyze("\n".join([MEASUREMENTS_HEADER, *rows]) + "\n", tmp_path)
+    assert status == 0
+    assert [p.name for p in out.glob("*.svg")] == ["T_vs_w_c400.svg"]
+    assert (out / "T_vs_w_c400.svg").read_bytes() == c400
 
 
 def test_analyze_per_replicate_changes_sample_size(tmp_path):
@@ -767,13 +796,20 @@ def reader_inputs(tmp_path_factory):
     return {"trace.csv": trace, "trace.csv.gz": trace,
             "effective_config.txt": (root / "run" / "effective_config.txt").read_bytes(),
             "measurements.csv": (root / "sweep" / "measurements.csv").read_bytes(),
-            "sweep.cfg": sweep_cfg.read_bytes()}
+            "sweep.cfg": sweep_cfg.read_bytes(), "run.cfg": run_cfg.read_bytes()}
+
+
+def _first_record(config):
+    """The t=0 record alone: the crowd is placed, but no step is run."""
+    return [next(simulate(config))]
 
 
 # the command that reads each file; a sweep's cells are not run (a mutated
 # level or replicate count may ask for any number of them), so its config
-# is read and built, and the sweep's files are written.  The trace is read
-# under a name numpy would decompress too, which is parsed from the open file
+# is read and built, and the sweep's files are written.  A run stops at its
+# placed crowd (a mutated crowd or corridor may ask for a long run) and
+# writes its four files.  The trace is read under a name numpy would
+# decompress too, which is parsed from the open file
 _READERS = {
     "trace.csv": ["render", "trace.csv", "--config", "effective_config.txt", "--out", "frame"],
     "trace.csv.gz": ["render", "trace.csv.gz", "--config", "effective_config.txt",
@@ -782,6 +818,7 @@ _READERS = {
                              "--out", "frame"],
     "measurements.csv": ["analyze", "measurements.csv", "--out", "analysis"],
     "sweep.cfg": ["sweep", "--config", "sweep.cfg", "--out", "sweep"],
+    "run.cfg": ["run", "--config", "run.cfg", "--out", "run"],
 }
 
 
@@ -800,7 +837,8 @@ def test_a_mutated_input_is_read_or_named_in_one_error_line(reader_inputs, name,
                 for i, arg in enumerate(_READERS[name])]
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err), \
-                mock.patch("archsim.cli.run_sweep", return_value=([], [])):
+                mock.patch("archsim.cli.run_sweep", return_value=([], [])), \
+                mock.patch("archsim.cli.run", _first_record):
             status = main(argv)
     err = err.getvalue()
     if status == 0:

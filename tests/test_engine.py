@@ -301,15 +301,45 @@ def test_run_invariants_small_crowd():
         prev = rec
 
 
+def _spawnable(W, L, w, spawn_margin):
+    """The floor cells at or past ``spawn_margin``: row 0 holds only the
+    w exit cells."""
+    return W * (L - spawn_margin) - (W - w if spawn_margin == 0 else 0)
+
+
 @st.composite
-def _small_configs(draw):
+def _small_floors(draw):
+    """(W, L, w, spawn_margin) of a small corridor."""
     W = draw(st.integers(3, 12))
     L = draw(st.integers(W + 1, 30))
-    spawn_margin = draw(st.integers(0, L - 1))
-    spawnable = W * (L - spawn_margin) - (W - 1 if spawn_margin == 0 else 0)
+    return W, L, draw(st.integers(1, W)), draw(st.integers(0, L - 1))
+
+
+@given(floor=_small_floors(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_run_config_that_validates_can_be_initialized(floor, data):
+    """Validation refuses exactly the crowds the corridor cannot hold past
+    its margin, so every config it passes places its whole crowd."""
+    W, L, w, spawn_margin = floor
+    spawnable = _spawnable(W, L, w, spawn_margin)
+    edge = st.sampled_from([spawnable, spawnable + 1])  # the fullest crowd and one more
+    c = data.draw(edge | st.integers(0, spawnable + 3), label="c")
+    cfg = SimConfig(c=c, w=w, W=W, L=L, spawn_margin=spawn_margin)
+    if c > spawnable:
+        with pytest.raises(CrowdTooLargeError,
+                           match=f"^crowd size c={c} exceeds {spawnable} spawnable cells$"):
+            cfg.validate()
+        return
+    grid, crowd, _ = initialize(cfg)
+    assert len(crowd) == c == len(grid.occupancy) - grid.occupancy.count(FREE) - 1
+
+
+@st.composite
+def _small_configs(draw):
+    W, L, w, spawn_margin = draw(_small_floors())
     return SimConfig(
-        c=draw(st.integers(0, min(60, spawnable))),
-        w=draw(st.integers(1, W)),
+        c=draw(st.integers(0, min(60, _spawnable(W, L, w, spawn_margin)))),
+        w=w,
         W=W,
         L=L,
         seed=draw(st.integers(0, 2**32)),
