@@ -100,7 +100,6 @@ class StepRecord:
     ys: np.ndarray
     exited: np.ndarray
     moved: np.ndarray
-    exits_this_step: int
 
     @property
     def agent_count(self) -> int:
@@ -108,7 +107,7 @@ class StepRecord:
 
     @property
     def exited_count(self) -> int:
-        return int(self.exited.sum())
+        return int(np.count_nonzero(self.exited))
 
     @property
     def stationary_count(self) -> int:
@@ -116,11 +115,11 @@ class StepRecord:
         return int((~self.exited & ~self.moved).sum())
 
 
-def _snapshot(t: int, crowd: Crowd, moved: np.ndarray, exits: int) -> StepRecord:
+def _snapshot(t: int, crowd: Crowd, moved: np.ndarray) -> StepRecord:
     where = np.frombuffer(crowd.cell, np.int64)
     floor = crowd.floor
     exited = np.frombuffer(crowd.exited, dtype=bool).copy()
-    return StepRecord(t, floor.xs[where], floor.ys[where], exited, moved, exits)
+    return StepRecord(t, floor.xs[where], floor.ys[where], exited, moved)
 
 
 def initialize(config: SimConfig) -> tuple[WorldGrid, Crowd, np.random.Generator]:
@@ -162,7 +161,7 @@ def step(
     cell, exited = crowd.cell, crowd.exited
     base, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
     w = len(floor.exit_cells)  # cell indices 0..w-1 are the exit segment
-    exits_this_step = jammed = 0
+    jammed = 0
     moved = bytearray(len(crowd))
     # while marking, ``table`` is the run's copy of the cone table in which
     # a marked cell's entries are ``_FULL``
@@ -199,7 +198,6 @@ def step(
         # spawned on an exit coordinate (possible with spawn_margin = 0)
         if here < w:
             exited[i] = 1
-            exits_this_step += 1
             continue
 
         # the closest free cell, then the best live match in view: a match
@@ -228,13 +226,12 @@ def step(
                     table[p] = base[p]
             if pace < w:  # distance < 1 to an exit cell means standing on it
                 exited[i] = 1
-                exits_this_step += 1
 
     if jammed <= moved.count(1):
         grid.marks = None
     elif not marking:
         grid.marks = (base, list(base))
-    record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy(), exits_this_step)
+    record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy())
     _check_occupancy(grid, crowd, t)
     return record
 
@@ -266,7 +263,7 @@ def simulate(config: SimConfig):
     consumer that stops reading stops the simulation there.
     """
     grid, crowd, rng = initialize(config)
-    yield _snapshot(0, crowd, np.zeros(len(crowd), dtype=bool), 0)
+    yield _snapshot(0, crowd, np.zeros(len(crowd), dtype=bool))
     t = 0
     while crowd.exited.count(1) < len(crowd) and t < config.max_steps:
         t += 1
@@ -348,9 +345,13 @@ def _trace_text(records: list[StepRecord], n: int, top: int):
 
 
 def write_summary_csv(records: list[StepRecord], path) -> None:
+    """A step's exits are the rise in its exited count over the previous
+    record's (over 0 for the first): an exited flag never returns to 0."""
+    counts = [rec.exited_count for rec in records]
     table.write_table(
         path, SUMMARY_HEADER,
-        ((rec.t, rec.exits_this_step, rec.stationary_count) for rec in records),
+        ((rec.t, now - before, rec.stationary_count)
+         for rec, before, now in zip(records, [0, *counts], counts)),
     )
 
 
@@ -417,10 +418,7 @@ def read_trace_csv(path) -> list[StepRecord]:
     del rows, t, fields, steps  # every field the records keep is copied out
     moved = np.zeros_like(exited)  # before the first step nobody has moved or exited
     moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    new_exits = exited.copy()
-    new_exits[1:] &= ~exited[:-1]
-    exits = new_exits.sum(axis=1).tolist()
-    return [StepRecord(s, xs[s], ys[s], exited[s], moved[s], exits[s]) for s in range(whole)]
+    return [StepRecord(s, xs[s], ys[s], exited[s], moved[s]) for s in range(whole)]
 
 
 _CHUNK = 1 << 20  # bytes per read of the trace body's check

@@ -12,10 +12,9 @@ the corridor, m is how wide it spans the exit wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import dist
 
 from .errors import ArchsimError
-from .world import Cell, Floor, nearest_exit_coordinate
+from .world import Cell, Floor
 
 _NEIGHBORS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)]
 
@@ -37,18 +36,17 @@ def clog_cluster(record, floor: Floor) -> set[Cell]:
 
     Returns an empty set when nothing qualifies.  Among equally large
     components the one with the smallest cell wins, so the result never
-    depends on iteration order.  A cell within distance 1 of its nearest
-    exit coordinate has ``y <= 1``, since that distance is at least ``y``:
-    the flood fills start from such cells only, so no component away from
-    the exit is ever filled, and the stationary set is built only once
-    there is a seed.
+    depends on iteration order.  A floor cell within distance 1 of an exit
+    cell is one or stands directly above one: row 0's floor cells are the
+    exit cells, and a row-1 cell beside the exit columns is at least
+    sqrt(2) from them.  The flood fills start from the agents on those
+    cells only, so no component away from the exit is ever filled, and
+    the stationary set is built only once there is a seed.
     """
     mask = ~record.exited & ~record.moved
-    front = mask & (record.ys <= 1)
-    seeds = [
-        cell for cell in zip(record.xs[front].tolist(), record.ys[front].tolist())
-        if dist(cell, nearest_exit_coordinate(floor, cell)) <= 1
-    ]
+    (x0, _), (x1, _) = floor.exit_cells[0], floor.exit_cells[-1]
+    front = mask & (record.ys <= 1) & (record.xs >= x0) & (record.xs <= x1)
+    seeds = list(zip(record.xs[front].tolist(), record.ys[front].tolist()))
     if not seeds:
         return set()
     remaining = set(zip(record.xs[mask].tolist(), record.ys[mask].tolist()))

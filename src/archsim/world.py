@@ -119,13 +119,3 @@ class WorldGrid:
     def __post_init__(self):
         self.occupancy = [FREE] * len(self.floor.cells) + [WALL]
 
-
-def nearest_exit_coordinate(floor: Floor, pos: Cell) -> Cell:
-    """Exit cell with minimal Euclidean distance to ``pos``.
-
-    Ties resolve to the lowest transverse index.  For the contiguous
-    segments build_floor produces, clamping the transverse coordinate
-    into the segment is exact (and tie-free for integer positions).
-    """
-    (x0, _), (x1, _) = floor.exit_cells[0], floor.exit_cells[-1]
-    return (min(max(pos[0], x0), x1), 0)

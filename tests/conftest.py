@@ -12,7 +12,7 @@ from archsim.engine import StepRecord
 from archsim.world import FREE
 
 
-def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
+def make_record(t, positions, moved=(), exited=()):
     """Build a StepRecord from a list of (x, y); list index is the agent id.
 
     `moved` and `exited` are iterables of agent ids whose flags are set.
@@ -26,7 +26,7 @@ def make_record(t, positions, moved=(), exited=(), exits_this_step=0):
         ex[i] = True
     for i in moved:
         mv[i] = True
-    return StepRecord(t, xs, ys, ex, mv, exits_this_step)
+    return StepRecord(t, xs, ys, ex, mv)
 
 
 @lru_cache(maxsize=8)  # tests look cells up one at a time

@@ -7,7 +7,10 @@ table with numpy; the tests require the two to agree bit for bit.
 ``reference_run`` is the step kernel as it was before it moved to cell
 indices: ``Agent`` objects, an occupancy dict keyed by cell tuples,
 ``is_free`` and ``WorldGrid.move``, over the tuple-keyed scalar table.
-The tests require ``engine.run`` to give the same records.
+The tests require ``engine.run`` to give the same records.  Each of its
+records is a ``ReferenceRecord``, which also holds the kernel's own
+count of the step's exits; the tests require ``engine.write_summary_csv``
+to write the same counts.
 
 ``one_pass_choose_pace`` is the index-based pace decision as it was
 before the table ranked each cell's entries by score: one pass over the
@@ -231,12 +234,21 @@ def step_pace(entries, occupancy, exited, cells, threshold):
             break
     return pace
 
+
+@dataclass
+class ReferenceRecord(StepRecord):
+    """A step's record with the kernel's own count of the agents that
+    exited in that step."""
+
+    exits_this_step: int
+
+
 def _snapshot(t, agents, moved, exits):
     n = len(agents)
     xs = np.fromiter((a.pos[0] for a in agents), dtype=np.int16, count=n)
     ys = np.fromiter((a.pos[1] for a in agents), dtype=np.int16, count=n)
     exited = np.fromiter((a.exited for a in agents), dtype=bool, count=n)
-    return StepRecord(t, xs, ys, exited, moved, exits)
+    return ReferenceRecord(t, xs, ys, exited, moved, exits)
 
 
 def initialize(config):

@@ -80,3 +80,19 @@ def test_no_module_holds_an_assert_statement():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_every_top_level_function_and_class_has_a_caller_inside_the_package():
+    """Each top-level ``def`` and ``class`` of the modules, private ones
+    too, is named by a code reference (a ``Name`` or an ``Attribute``, not
+    a docstring mention) somewhere in the package outside its own body: no
+    helper is left that only the tests or the bench call."""
+    statements = [statement for path in MODULES
+                  for statement in ast.parse(path.read_text(), str(path)).body]
+    reads = [(statement, _loaded_names(statement)) for statement in statements]
+    uncalled = sorted(
+        statement.name for statement, _ in reads
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and not any(statement.name in loaded for other, loaded in reads if other is not statement)
+    )
+    assert uncalled == []

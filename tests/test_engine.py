@@ -30,7 +30,7 @@ from archsim.engine import (
 )
 from archsim.errors import ArchsimError, ConfigError, CrowdTooLargeError, InvalidDimensionsError
 from archsim.metrics import detect_arch_onset
-from archsim.world import FREE, WALL, WorldGrid, build_floor, nearest_exit_coordinate
+from archsim.world import FREE, WALL, WorldGrid, build_floor
 
 import scalar_reference
 from conftest import cell_index, crowd_on, make_record, reading
@@ -69,7 +69,6 @@ def test_agent_standing_on_exit_cell_exits():
     rng = np.random.default_rng(0)
     rec = step(grid, agents, rng, SimConfig(c=1, w=7), 1)
     assert rec.exited_count == 1
-    assert rec.exits_this_step == 1
     assert not rec.moved[0]
     # the body clears the doorway at the next activation, not immediately
     assert _body_at(grid, (9, 0)) == 0
@@ -223,8 +222,8 @@ def test_lone_agent_trace_length_is_taxicab_distance():
     for seed in range(5):
         cfg = SimConfig(c=1, w=7, seed=seed)
         grid, (agent,), _ = initialize(cfg)
-        ex = nearest_exit_coordinate(grid.floor, agent.pos)
-        d = abs(agent.pos[0] - ex[0]) + abs(agent.pos[1] - ex[1])
+        x, y = agent.pos
+        d = min(abs(x - ex) + abs(y - ey) for ex, ey in grid.floor.exit_cells)
         records = run(cfg)
         assert records[-1].exited_count == 1
         assert d <= records[-1].t <= d + 1
@@ -394,7 +393,7 @@ def _reference_configs(draw):
 @settings(max_examples=60, deadline=None)
 def test_run_matches_the_tuple_keyed_reference(cfg):
     """engine.run on cell indices gives the tuple-keyed kernel's records,
-    record for record: positions, exited and moved flags, exits."""
+    record for record: positions, exited and moved flags."""
     expected = reference_run(cfg)
     _assert_same_records(run(cfg), expected)
     assert len(expected) > 1 or cfg.c == 0
@@ -601,18 +600,17 @@ def test_trace_csv_round_trip(tmp_path):
         assert np.array_equal(a.ys, b.ys)
         assert np.array_equal(a.exited, b.exited)
         assert np.array_equal(a.moved, b.moved)
-        assert a.exits_this_step == b.exits_this_step
         assert (b.xs.dtype, b.ys.dtype, b.exited.dtype, b.moved.dtype) == (
             np.int16, np.int16, bool, bool,
         )
-    assert sum(b.exits_this_step for b in back) == 25
+    assert back[-1].exited_count == 25
     assert path.read_text().splitlines()[0] == "t,agent_id,transverse,longitudinal,exited"
 
 
 def _assert_same_records(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        assert (x.t, x.exits_this_step) == (y.t, y.exits_this_step)
+        assert x.t == y.t
         for name in ("xs", "ys", "exited", "moved"):
             assert np.array_equal(getattr(x, name), getattr(y, name))
 
@@ -802,13 +800,10 @@ def test_trace_csv_counts_a_crlf_split_between_read_chunks(tmp_path, monkeypatch
 
 def _records_of(xs, ys, exited):
     """StepRecords of per-step coordinates and exited flags, each of shape
-    (steps, n), with moved and exits_this_step derived as a read derives them."""
+    (steps, n), with moved derived as a read derives it."""
     moved = np.zeros_like(exited)
     moved[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    new_exits = exited.copy()
-    new_exits[1:] &= ~exited[:-1]
-    return [StepRecord(t, xs[t], ys[t], exited[t], moved[t], int(new_exits[t].sum()))
-            for t in range(len(xs))]
+    return [StepRecord(t, xs[t], ys[t], exited[t], moved[t]) for t in range(len(xs))]
 
 
 def _parsed_dtype(path):
@@ -1021,7 +1016,7 @@ def _traces(draw):
     xs, ys = (draw(arrays(np.int16, (steps, n), elements=_COORDS)) for _ in "xy")
     exited = draw(arrays(bool, (steps, n)))
     moved = np.zeros(n, dtype=bool)
-    return [StepRecord(t, xs[t], ys[t], exited[t], moved, 0) for t in range(steps)]
+    return [StepRecord(t, xs[t], ys[t], exited[t], moved) for t in range(steps)]
 
 
 @given(records=_traces())
@@ -1041,7 +1036,7 @@ def _evolving_traces(draw):
     or put back to the row of an earlier step."""
     n, steps = draw(st.integers(1, 30)), draw(st.integers(1, 20))
     xs, ys = (draw(arrays(np.int16, n, elements=_COORDS)) for _ in "xy")
-    records = [StepRecord(0, xs, ys, draw(arrays(bool, n)), np.zeros(n, dtype=bool), 0)]
+    records = [StepRecord(0, xs, ys, draw(arrays(bool, n)), np.zeros(n, dtype=bool))]
     for t in range(1, steps):
         prev = records[-1]
         xs, ys, exited = prev.xs.copy(), prev.ys.copy(), prev.exited.copy()
@@ -1054,7 +1049,7 @@ def _evolving_traces(draw):
             else:
                 old = records[draw(st.integers(0, t - 1))]
                 xs[i], ys[i], exited[i] = old.xs[i], old.ys[i], old.exited[i]
-        records.append(StepRecord(t, xs, ys, exited, np.zeros(n, dtype=bool), 0))
+        records.append(StepRecord(t, xs, ys, exited, np.zeros(n, dtype=bool)))
     return records
 
 
@@ -1087,7 +1082,7 @@ def test_trace_csv_refuses_a_shuffled_step_at_its_first_line(tmp_path_factory, d
     n, steps = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
     xs, ys = (data.draw(arrays(np.int16, (steps, n), elements=_COORDS)) for _ in "xy")
     exited = np.logical_or.accumulate(data.draw(arrays(bool, (steps, n))), axis=0)
-    records = [StepRecord(t, xs[t], ys[t], exited[t], exited[t], 0) for t in range(steps)]
+    records = [StepRecord(t, xs[t], ys[t], exited[t], exited[t]) for t in range(steps)]
     out = tmp_path_factory.mktemp("shuffled")
     write_trace_csv(records, out / "trace.csv")
     header, *rows = (out / "trace.csv").read_text().splitlines(keepends=True)
@@ -1138,11 +1133,17 @@ def test_trace_csv_without_rows_is_rejected(tmp_path):
 
 
 def test_summary_csv(tmp_path):
-    records = run(SimConfig(c=10, w=5, seed=1))
-    path = tmp_path / "summary.csv"
-    write_summary_csv(records, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,exits_this_step,stationary_count"
-    assert len(lines) == len(records) + 1
-    total_exits = sum(int(line.split(",")[1]) for line in lines[1:])
-    assert total_exits == 10
+    """Each row's exits equal the tuple-keyed kernel's own count of the
+    step's exits.  With spawn_margin = 0, an agent spawned on an exit cell
+    counts at its first activation."""
+    for cfg in SimConfig(c=10, w=5, seed=1), SimConfig(c=60, w=3, spawn_margin=0, seed=0):
+        records = run(cfg)
+        path = tmp_path / "summary.csv"
+        write_summary_csv(records, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,exits_this_step,stationary_count"
+        assert len(lines) == len(records) + 1
+        exits = [int(line.split(",")[1]) for line in lines[1:]]
+        assert exits == [rec.exits_this_step for rec in reference_run(cfg)]
+        assert sum(exits) == cfg.c
+    assert (records[0].ys == 0).any()  # the last run spawned an agent on an exit cell

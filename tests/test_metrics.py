@@ -64,11 +64,26 @@ def test_isolated_stationary_agent_at_exit_is_singleton():
 
 
 def test_exit_adjacency_is_euclidean_not_diagonal():
+    """A lone stationary agent on a floor cell with ``y <= 1`` forms a
+    one-agent cluster exactly when it is within Euclidean distance 1 of an
+    exit cell (``_oracle_clog``'s rule), on every floor of width 4, 11 and
+    19 with every exit width: those where the exit's edge cell touches a
+    side wall (W=4, w=3) and those where the exit fills the wall too."""
     floor = build_floor(19, 60, 7)
     # (5,1) is sqrt(2) from the nearest exit cell (6,0): not adjacent
     assert clog_cluster(make_record(0, [(5, 1)]), floor) == set()
     assert clog_cluster(make_record(0, [(6, 1)]), floor) == {(6, 1)}
     assert clog_cluster(make_record(0, [(6, 0)]), floor) == {(6, 0)}
+    anchored = 0
+    for W in (4, 11, 19):
+        for w in range(1, W + 1):
+            floor = build_floor(W, 20, w)
+            for cell in floor.cells[: w + W]:  # the exit cells, then row 1
+                rec = make_record(0, [cell])
+                expected = _oracle_clog(rec, floor)
+                assert clog_cluster(rec, floor) == expected, (W, w, cell)
+                anchored += len(expected)
+    assert anchored == 2 * sum(range(1, 20)) + 2 * sum(range(1, 12)) + 2 * sum(range(1, 5))
 
 
 def test_blob_plus_distant_stragglers():

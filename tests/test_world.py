@@ -1,5 +1,5 @@
-"""World geometry: exit placement, walls, occupancy, nearest-exit selection,
-the heading field, cell indices and the shared floor."""
+"""World geometry: exit placement, walls, occupancy, the heading field
+toward the nearest exit, cell indices and the shared floor."""
 
 import math
 
@@ -12,11 +12,9 @@ from archsim.world import (
     COORD_MAX,
     FREE,
     WALL,
-    Floor,
     WorldGrid,
     build_floor,
     check_geometry,
-    nearest_exit_coordinate,
 )
 
 from conftest import cell_index, crowd_on
@@ -134,19 +132,6 @@ def test_floor_map_matches_bounds_arithmetic(data):
         assert _is_free(grid, cell) == (not wall and cell not in occupied)
 
 
-def test_nearest_exit_example():
-    # agent left of the segment: clamps to the low end
-    floor = Floor(19, 60, exit_cells=tuple((x, 0) for x in range(8, 11)), heading={})
-    assert nearest_exit_coordinate(floor, (2, 10)) == (8, 0)
-
-
-def test_nearest_exit_inside_span_is_directly_below():
-    floor = build_floor(19, 60, 7)
-    assert nearest_exit_coordinate(floor, (9, 30)) == (9, 0)
-    assert nearest_exit_coordinate(floor, (6, 1)) == (6, 0)
-    assert nearest_exit_coordinate(floor, (18, 44)) == (12, 0)
-
-
 def _oracle_nearest(floor, pos):
     """Exhaustive argmin over exit cells; ties to the lowest transverse index."""
     best, best_d = None, math.inf
@@ -155,30 +140,6 @@ def _oracle_nearest(floor, pos):
         if d < best_d:
             best, best_d = (ex, ey), d
     return best
-
-
-@given(
-    W=st.integers(1, 11),
-    w_frac=st.integers(1, 11),
-    x=st.integers(0, 10),
-    y=st.integers(0, 11),
-)
-def test_nearest_exit_matches_brute_force(W, w_frac, x, y):
-    w = min(w_frac, W)
-    floor = build_floor(W, 12, w)
-    pos = (min(x, W - 1), y)
-    assert nearest_exit_coordinate(floor, pos) == _oracle_nearest(floor, pos)
-
-
-def test_nearest_exit_brute_force_full_neighborhood():
-    """Every position in an 11x11 window, every exit width, vs the oracle."""
-    for w in range(1, 12):
-        floor = build_floor(11, 12, w)
-        for x in range(11):
-            for y in range(11):
-                assert nearest_exit_coordinate(floor, (x, y)) == _oracle_nearest(
-                    floor, (x, y)
-                ), (w, x, y)
 
 
 @pytest.mark.parametrize("W,L,w", [(19, 60, 7), (19, 60, 1), (4, 10, 1), (10, 14, 3), (11, 12, 11)])
