@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -71,7 +70,6 @@ class Crowd:
         return map(AgentView, count(), map(cells.__getitem__, self.cell), map(bool, self.exited))
 
 
-@lru_cache(maxsize=None)
 def _disc_offsets(radius: int) -> tuple[tuple[int, int, float, float], ...]:
     """All nonzero integer offsets within Euclidean ``radius``, ``(ox, oy,
     dist, angle)``, ordered by (dist, ox, oy)."""

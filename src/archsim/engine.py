@@ -99,7 +99,7 @@ class StepRecord:
     xs: np.ndarray
     ys: np.ndarray
     exited: np.ndarray
-    moved: np.ndarray
+    moved: np.ndarray  # the agents whose cell changed in the step
 
     @property
     def agent_count(self) -> int:
@@ -112,7 +112,7 @@ class StepRecord:
     @property
     def stationary_count(self) -> int:
         """Live agents that did not move this step."""
-        return int((~self.exited & ~self.moved).sum())
+        return len(self.exited) - int(np.count_nonzero(self.exited | self.moved))
 
 
 def _snapshot(t: int, crowd: Crowd, moved: np.ndarray) -> StepRecord:
@@ -154,7 +154,8 @@ def step(
     outnumber its moves), a cell whose cone was found full is marked in
     ``grid.marks``, and its next activations end unread, their result
     known, until a cell of that cone is freed: a move's old cell, or a
-    body leaving the doorway.  Code that frees a cell of
+    body leaving the doorway.  A grid is stepped under one
+    ``(vision_radius, d_max)``, and code that frees a cell of
     ``grid.occupancy`` between steps must set ``grid.marks`` to None.
     """
     floor, occupancy = grid.floor, grid.occupancy
@@ -162,11 +163,11 @@ def step(
     base, cells, threshold = neighbourhood(floor, config), floor.cells, config.trigger_threshold
     w = len(floor.exit_cells)  # cell indices 0..w-1 are the exit segment
     jammed = 0
-    moved = bytearray(len(crowd))
+    before = np.frombuffer(cell, np.int64).copy()
     # while marking, ``table`` is the run's copy of the cone table in which
     # a marked cell's entries are ``_FULL``
-    marking = grid.marks is not None and grid.marks[0] is base
-    table = grid.marks[1] if marking else base
+    marking = grid.marks is not None
+    table = grid.marks if marking else base
     holders = cone_holders(floor, config) if marking else None
 
     order = rng.permutation(len(crowd))
@@ -220,18 +221,18 @@ def step(
         if occupancy[pace] == FREE:
             occupancy[pace], occupancy[here] = i, FREE
             cell[i] = pace
-            moved[i] = 1
             if marking:
                 for p in holders[here]:
                     table[p] = base[p]
             if pace < w:  # distance < 1 to an exit cell means standing on it
                 exited[i] = 1
 
-    if jammed <= moved.count(1):
+    moved = np.frombuffer(cell, np.int64) != before
+    if jammed <= np.count_nonzero(moved):
         grid.marks = None
     elif not marking:
-        grid.marks = (base, list(base))
-    record = _snapshot(t, crowd, np.frombuffer(moved, dtype=bool).copy())
+        grid.marks = list(base)
+    record = _snapshot(t, crowd, moved)
     _check_occupancy(grid, crowd, t)
     return record
 

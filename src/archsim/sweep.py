@@ -225,17 +225,14 @@ def run_sweep(
     ]
     rows: list[MeasurementRow] = []
     errors: list[SweepError] = []
-    done = 0
 
     def finish(task, row, err):
-        nonlocal done
-        done += 1
         if err is None:
             rows.append(row)
         else:
             errors.append(SweepError(task[0], task[1], task[2], err))
         if progress is not None:
-            progress(done, len(tasks), task)
+            progress(len(rows) + len(errors), len(tasks), task)
 
     if parallelism == 1:
         for task in tasks:

@@ -107,14 +107,14 @@ class WorldGrid:
 
     One more slot follows the floor cells and is never FREE: index -1, a
     pace onto a wall, reads as taken.  ``marks`` holds the cells whose
-    vision cone the step found full (``engine.step``): None, or the
-    floor's cone table and a copy of it in which each such cell's entries
-    are empty.
+    vision cone the step found full (``engine.step``): None, or the run's
+    copy of the cone table of the one ``(vision_radius, d_max)`` it is
+    stepped under, in which each such cell's entries are empty.
     """
 
     floor: Floor
     occupancy: list[int] = field(init=False)
-    marks: tuple | None = field(init=False, default=None)
+    marks: list | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.occupancy = [FREE] * len(self.floor.cells) + [WALL]

@@ -50,6 +50,9 @@ def test_degenerate_inputs():
         ols_fit([(2, 1), (2, 5), (2, 9)])  # vertical line
     with pytest.raises(DegenerateInputError):
         ols_fit([])
+    for points in ([1, 2, 3], [(1, 2, 3)] * 3):
+        with pytest.raises(DegenerateInputError, match=r"must be \(x, y\) pairs"):
+            ols_fit(points)
 
 
 def test_two_points_have_no_t_statistic():

@@ -1,7 +1,7 @@
 """The public API is the modules: the package root only names the
 version, and every public name a module defines has a caller inside the
 package.  No module checks an invariant with ``assert``, which
-``python -O`` strips."""
+``python -O`` strips, and no module keeps a cache without a bound."""
 
 import ast
 import json
@@ -80,6 +80,31 @@ def test_no_module_holds_an_assert_statement():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def _unbounded_caches(tree):
+    """The lines of ``tree`` that import or name ``functools.cache``, or
+    call ``lru_cache`` with ``maxsize`` None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+        elif isinstance(node, ast.Call) and "lru_cache" in _loaded_names(node.func):
+            maxsize = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(maxsize, ast.Constant) and maxsize.value is None:
+                yield node.lineno
+
+
+def test_no_module_keeps_a_cache_that_grows_without_bound():
+    """Every cache in the package has a bound: an unbounded one keeps each
+    key it has seen for the life of the process."""
+    unbounded = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _unbounded_caches(ast.parse(path.read_text(), str(path)))]
+    assert unbounded == []
 
 
 def test_every_top_level_function_and_class_has_a_caller_inside_the_package():

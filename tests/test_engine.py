@@ -355,15 +355,17 @@ def _small_configs(draw):
 def test_step_invariants_hold_on_random_configs(cfg):
     """One body per cell, none on a wall, occupancy = live agents plus the
     bodies of this step's exits, exits never undone, every move one
-    8-neighbour pace."""
+    8-neighbour pace, and the record's moved flags exactly the agents
+    whose cell changed."""
     grid, agents, rng = initialize(cfg)
     cells = grid.floor.cells
     for t in range(1, cfg.max_steps + 1):
         before = [(a.pos, a.exited) for a in agents]
-        step(grid, agents, rng, cfg, t)
+        record = step(grid, agents, rng, cfg, t)
         for a, (pos, was_exited) in zip(agents, before):
             assert a.exited or not was_exited
             assert max(abs(a.pos[0] - pos[0]), abs(a.pos[1] - pos[1])) <= 1
+            assert bool(record.moved[a.id]) == (a.pos != pos), (t, a.id)
         # a body leaves the doorway at its agent's next activation
         bodies = [(a.pos, a.id) for a, (_, was_exited) in zip(agents, before)
                   if not was_exited]
@@ -414,7 +416,7 @@ def test_jammed_cell_marks_keep_the_reference_records(cfg):
         records.append(step(grid, crowd, rng, cfg, t))
         if grid.marks is not None:
             marked += 1
-            full = [k for k, entries in enumerate(grid.marks[1]) if entries is engine._FULL]
+            full = [k for k, entries in enumerate(grid.marks) if entries is engine._FULL]
             assert min(full, default=cfg.w) >= cfg.w, f"step {t}: exit cell marked"
             for k in full:
                 i = grid.occupancy[k]
